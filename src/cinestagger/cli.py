@@ -6,7 +6,8 @@ error diagnostics go to standard error, so output given identical input
 is byte-identical run to run.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 unreadable or
-unparsable input, 3 infeasible instance.
+unparsable input, 3 infeasible instance, 4 internal error (exact solvers
+disagreed, so no answer is trusted).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .domain import (
     load_instance,
 )
 from .formulation import build_model, export_lp_text
-from .solver import SolveReport
+from .solver import CertificationError, SolveReport
 
 
 def _fmt_objective(objective) -> str:
@@ -351,6 +352,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NoFeasibleConfigurationError, DecompositionSizeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CertificationError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -71,10 +71,6 @@ class BilpModel:
         """The variable pairing this screen with this column, if it exists."""
         return self._cells.get((screen_id, column_key))
 
-    @cached_property
-    def max_coefficient(self) -> int:
-        return max(self.objective.values(), default=0)
-
 
 def build_model(instance: ClusterInstance) -> BilpModel:
     """Formulate the cluster's scheduling problem.

@@ -17,9 +17,12 @@ never by fiat; a disagreement raises instead of picking a winner.
 
 Tie handling: ``solve_assignment`` and ``solve_brute_force`` return the
 lexicographically smallest optimal schedule (ordered by screen id, then
-film id, then configuration index).  Branch and bound keeps the first
-optimum its search order finds, which the certifier compares by objective
-only.
+film id, then configuration index).  Brute force gets it from its
+enumeration order; the assignment solver gets it in the same single solve,
+by adding to each integer weight a tie-break term too small to outweigh
+any difference in attendance (see ``solve_assignment``).  Branch and bound
+keeps the first optimum its search order finds, which the certifier
+compares by objective only.
 """
 
 from __future__ import annotations
@@ -27,12 +30,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .domain import MILLI
 from .formulation import BilpModel, VariableRef, check_feasible
-
-INF = 1 << 60
 
 ORACLE_MAX_SCREENS = 8
 ORACLE_MAX_COLUMNS = 10
@@ -89,12 +90,16 @@ _SPARSE_PIGEONHOLE = (
 )
 
 
-def _augment_min_cost(cost: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
+def _augment_min_cost(
+    cost: Sequence[Sequence[Optional[int]]], stats: SolveStats
+) -> Optional[List[int]]:
     """Min-cost rectangular assignment by shortest augmenting paths.
 
-    ``cost`` is n rows by m columns of exact integers, n <= m.  Returns
-    (column index chosen per row, number of augmentations).  Potentials
-    stay integral throughout, so the optimum is exact.
+    ``cost`` is n rows by m columns of exact integers, n <= m, with None
+    marking a forbidden cell.  Returns the column index chosen per row, or
+    None when no assignment of every row uses allowed cells only.  Each
+    completed augmentation counts one node in ``stats``.  Potentials stay
+    integral throughout, so the optimum is exact.
     """
     n, m = len(cost), len(cost[0]) if cost else 0
     u = [0] * (n + 1)
@@ -104,28 +109,34 @@ def _augment_min_cost(cost: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [INF] * (m + 1)
+        minv: List[Optional[int]] = [None] * (m + 1)   # None: not reached yet
         used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = INF
+            delta: Optional[int] = None
             j1 = 0
             row = cost[i0 - 1]
             for j in range(1, m + 1):
-                if not used[j]:
+                if used[j]:
+                    continue
+                if row[j - 1] is not None:
                     cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
+                    if minv[j] is None or cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
+                if minv[j] is not None and (delta is None or minv[j] < delta):
+                    delta = minv[j]
+                    j1 = j
+            if delta is None:
+                # no free column reachable: by Berge's lemma rows 1..i
+                # have no complete matching
+                return None
             for j in range(m + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
-                else:
+                elif minv[j] is not None:
                     minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
@@ -134,11 +145,12 @@ def _augment_min_cost(cost: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
+        stats.nodes += 1
     row_to_col = [-1] * n
     for j in range(1, m + 1):
         if p[j]:
             row_to_col[p[j] - 1] = j - 1
-    return row_to_col, n
+    return row_to_col
 
 
 def _cell_weights(model: BilpModel) -> Dict[Tuple[int, int], int]:
@@ -152,175 +164,75 @@ def _cell_weights(model: BilpModel) -> Dict[Tuple[int, int], int]:
     return weights
 
 
-def _matching_value(
-    weights: Dict[Tuple[int, int], int],
-    rows: Sequence[int],
-    cols: Sequence[int],
-    big: int,
-) -> Tuple[Optional[int], int]:
-    """Best total weight matching ``rows`` into ``cols``, or None if impossible.
+# A search gets the cell weights, the screen count, the column indices in
+# ascending (film, config) order and the stats to count its effort in; it
+# returns the chosen column index per screen, or None when no complete
+# schedule exists.
+Search = Callable[[Dict[Tuple[int, int], int], int, List[int], SolveStats], Optional[List[int]]]
 
-    Forbidden cells carry a big penalty under minimization; a matching
-    that still uses one proves there is no real completion.
-    """
-    if not rows:
-        return 0, 0
-    if len(rows) > len(cols):
-        return None, 0
-    cost = [
-        [big - weights[(r, c)] if (r, c) in weights else big * (len(rows) + 1) for c in cols]
-        for r in rows
-    ]
-    row_to_col, augments = _augment_min_cost(cost)
-    total = 0
-    for ri, r in enumerate(rows):
-        cell = (r, cols[row_to_col[ri]])
-        if cell not in weights:
-            return None, augments
-        total += weights[cell]
-    return total, augments
+
+def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
+    """Report of ``search`` on ``model``: pigeonhole check, timing, schedule."""
+    started = time.perf_counter()
+    n = len(model.screen_ids)
+    m = len(model.column_keys)
+    report = SolveReport(status="Infeasible", method=method)
+    if n > m:
+        report.diagnostic = _pigeonhole_message(n, m)
+    else:
+        weights = _cell_weights(model)
+        column_order = sorted(range(m), key=lambda ci: model.column_keys[ci][-2:])
+        choice = search(weights, n, column_order, report.stats)
+        if choice is None:
+            report.diagnostic = _SPARSE_PIGEONHOLE
+        else:
+            report.status = "Optimal"
+            report.schedule = Schedule(
+                {model.screen_ids[si]: model.column_keys[ci][-2:] for si, ci in enumerate(choice)}
+            )
+            report.objective = Fraction(
+                sum(weights[(si, ci)] for si, ci in enumerate(choice)), MILLI
+            )
+    report.stats.wall_time = time.perf_counter() - started
+    return report
+
+
+def _assignment_search(weights, n, column_order, stats):
+    m = len(column_order)
+    scale = m**n
+    place = [m ** (n - 1 - si) for si in range(n)]
+    tie = [0] * m
+    for rank, ci in enumerate(column_order):
+        tie[ci] = m - 1 - rank
+    cost: List[List[Optional[int]]] = [[None] * m for _ in range(n)]
+    for (si, ci), w in weights.items():
+        cost[si][ci] = -(w * scale + tie[ci] * place[si])
+    return _augment_min_cost(cost, stats)
 
 
 def solve_assignment(model: BilpModel) -> SolveReport:
     """Optimal schedule via the rectangular assignment reduction.
 
-    Ties broken to the lexicographically smallest schedule: after the
-    optimum value is known, each screen in ascending order is fixed to
-    its smallest (film, config) choice that still completes to the
-    optimum, re-solving the remainder each time.
+    One shortest-augmenting-path solve on perturbed integer weights, one
+    augmentation per screen.  With n screens and m columns, the cell of
+    screen index s and the column of rank r in (film, config) order weighs
+    ``w * m**n + (m - 1 - r) * m**(n - 1 - s)``.  The tie-break terms of a
+    schedule read as an n-digit base-m number below ``m**n``, so they never
+    outweigh a difference in attendance, and among optimal schedules they
+    are largest for the lexicographically smallest one, which is therefore
+    the unique perturbed optimum.  The objective sums the original weights.
     """
-    started = time.perf_counter()
-    n = len(model.screen_ids)
-    m = len(model.column_keys)
-    stats = SolveStats()
-
-    def done(report: SolveReport) -> SolveReport:
-        report.stats.wall_time = time.perf_counter() - started
-        return report
-
-    if n > m:
-        return done(
-            SolveReport(
-                status="Infeasible",
-                method="assignment",
-                stats=stats,
-                diagnostic=_pigeonhole_message(n, m),
-            )
-        )
-    if n == 0:
-        return done(
-            SolveReport(
-                status="Optimal",
-                method="assignment",
-                schedule=Schedule({}),
-                objective=Fraction(0),
-                stats=stats,
-            )
-        )
-
-    weights = _cell_weights(model)
-    big = 1 + n * (model.max_coefficient + 1)
-    optimum, augments = _matching_value(weights, range(n), range(m), big)
-    stats.nodes += augments
-    if optimum is None:
-        return done(
-            SolveReport(
-                status="Infeasible",
-                method="assignment",
-                stats=stats,
-                diagnostic=_SPARSE_PIGEONHOLE,
-            )
-        )
-
-    # canonicalize: fix screens one by one to the smallest choice that
-    # preserves the optimum value
-    column_order = sorted(
-        range(m), key=lambda ci: (model.column_keys[ci][-2], model.column_keys[ci][-1])
-    )
-    chosen: Dict[int, int] = {}
-    used_cols = set()
-    prefix = 0
-    for si in range(n):
-        remaining_rows = range(si + 1, n)
-        for ci in column_order:
-            if ci in used_cols or (si, ci) not in weights:
-                continue
-            free_cols = [c for c in range(m) if c not in used_cols and c != ci]
-            completion, augments = _matching_value(weights, remaining_rows, free_cols, big)
-            stats.nodes += augments
-            if completion is not None and prefix + weights[(si, ci)] + completion == optimum:
-                chosen[si] = ci
-                used_cols.add(ci)
-                prefix += weights[(si, ci)]
-                break
-        else:
-            raise CertificationError(
-                f"assignment solver lost the optimum while canonicalizing screen"
-                f" {model.screen_ids[si]}"
-            )
-
-    schedule = Schedule(
-        {
-            model.screen_ids[si]: (
-                model.column_keys[ci][-2],
-                model.column_keys[ci][-1],
-            )
-            for si, ci in chosen.items()
-        }
-    )
-    return done(
-        SolveReport(
-            status="Optimal",
-            method="assignment",
-            schedule=schedule,
-            objective=Fraction(optimum, MILLI),
-            stats=stats,
-        )
-    )
+    return _solve(model, "assignment", _assignment_search)
 
 
-def solve_branch_and_bound(model: BilpModel) -> SolveReport:
-    """Optimal schedule by depth-first branch and bound over screens.
-
-    Screens are processed in ascending id order; each screen's candidate
-    configurations are tried in descending coefficient order (ties by
-    ascending film then configuration index).  The bound adds, for every
-    unassigned screen, the best still-available coefficient; branches
-    whose bound cannot beat the incumbent are pruned.
-    """
-    started = time.perf_counter()
-    n = len(model.screen_ids)
-    m = len(model.column_keys)
-    stats = SolveStats()
-
-    def done(report: SolveReport) -> SolveReport:
-        report.stats.wall_time = time.perf_counter() - started
-        return report
-
-    if n > m:
-        return done(
-            SolveReport(
-                status="Infeasible",
-                method="branch-and-bound",
-                stats=stats,
-                diagnostic=_pigeonhole_message(n, m),
-            )
-        )
-
-    weights = _cell_weights(model)
+def _branch_and_bound_search(weights, n, column_order, stats):
     candidates: List[List[Tuple[int, int]]] = []
     for si in range(n):
-        row = [(weights[(si, ci)], ci) for ci in range(m) if (si, ci) in weights]
-        row.sort(
-            key=lambda wc: (
-                -wc[0],
-                model.column_keys[wc[1]][-2],
-                model.column_keys[wc[1]][-1],
-            )
-        )
+        row = [(weights[(si, ci)], ci) for ci in column_order if (si, ci) in weights]
+        row.sort(key=lambda wc: -wc[0])   # stable: ties keep (film, config) order
         candidates.append(row)
 
-    used = [False] * m
+    used = [False] * len(column_order)
     best_value: Optional[int] = None
     best_choice: Optional[List[int]] = None
     choice = [-1] * n
@@ -356,72 +268,23 @@ def solve_branch_and_bound(model: BilpModel) -> SolveReport:
         choice[si] = -1
 
     dfs(0, 0)
-
-    if best_value is None or best_choice is None:
-        return done(
-            SolveReport(
-                status="Infeasible",
-                method="branch-and-bound",
-                stats=stats,
-                diagnostic=_SPARSE_PIGEONHOLE,
-            )
-        )
-    schedule = Schedule(
-        {
-            model.screen_ids[si]: (
-                model.column_keys[ci][-2],
-                model.column_keys[ci][-1],
-            )
-            for si, ci in enumerate(best_choice)
-        }
-    )
-    return done(
-        SolveReport(
-            status="Optimal",
-            method="branch-and-bound",
-            schedule=schedule,
-            objective=Fraction(best_value, MILLI),
-            stats=stats,
-        )
-    )
+    return best_choice
 
 
-def solve_brute_force(model: BilpModel) -> SolveReport:
-    """Oracle: enumerate all injective screen-to-configuration maps.
+def solve_branch_and_bound(model: BilpModel) -> SolveReport:
+    """Optimal schedule by depth-first branch and bound over screens.
 
-    Guarded to 8 screens and 10 configurations; bigger instances raise
-    rather than run for hours.  The stats node count is the number of
-    complete assignments enumerated.
+    Screens are processed in ascending id order; each screen's candidate
+    configurations are tried in descending coefficient order (ties by
+    ascending film then configuration index).  The bound adds, for every
+    unassigned screen, the best still-available coefficient; branches
+    whose bound cannot beat the incumbent are pruned.
     """
-    started = time.perf_counter()
-    n = len(model.screen_ids)
-    m = len(model.column_keys)
-    if n > ORACLE_MAX_SCREENS or m > ORACLE_MAX_COLUMNS:
-        raise OracleGuardError(
-            f"instance too large for oracle: {n} screens x {m} configurations"
-            f" (limit {ORACLE_MAX_SCREENS} x {ORACLE_MAX_COLUMNS})"
-        )
-    stats = SolveStats()
+    return _solve(model, "branch-and-bound", _branch_and_bound_search)
 
-    def done(report: SolveReport) -> SolveReport:
-        report.stats.wall_time = time.perf_counter() - started
-        return report
 
-    if n > m:
-        return done(
-            SolveReport(
-                status="Infeasible",
-                method="brute-force",
-                stats=stats,
-                diagnostic=_pigeonhole_message(n, m),
-            )
-        )
-
-    weights = _cell_weights(model)
-    column_order = sorted(
-        range(m), key=lambda ci: (model.column_keys[ci][-2], model.column_keys[ci][-1])
-    )
-    used = [False] * m
+def _brute_force_search(weights, n, column_order, stats):
+    used = [False] * len(column_order)
     best_value: Optional[int] = None
     best_choice: Optional[List[int]] = None
     choice = [-1] * n
@@ -444,34 +307,25 @@ def solve_brute_force(model: BilpModel) -> SolveReport:
         choice[si] = -1
 
     enumerate_from(0, 0)
+    return best_choice
 
-    if best_value is None or best_choice is None:
-        return done(
-            SolveReport(
-                status="Infeasible",
-                method="brute-force",
-                stats=stats,
-                diagnostic=_SPARSE_PIGEONHOLE,
-            )
+
+def solve_brute_force(model: BilpModel) -> SolveReport:
+    """Oracle: enumerate all injective screen-to-configuration maps.
+
+    Guarded to 8 screens and 10 configurations; bigger instances raise
+    rather than run for hours.  The stats node count is the number of
+    complete assignments enumerated.
+    """
+    n = len(model.screen_ids)
+    m = len(model.column_keys)
+    if n > ORACLE_MAX_SCREENS or m > ORACLE_MAX_COLUMNS:
+        raise OracleGuardError(
+            f"instance too large for oracle: {n} screens x {m} configurations"
+            f" (limit {ORACLE_MAX_SCREENS} x {ORACLE_MAX_COLUMNS})"
         )
-    schedule = Schedule(
-        {
-            model.screen_ids[si]: (
-                model.column_keys[ci][-2],
-                model.column_keys[ci][-1],
-            )
-            for si, ci in enumerate(best_choice)
-        }
-    )
-    return done(
-        SolveReport(
-            status="Optimal",
-            method="brute-force",
-            schedule=schedule,
-            objective=Fraction(best_value, MILLI),
-            stats=stats,
-        )
-    )
+
+    return _solve(model, "brute-force", _brute_force_search)
 
 
 def within_oracle_guard(model: BilpModel) -> bool:

@@ -1,10 +1,18 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from cinestagger import ClusterInstance, build_model, load_instance
 from cinestagger.data import example_instance_path
+
+# tests that run `python -m cinestagger` in a subprocess import the same
+# checkout as this process, installed or not
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -112,6 +113,23 @@ def test_solve_invalid_instance(tmp_path, capsys):
     doc["forecast"][0]["attendance"] = -1
     assert main(["solve", write_doc(tmp_path, doc)]) == 1
     assert "negative_coefficient" in capsys.readouterr().err
+
+
+def test_solve_certification_error_exit_code(example_path, monkeypatch, capsys):
+    import cinestagger.solver as solver_module
+
+    honest = solver_module.solve_branch_and_bound
+
+    def lying(model):
+        report = honest(model)
+        return replace(report, objective=report.objective + 1)
+
+    monkeypatch.setattr(solver_module, "solve_branch_and_bound", lying)
+    assert main(["solve", str(example_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: internal: solver objective disagreement")
 
 
 def test_generate_configs(tmp_path, capsys):

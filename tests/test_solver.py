@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import support
@@ -15,10 +17,12 @@ from cinestagger import (
     certify,
     check_feasible,
     evaluate,
+    load_instance,
     solve_assignment,
     solve_branch_and_bound,
     solve_brute_force,
 )
+from cinestagger.synth import generate_document
 
 ALL_SOLVERS = [solve_assignment, solve_branch_and_bound, solve_brute_force]
 
@@ -202,3 +206,63 @@ def test_schedule_variables_sorted(example_model):
     report = solve_assignment(example_model)
     variables = report.schedule.variables()
     assert [v.screen_id for v in variables] == sorted(v.screen_id for v in variables)
+
+
+def test_assignment_one_augmentation_per_screen(example_model):
+    # the lexicographic tie-break costs no extra matching solves
+    assert solve_assignment(example_model).stats.nodes == 9
+
+
+def without_variables(model, banned):
+    """Copy of the model with the ``banned`` variables removed."""
+
+    def keep(row):
+        return tuple(v for v in row if v not in banned)
+
+    return BilpModel(
+        variables=keep(model.variables),
+        objective={v: c for v, c in model.objective.items() if v not in banned},
+        equality_rows=tuple((sid, keep(row)) for sid, row in model.equality_rows),
+        inequality_rows=tuple((key, keep(row)) for key, row in model.inequality_rows),
+    )
+
+
+@st.composite
+def sparse_models(draw):
+    screens = draw(st.integers(1, 6))
+    columns = draw(st.integers(1, 8))
+    top = draw(st.sampled_from([2, 10**16]))  # tie-heavy, or far past 64-bit milliunits
+    weights = draw(
+        st.lists(
+            st.lists(st.integers(0, top), min_size=columns, max_size=columns),
+            min_size=screens,
+            max_size=screens,
+        )
+    )
+    cuts = sorted(draw(st.sets(st.integers(1, columns))) | {0, columns})  # film boundaries
+    split = [b - a for a, b in zip(cuts, cuts[1:])]
+    model = small_model(weights, split)
+    banned = draw(st.sets(st.sampled_from(model.variables)))
+    return without_variables(model, banned)
+
+
+# attendance near 10^16 once made the assignment solver return a wrong optimum
+REPRODUCER = build_model(
+    load_instance(
+        generate_document(
+            screens=4, films=2, clusters=1, seed=7, coeff_range=(5 * 10**15, 10**16)
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=sparse_models())
+@example(model=REPRODUCER)
+def test_assignment_matches_lexicographic_oracle(model):
+    fast = solve_assignment(model)
+    oracle = solve_brute_force(model)
+    assert fast.status == oracle.status
+    assert fast.diagnostic == oracle.diagnostic
+    assert fast.objective == oracle.objective
+    assert fast.schedule == oracle.schedule
