@@ -3,7 +3,8 @@
 Screens across a cluster of neighbouring theatre locations each get one
 film in one showtime configuration for the day; no configuration repeats
 within a cluster.  The optimizer maximizes forecast attendance and
-certifies optimality by agreement of independent exact methods.
+certifies every result with a proof checked in exact integers: an LP
+dual for an optimum, a pigeonhole count or Hall set for infeasibility.
 """
 
 from .cluster import (

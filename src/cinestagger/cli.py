@@ -6,8 +6,8 @@ error diagnostics go to standard error, so output given identical input
 is byte-identical run to run.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 unreadable or
-unparsable input, 3 infeasible instance, 4 internal error (exact solvers
-disagreed, so no answer is trusted).
+unparsable input, 3 infeasible instance, 4 internal error (a solver's
+result failed its certificate check, so no answer is trusted).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
@@ -45,7 +46,7 @@ from .domain import (
     load_instance,
 )
 from .formulation import build_model, export_lp_text
-from .solver import CertificationError, SolveReport
+from .solver import CERTIFICATE_KINDS, CertificationError, SolveReport
 
 
 def _fmt_objective(objective) -> str:
@@ -167,8 +168,10 @@ def cmd_solve(args) -> int:
         else:
             print("Status: Infeasible")
 
+    kinds = Counter(r.certificate.kind for r in report.per_cluster.values())
     print(
-        f"solved {len(multi.clusters)} cluster(s) in {elapsed * 1000:.1f} ms",
+        f"solved {len(multi.clusters)} cluster(s) in {elapsed * 1000:.1f} ms"
+        f" (certificates: {', '.join(f'{kinds[k]} {k}' for k in CERTIFICATE_KINDS)})",
         file=sys.stderr,
     )
     if report.overall_status != "Optimal":

@@ -123,9 +123,13 @@ class DecompositionReport:
 def verify_decomposition(instance: Instance) -> DecompositionReport:
     """Check that solving per cluster loses nothing against a joint solve.
 
-    Raises :class:`DecompositionSizeError` when the joint model would be
-    too large, and :class:`CertificationError` if (against everything the
-    block-diagonal structure guarantees) the two routes disagree.
+    The joint model goes through ``certify`` like every cluster, so its
+    optimum (or infeasibility) carries a checked certificate too, found and
+    checked in polynomial time.  Raises :class:`DecompositionSizeError`
+    when the joint model would be too large, and
+    :class:`CertificationError` if a certificate check fails or (against
+    everything the block-diagonal structure guarantees) the two routes
+    disagree.
     """
     multi = as_multi(instance)
     joint_size = sum(c.screen_count * c.configuration_count for c in multi.clusters)

@@ -59,13 +59,9 @@ class BilpModel:
 
     @cached_property
     def _cells(self) -> Dict[Tuple[int, ColumnKey], VariableRef]:
-        column_of: Dict[Tuple[int, int], ColumnKey] = {}
-        for key, _ in self.inequality_rows:
-            column_of[(key[-2], key[-1])] = key
-        cells = {}
-        for var in self.variables:
-            cells[(var.screen_id, column_of[(var.film_id, var.config_index)])] = var
-        return cells
+        # keyed by the full column key: in a joint model, a film without a
+        # cluster scope has one column per cluster for each configuration
+        return {(var.screen_id, key): var for key, row in self.inequality_rows for var in row}
 
     def cell(self, screen_id: int, column_key: ColumnKey) -> Optional[VariableRef]:
         """The variable pairing this screen with this column, if it exists."""

@@ -1,28 +1,46 @@
-"""Exact solvers for the screen scheduling program.
+"""Exact solvers for the screen scheduling program, and the proof check.
 
 Three independent methods over the same model:
 
 * ``solve_assignment`` exploits the structure directly: screens are left
   nodes, film configurations right nodes, and the program is a rectangular
   max-weight assignment, solved by shortest augmenting paths in exact
-  integer arithmetic.
+  integer arithmetic.  Its report carries a certificate of its status.
 * ``solve_branch_and_bound`` is a depth-first search over screens with an
   additive upper bound, knowing nothing about assignment structure.
 * ``solve_brute_force`` enumerates every injective screen-to-configuration
   map; guarded to small instances, it is the ground-truth oracle.
 
-``certify`` runs them against each other and only then calls a result
-optimal.  All three agree on the objective by construction of the tests,
-never by fiat; a disagreement raises instead of picking a winner.
+``certify`` runs ``solve_assignment`` and then ``check_certificate``, which
+proves the reported status in exact integers from the model, the schedule
+and the certificate alone, trusting nothing the search computed.  The
+program's constraint matrix is an assignment matrix, so LP duality proves
+optimality (Kuhn 1955; Burkard, Dell'Amico & Martello, *Assignment
+Problems*, SIAM 2009, ch. 4).  The certificates are:
+
+* ``lp-dual`` (Optimal): a value ``U`` per screen and ``V`` per column
+  with ``U + V`` at least the cell's weight on every allowed cell,
+  ``V >= 0``, ``V == 0`` on unused columns, and ``sum(U) + sum(V)`` equal
+  to the schedule's weight.  Every schedule weighs at most the dual sum,
+  so the one that reaches it is optimal.
+* ``pigeonhole`` (Infeasible): more screens than columns.
+* ``hall-set`` (Infeasible): screens whose allowed cells all lie in fewer
+  columns than there are screens, so by Hall's theorem no schedule gives
+  each of them its own column.
+
+The check costs O(screens x configurations).  Branch and bound and brute
+force never run on this path; they stay as the oracles the tests compare
+against, and disagreement with them is a bug, never settled by fiat.
 
 Tie handling: ``solve_assignment`` and ``solve_brute_force`` return the
 lexicographically smallest optimal schedule (ordered by screen id, then
 film id, then configuration index).  Brute force gets it from its
 enumeration order; the assignment solver gets it in the same single solve,
 by adding to each integer weight a tie-break term too small to outweigh
-any difference in attendance (see ``solve_assignment``).  Branch and bound
-keeps the first optimum its search order finds, which the certifier
-compares by objective only.
+any difference in attendance (see ``solve_assignment``).  The ``lp-dual``
+certificate is checked on those perturbed weights, so it also proves the
+schedule is the canonical optimum.  Branch and bound keeps the first
+optimum its search order finds.
 """
 
 from __future__ import annotations
@@ -38,13 +56,15 @@ from .formulation import BilpModel, VariableRef, check_feasible
 ORACLE_MAX_SCREENS = 8
 ORACLE_MAX_COLUMNS = 10
 
+CERTIFICATE_KINDS = ("lp-dual", "pigeonhole", "hall-set")
+
 
 class OracleGuardError(Exception):
     """Brute force was asked to enumerate more than it is allowed to."""
 
 
 class CertificationError(Exception):
-    """Two supposedly exact solvers disagreed; a bug, not a bad instance."""
+    """A solver's report failed its proof check; a bug, not a bad instance."""
 
 
 @dataclass
@@ -58,6 +78,17 @@ class Schedule:
 
     def variables(self) -> List[VariableRef]:
         return [VariableRef(sid, fid, cidx) for sid, (fid, cidx) in self.items()]
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Proof of a report's status; indices follow the model's screen and column order."""
+
+    kind: str                              # "lp-dual", "pigeonhole" or "hall-set"
+    screen_duals: Tuple[int, ...] = ()     # lp-dual: U per screen, perturbed weights
+    column_duals: Tuple[int, ...] = ()     # lp-dual: V per column
+    screens: Tuple[int, ...] = ()          # hall-set: screen indices
+    columns: Tuple[int, ...] = ()          # hall-set: every column those screens allow
 
 
 @dataclass
@@ -75,6 +106,7 @@ class SolveReport:
     stats: SolveStats = field(default_factory=SolveStats, compare=False)
     certified: bool = False
     diagnostic: Optional[str] = None
+    certificate: Optional[Certificate] = None
 
 
 def _pigeonhole_message(screens: int, columns: int) -> str:
@@ -91,17 +123,22 @@ _SPARSE_PIGEONHOLE = (
 
 
 def _augment_min_cost(
-    cost: Sequence[Sequence[Optional[int]]], stats: SolveStats
-) -> Optional[List[int]]:
+    cost: Sequence[Sequence[Optional[int]]], m: int, stats: SolveStats
+) -> Tuple[Optional[List[int]], List[int], List[int]]:
     """Min-cost rectangular assignment by shortest augmenting paths.
 
-    ``cost`` is n rows by m columns of exact integers, n <= m, with None
-    marking a forbidden cell.  Returns the column index chosen per row, or
-    None when no assignment of every row uses allowed cells only.  Each
-    completed augmentation counts one node in ``stats``.  Potentials stay
-    integral throughout, so the optimum is exact.
+    ``cost`` is n rows by ``m`` columns of exact integers, n <= m, with
+    None marking a forbidden cell.  Returns ``(choice, u, v)``: the column
+    index chosen per row, and row and column potentials with
+    ``u[i] + v[j] <= cost[i][j]`` on every allowed cell, equality on the
+    chosen cells, ``v[j] <= 0``, and ``v[j] == 0`` on unchosen columns.
+    When no assignment of every row uses allowed cells only, returns
+    ``(None, rows, columns)``: what the last search reached, a set of rows
+    with no allowed cell outside a smaller set of columns.  Each completed
+    augmentation counts one node in ``stats``.  Potentials stay integral
+    throughout, so the optimum is exact.
     """
-    n, m = len(cost), len(cost[0]) if cost else 0
+    n = len(cost)
     u = [0] * (n + 1)
     v = [0] * (m + 1)
     p = [0] * (m + 1)            # p[j]: row matched to column j, 1-based
@@ -129,9 +166,11 @@ def _augment_min_cost(
                     delta = minv[j]
                     j1 = j
             if delta is None:
-                # no free column reachable: by Berge's lemma rows 1..i
-                # have no complete matching
-                return None
+                # every reached row has been expanded and no unreached
+                # column is next to one: the reached rows outnumber the
+                # reached columns by one (the free row i), a Hall violator
+                rows = sorted(p[j] - 1 for j in range(m + 1) if used[j])
+                return None, rows, [j - 1 for j in range(1, m + 1) if used[j]]
             for j in range(m + 1):
                 if used[j]:
                     u[p[j]] += delta
@@ -150,7 +189,7 @@ def _augment_min_cost(
     for j in range(1, m + 1):
         if p[j]:
             row_to_col[p[j] - 1] = j - 1
-    return row_to_col
+    return row_to_col, u[1:], v[1:]
 
 
 def _cell_weights(model: BilpModel) -> Dict[Tuple[int, int], int]:
@@ -164,11 +203,32 @@ def _cell_weights(model: BilpModel) -> Dict[Tuple[int, int], int]:
     return weights
 
 
+def _column_order(model: BilpModel) -> List[int]:
+    """Column indices in ascending (film, config) order."""
+    return sorted(range(len(model.column_keys)), key=lambda ci: model.column_keys[ci][-2:])
+
+
+def _perturbed_weights(
+    weights: Dict[Tuple[int, int], int], n: int, column_order: List[int]
+) -> Dict[Tuple[int, int], int]:
+    """Weights with the lexicographic tie-break folded in (see ``solve_assignment``)."""
+    m = len(column_order)
+    scale = m**n
+    place = [m ** (n - 1 - si) for si in range(n)]
+    tie = [0] * m
+    for rank, ci in enumerate(column_order):
+        tie[ci] = m - 1 - rank
+    return {(si, ci): w * scale + tie[ci] * place[si] for (si, ci), w in weights.items()}
+
+
 # A search gets the cell weights, the screen count, the column indices in
 # ascending (film, config) order and the stats to count its effort in; it
 # returns the chosen column index per screen, or None when no complete
-# schedule exists.
-Search = Callable[[Dict[Tuple[int, int], int], int, List[int], SolveStats], Optional[List[int]]]
+# schedule exists, and a certificate of that result if it has one.
+Search = Callable[
+    [Dict[Tuple[int, int], int], int, List[int], SolveStats],
+    Tuple[Optional[List[int]], Optional[Certificate]],
+]
 
 
 def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
@@ -179,10 +239,10 @@ def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
     report = SolveReport(status="Infeasible", method=method)
     if n > m:
         report.diagnostic = _pigeonhole_message(n, m)
+        report.certificate = Certificate("pigeonhole")
     else:
         weights = _cell_weights(model)
-        column_order = sorted(range(m), key=lambda ci: model.column_keys[ci][-2:])
-        choice = search(weights, n, column_order, report.stats)
+        choice, report.certificate = search(weights, n, _column_order(model), report.stats)
         if choice is None:
             report.diagnostic = _SPARSE_PIGEONHOLE
         else:
@@ -199,15 +259,18 @@ def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
 
 def _assignment_search(weights, n, column_order, stats):
     m = len(column_order)
-    scale = m**n
-    place = [m ** (n - 1 - si) for si in range(n)]
-    tie = [0] * m
-    for rank, ci in enumerate(column_order):
-        tie[ci] = m - 1 - rank
     cost: List[List[Optional[int]]] = [[None] * m for _ in range(n)]
-    for (si, ci), w in weights.items():
-        cost[si][ci] = -(w * scale + tie[ci] * place[si])
-    return _augment_min_cost(cost, stats)
+    for (si, ci), w in _perturbed_weights(weights, n, column_order).items():
+        cost[si][ci] = -w
+    choice, left, right = _augment_min_cost(cost, m, stats)
+    if choice is None:
+        return None, Certificate("hall-set", screens=tuple(left), columns=tuple(right))
+    # the matcher minimises -W'; negated, its potentials are the max-weight duals
+    return choice, Certificate(
+        "lp-dual",
+        screen_duals=tuple(-x for x in left),
+        column_duals=tuple(-x for x in right),
+    )
 
 
 def solve_assignment(model: BilpModel) -> SolveReport:
@@ -221,6 +284,11 @@ def solve_assignment(model: BilpModel) -> SolveReport:
     outweigh a difference in attendance, and among optimal schedules they
     are largest for the lexicographically smallest one, which is therefore
     the unique perturbed optimum.  The objective sums the original weights.
+
+    The report's certificate is the matcher's final potentials as an
+    ``lp-dual`` certificate on the perturbed weights, ``pigeonhole`` when
+    screens outnumber columns, or the ``hall-set`` its last search reached
+    when no complete schedule exists.  ``check_certificate`` checks it.
     """
     return _solve(model, "assignment", _assignment_search)
 
@@ -268,7 +336,7 @@ def _branch_and_bound_search(weights, n, column_order, stats):
         choice[si] = -1
 
     dfs(0, 0)
-    return best_choice
+    return best_choice, None
 
 
 def solve_branch_and_bound(model: BilpModel) -> SolveReport:
@@ -307,7 +375,7 @@ def _brute_force_search(weights, n, column_order, stats):
         choice[si] = -1
 
     enumerate_from(0, 0)
-    return best_choice
+    return best_choice, None
 
 
 def solve_brute_force(model: BilpModel) -> SolveReport:
@@ -328,45 +396,116 @@ def solve_brute_force(model: BilpModel) -> SolveReport:
     return _solve(model, "brute-force", _brute_force_search)
 
 
-def within_oracle_guard(model: BilpModel) -> bool:
-    return (
-        len(model.screen_ids) <= ORACLE_MAX_SCREENS
-        and len(model.column_keys) <= ORACLE_MAX_COLUMNS
-    )
+def _cell_name(model: BilpModel, si: int, ci: int) -> str:
+    film_id, config_index = model.column_keys[ci][-2:]
+    return f"screen {model.screen_ids[si]} with film {film_id} config {config_index}"
+
+
+def _check_lp_dual(model: BilpModel, report: SolveReport) -> None:
+    if report.schedule is None:
+        raise CertificationError(f"{report.method} reported Optimal without a schedule")
+    variables = report.schedule.variables()
+    try:
+        feasibility = check_feasible(model, variables)
+    except ValueError as exc:
+        raise CertificationError(
+            f"{report.method} returned a schedule the model rejects: {exc}"
+        ) from exc
+    if not feasibility.feasible:
+        raise CertificationError(
+            f"{report.method} returned an infeasible schedule: "
+            + "; ".join(str(row) for row in feasibility.failures())
+        )
+    score = Fraction(sum(model.objective[var] for var in variables), MILLI)
+    if report.objective != score:
+        raise CertificationError(
+            f"{report.method} reported objective {report.objective},"
+            f" but its schedule scores {score}"
+        )
+
+    n, m = len(model.screen_ids), len(model.column_keys)
+    u, v = report.certificate.screen_duals, report.certificate.column_duals
+    if len(u) != n or len(v) != m:
+        raise CertificationError(
+            f"lp-dual certificate has {len(u)} screen and {len(v)} column duals"
+            f" for {n} screens and {m} columns"
+        )
+    weights = _perturbed_weights(_cell_weights(model), n, _column_order(model))
+    for (si, ci), w in weights.items():
+        if u[si] + v[ci] < w:
+            raise CertificationError(
+                f"lp-dual certificate infeasible at {_cell_name(model, si, ci)}:"
+                f" {u[si]} + {v[ci]} < {w}"
+            )
+    # resolve each choice through its variable: in a joint model the same
+    # (film, config) can head one column per cluster
+    screen_index = {sid: si for si, sid in enumerate(model.screen_ids)}
+    column_index = {var: ci for ci, (_, row) in enumerate(model.inequality_rows) for var in row}
+    chosen = {column_index[var]: screen_index[var.screen_id] for var in variables}
+    for ci, dual in enumerate(v):
+        if dual < 0 or (dual and ci not in chosen):
+            raise CertificationError(
+                f"lp-dual certificate gives column {model.column_keys[ci]}"
+                f" the dual {dual}, {'negative' if dual < 0 else 'but it is unused'}"
+            )
+    primal = sum(weights[(si, ci)] for ci, si in chosen.items())
+    if primal != sum(u) + sum(v):
+        raise CertificationError(
+            f"lp-dual certificate: dual objective {sum(u) + sum(v)}"
+            f" != perturbed schedule weight {primal}"
+        )
+
+
+def _check_hall_set(model: BilpModel, certificate: Certificate) -> None:
+    screens, columns = set(certificate.screens), set(certificate.columns)
+    if not screens <= set(range(len(model.screen_ids))) or len(columns) >= len(screens):
+        raise CertificationError(
+            f"hall-set certificate of screens {sorted(screens)} and columns"
+            f" {sorted(columns)} is not a Hall violator"
+        )
+    for si, ci in _cell_weights(model):
+        if si in screens and ci not in columns:
+            raise CertificationError(
+                f"hall-set certificate misses the allowed cell {_cell_name(model, si, ci)}"
+            )
+
+
+def check_certificate(model: BilpModel, report: SolveReport) -> None:
+    """Prove ``report``'s status on ``model`` or raise :class:`CertificationError`.
+
+    Reads only the report's status, schedule, objective and certificate;
+    the weights are recomputed from ``model.objective`` and the (film,
+    config) column order, in exact integers.  Optimal needs a feasible
+    schedule (``check_feasible``) that scores the reported objective and
+    an ``lp-dual`` certificate that holds on the perturbed weights, which
+    proves the schedule is the canonical optimum.  Infeasible needs a
+    ``pigeonhole`` count or a ``hall-set``.
+    """
+    kind = report.certificate.kind if report.certificate is not None else None
+    n, m = len(model.screen_ids), len(model.column_keys)
+    if report.status == "Optimal" and kind == "lp-dual":
+        _check_lp_dual(model, report)
+    elif report.status == "Infeasible" and kind == "pigeonhole":
+        if n <= m:
+            raise CertificationError(
+                f"pigeonhole certificate, but {n} screens fit {m} configurations"
+            )
+    elif report.status == "Infeasible" and kind == "hall-set":
+        _check_hall_set(model, report.certificate)
+    else:
+        raise CertificationError(
+            f"{report.method} reported {report.status} with certificate {kind}"
+        )
 
 
 def certify(model: BilpModel) -> SolveReport:
-    """Solve by independent methods and demand exact agreement.
+    """Solve by the assignment method and check its certificate.
 
-    Returns the assignment-method report marked certified.  On instances
-    small enough for the oracle, brute force must agree as well.  Any
-    mismatch in status, objective, or feasibility raises
-    :class:`CertificationError` naming both sides.
+    Returns the assignment-method report marked certified, after
+    ``check_certificate`` has proved its status; a failed check raises
+    :class:`CertificationError`.  Polynomial time: one matching solve and
+    an O(screens x configurations) check.
     """
-    first = solve_assignment(model)
-    second = solve_branch_and_bound(model)
-    reports = [first, second]
-    if within_oracle_guard(model):
-        reports.append(solve_brute_force(model))
-
-    statuses = {r.status for r in reports}
-    if len(statuses) != 1:
-        raise CertificationError(
-            "solver status disagreement: "
-            + ", ".join(f"{r.method}={r.status}" for r in reports)
-        )
-    if first.status == "Optimal":
-        objectives = {r.objective for r in reports}
-        if len(objectives) != 1:
-            raise CertificationError(
-                "solver objective disagreement: "
-                + ", ".join(f"{r.method}={r.objective}" for r in reports)
-            )
-        for report in reports:
-            feasibility = check_feasible(model, report.schedule.variables())
-            if not feasibility.feasible:
-                raise CertificationError(
-                    f"{report.method} returned an infeasible schedule: "
-                    + "; ".join(str(row) for row in feasibility.failures())
-                )
-    return replace(first, certified=True)
+    report = solve_assignment(model)
+    check_certificate(model, report)
+    return replace(report, certified=True)

@@ -4,6 +4,7 @@ Instances are constructed as documents and pushed through load_instance so
 every test also exercises the parsing and validation path.
 """
 
+import copy
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -179,3 +180,21 @@ def load_multi(doc: dict) -> MultiClusterInstance:
     instance = load_instance(doc)
     assert isinstance(instance, MultiClusterInstance)
     return instance
+
+
+def shared_film_copies(example_document: dict) -> dict:
+    """The bundled example twice, as clusters c1 and c2 playing the same unscoped films."""
+    doc = copy.deepcopy(example_document)
+    second = copy.deepcopy(example_document)
+    for location in second["locations"]:
+        location["id"] += 3
+        location["cluster_id"] = "c2"
+        location["name"] += " B"
+    for screen in second["screens"]:
+        screen["id"] += 9
+        screen["location_id"] += 3
+    for row in second["forecast"]:
+        row["screen_id"] += 9
+    for key in ("locations", "screens", "forecast"):
+        doc[key].extend(second[key])
+    return doc

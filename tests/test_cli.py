@@ -118,18 +118,20 @@ def test_solve_invalid_instance(tmp_path, capsys):
 def test_solve_certification_error_exit_code(example_path, monkeypatch, capsys):
     import cinestagger.solver as solver_module
 
-    honest = solver_module.solve_branch_and_bound
+    honest = solver_module.solve_assignment
 
     def lying(model):
         report = honest(model)
-        return replace(report, objective=report.objective + 1)
+        duals = report.certificate.screen_duals
+        lowered = replace(report.certificate, screen_duals=(duals[0] - 1,) + duals[1:])
+        return replace(report, certificate=lowered)
 
-    monkeypatch.setattr(solver_module, "solve_branch_and_bound", lying)
+    monkeypatch.setattr(solver_module, "solve_assignment", lying)
     assert main(["solve", str(example_path)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("error: internal: solver objective disagreement")
+    assert line.startswith("error: internal: lp-dual certificate infeasible")
 
 
 def test_generate_configs(tmp_path, capsys):
@@ -208,6 +210,14 @@ def test_verify_decomposition_command(example_path, capsys):
     out = capsys.readouterr().out
     assert "joint model optimum: 2615" in out
     assert "decomposition verified" in out
+
+
+def test_verify_decomposition_films_shared_across_clusters(tmp_path, example_document, capsys):
+    path = write_doc(tmp_path, support.shared_film_copies(example_document))
+    assert main(["verify-decomposition", path]) == 0
+    out = capsys.readouterr().out
+    assert "sum of cluster optima: 5230" in out
+    assert "joint model optimum: 5230" in out
 
 
 def test_verify_decomposition_infeasible(infeasible_path, capsys):

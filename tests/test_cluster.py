@@ -12,6 +12,7 @@ from cinestagger import (
     derive_clusters,
     load_instance,
     solve_all,
+    solve_assignment,
     verify_decomposition,
 )
 
@@ -49,6 +50,22 @@ def test_single_cluster_matches_certify(example_instance, example_model):
     direct = certify(example_model)
     assert report.per_cluster["c1"] == direct
     assert report.combined_objective == direct.objective
+
+
+def test_joint_model_keeps_shared_films_apart(example_document):
+    # a film without a cluster scope heads one column per cluster
+    instance = support.load_multi(support.shared_film_copies(example_document))
+    joint = build_joint_model(instance)
+    assert len(joint.column_keys) == 2 * 16
+    for key in joint.column_keys:
+        screens = {v.screen_id for v in dict(joint.inequality_rows)[key]}
+        assert all(joint.cell(sid, key) is not None for sid in screens)
+        assert screens == ({1, 2, 3, 4, 5, 6, 7, 8, 9} if key[0] == "c1" else set(range(10, 19)))
+    report = solve_assignment(joint)
+    assert report.status == "Optimal"
+    assert report.objective == 2 * 2615
+    decomposition = verify_decomposition(instance)
+    assert decomposition.joint_objective == decomposition.per_cluster.combined_objective == 5230
 
 
 def test_two_copies_double_the_objective(example_document):

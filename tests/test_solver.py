@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -22,6 +23,7 @@ from cinestagger import (
     solve_branch_and_bound,
     solve_brute_force,
 )
+from cinestagger.solver import Certificate, Schedule, check_certificate
 from cinestagger.synth import generate_document
 
 ALL_SOLVERS = [solve_assignment, solve_branch_and_bound, solve_brute_force]
@@ -114,15 +116,34 @@ def test_certify_infeasible():
 def test_certify_raises_on_planted_disagreement(example_model, monkeypatch):
     import cinestagger.solver as solver_module
 
-    honest = solver_module.solve_branch_and_bound
+    honest = solver_module.solve_assignment
 
     def lying(model):
         report = honest(model)
         return replace(report, objective=report.objective + 1)
 
-    monkeypatch.setattr(solver_module, "solve_branch_and_bound", lying)
+    monkeypatch.setattr(solver_module, "solve_assignment", lying)
     with pytest.raises(CertificationError, match="2615"):
         certify(example_model)
+
+
+def test_certify_calls_no_oracle(example_model, monkeypatch):
+    import cinestagger.solver as solver_module
+
+    def oracle(model):
+        raise AssertionError("certify ran an exponential oracle")
+
+    monkeypatch.setattr(solver_module, "solve_branch_and_bound", oracle)
+    monkeypatch.setattr(solver_module, "solve_brute_force", oracle)
+    cases = [
+        (example_model, "Optimal", "lp-dual"),
+        (small_model([[5], [4]]), "Infeasible", "pigeonhole"),
+        (CROWDED, "Infeasible", "hall-set"),
+    ]
+    for model, status, kind in cases:
+        report = certify(model)
+        assert report.certified
+        assert (report.status, report.certificate.kind) == (status, kind)
 
 
 def test_three_way_agreement_random():
@@ -255,10 +276,18 @@ REPRODUCER = build_model(
     )
 )
 
+# screens 1-3 can only use configurations 1 and 2: a Hall set of three
+# screens on two columns
+_SQUARE = small_model([[9, 5, 4, 1], [7, 3, 8, 2], [6, 6, 6, 6], [1, 2, 3, 4]])
+CROWDED = without_variables(
+    _SQUARE, {v for v in _SQUARE.variables if v.screen_id <= 3 and v.config_index >= 3}
+)
+
 
 @settings(max_examples=150, deadline=None)
 @given(model=sparse_models())
 @example(model=REPRODUCER)
+@example(model=CROWDED)
 def test_assignment_matches_lexicographic_oracle(model):
     fast = solve_assignment(model)
     oracle = solve_brute_force(model)
@@ -266,3 +295,81 @@ def test_assignment_matches_lexicographic_oracle(model):
     assert fast.diagnostic == oracle.diagnostic
     assert fast.objective == oracle.objective
     assert fast.schedule == oracle.schedule
+
+    certified = certify(model)
+    screens, columns = len(model.screen_ids), len(model.column_keys)
+    if certified.status == "Optimal":
+        assert certified.certificate.kind == "lp-dual"
+    else:
+        assert certified.certificate.kind == ("pigeonhole" if screens > columns else "hall-set")
+    # the brute force counted every complete schedule; past 500 of them an
+    # evenly spaced 500 are checked against the duals, to keep the test fast
+    stride = max(1, oracle.stats.nodes // 500)
+    others = itertools.islice(complete_schedules(model), 0, None, stride)
+    for tampered in tamperings(model, fast, others):
+        with pytest.raises(CertificationError):
+            check_certificate(model, tampered)
+
+
+def complete_schedules(model):
+    """Every schedule giving each screen its own allowed column."""
+    column_of = {v: key for key, row in model.inequality_rows for v in row}
+
+    def extend(rows, used):
+        if not rows:
+            yield []
+            return
+        for var in rows[0][1]:
+            if column_of[var] not in used:
+                for rest in extend(rows[1:], used | {column_of[var]}):
+                    yield [var] + rest
+
+    for chosen in extend(model.equality_rows, frozenset()):
+        yield Schedule({v.screen_id: (v.film_id, v.config_index) for v in chosen})
+
+
+def tamperings(model, report, schedules):
+    """Reports that differ from the honest ``report`` in one way its check must reject.
+
+    On an optimum, each of ``schedules`` but the optimum itself is one of them.
+    """
+    certificate = report.certificate
+    if len(model.screen_ids) <= len(model.column_keys):
+        yield replace(
+            report, status="Infeasible", schedule=None, objective=None,
+            certificate=Certificate("pigeonhole"),
+        )
+    if certificate.kind == "lp-dual":
+        u, v = certificate.screen_duals, certificate.column_duals
+
+        def shifted(du, dv):
+            return replace(report, certificate=replace(
+                certificate,
+                screen_duals=tuple(x + du.get(k, 0) for k, x in enumerate(u)),
+                column_duals=tuple(x + dv.get(k, 0) for k, x in enumerate(v)),
+            ))
+
+        for si in range(len(u)):
+            yield shifted({si: 1}, {})
+            yield shifted({si: -1}, {})
+            if si:
+                yield shifted({si - 1: 1, si: -1}, {})   # same dual objective
+        chosen = set(report.schedule.variables())
+        used = {ci for ci, (_, row) in enumerate(model.inequality_rows) if chosen & set(row)}
+        for ci in set(range(len(v))) - used:
+            yield shifted({}, {ci: 1})
+            yield shifted({0: 1}, {ci: -1})              # same dual objective
+        choices = report.schedule.choices
+        for sid in choices:
+            fewer = Schedule({s: c for s, c in choices.items() if s != sid})
+            yield replace(report, schedule=fewer, objective=evaluate(model, fewer.variables()))
+        for other in schedules:
+            if other != report.schedule:
+                objective = evaluate(model, other.variables())
+                yield replace(report, schedule=other, objective=objective)
+    elif certificate.kind == "hall-set":
+        for field_name in ("screens", "columns"):
+            members = getattr(certificate, field_name)
+            for k in range(len(members)):
+                fewer = members[:k] + members[k + 1 :]
+                yield replace(report, certificate=replace(certificate, **{field_name: fewer}))
