@@ -20,7 +20,7 @@ from .domain import ClusterInstance, Instance, MultiClusterInstance, as_multi
 from .formulation import BilpModel, VariableRef, build_model
 from .solver import CertificationError, SolveReport, certify
 
-JOINT_SIZE_LIMIT = 4096   # max joint-model variables verify_decomposition accepts
+JOINT_SIZE_LIMIT = 1 << 16   # max joint-model variables verify_decomposition accepts
 
 
 class DecompositionSizeError(Exception):

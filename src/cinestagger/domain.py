@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
-from functools import cached_property
+from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation, Overflow
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 MILLI = 1000          # fixed scaling denominator for attendance coefficients
 MAX_MINUTES = 1679    # 27:59 -- latest representable time of day
@@ -68,7 +68,15 @@ def parse_hhmm(text: str) -> int:
 
     Hours may exceed 23 (up to 27:59) for showtimes that cross midnight.
     """
-    match = _TIME_RE.match(text.strip()) if isinstance(text, str) else None
+    if not isinstance(text, str):
+        raise InstanceFormatError(f"bad time {text!r}: expected \"HH:MM\"")
+    return _parse_hhmm_text(text)
+
+
+# a document repeats a few distinct times thousands of times; errors are not cached
+@lru_cache(maxsize=4096)
+def _parse_hhmm_text(text: str) -> int:
+    match = _TIME_RE.match(text.strip())
     if match is None:
         raise InstanceFormatError(f"bad time {text!r}: expected \"HH:MM\"")
     minutes = int(match.group(1)) * 60 + int(match.group(2))
@@ -88,7 +96,7 @@ def parse_attendance(value) -> int:
 
     Accepts ints, Decimals (json parsed with ``parse_float=Decimal``) and
     decimal strings.  More than three decimal places cannot be represented
-    on the fixed denominator and is rejected.
+    on the fixed denominator and is rejected, as are infinities and NaN.
     """
     if isinstance(value, bool):
         raise InstanceFormatError(f"bad attendance value {value!r}")
@@ -98,9 +106,12 @@ def parse_attendance(value) -> int:
         value = repr(value)
     if isinstance(value, (str, Decimal)):
         try:
-            milli = Decimal(value) * MILLI
-        except InvalidOperation:
+            number = Decimal(value)
+            milli = number * MILLI
+        except (InvalidOperation, Overflow):
             raise InstanceFormatError(f"bad attendance value {value!r}") from None
+        if not number.is_finite():
+            raise InstanceFormatError(f"bad attendance value {value!r}")
         if milli != milli.to_integral_value():
             raise InstanceFormatError(
                 f"attendance {value} has more than 3 decimal places"
@@ -264,6 +275,31 @@ def _cluster_key(value, context: str) -> str:
     return _require_str(value, context)
 
 
+@dataclass
+class _ClusterParts:
+    """One cluster's share of a document while it is being parsed."""
+
+    locations: List[Location] = field(default_factory=list)
+    screens: List[Screen] = field(default_factory=list)
+    films: List[Film] = field(default_factory=list)
+    film_ids: Set[int] = field(default_factory=set)
+    configurations: List[ShowtimeConfiguration] = field(default_factory=list)
+    forecast: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
+
+
+def _forecast_ids(entry: dict) -> Tuple[int, int, int]:
+    """A forecast row's (screen, film, config) ids, raising the first format error."""
+    return (
+        _require_int(_require(entry, "screen_id", "forecast entry"), "forecast screen_id"),
+        _require_int(_require(entry, "film_id", "forecast entry"), "forecast film_id"),
+        _require_int(_require(entry, "config_index", "forecast entry"), "forecast config_index"),
+    )
+
+
+def _row_label(ext_sid: int, film_id: int, config_index: int) -> str:
+    return f"forecast entry (screen {ext_sid}, film {film_id}, config {config_index})"
+
+
 def parse_document(obj, allow_partial: bool = False) -> MultiClusterInstance:
     """Build a (not yet validated) instance from a parsed JSON document.
 
@@ -302,53 +338,63 @@ def parse_document(obj, allow_partial: bool = False) -> MultiClusterInstance:
             )
         location_by_id[loc.location_id] = loc
 
-    screens = []
-    seen_external = set()
+    # each cluster's share of the document, collected in document order
+    parts = {cluster_id: _ClusterParts() for cluster_id in sorted({loc.cluster_id for loc in locations})}
+    for loc in locations:
+        parts[loc.cluster_id].locations.append(loc)
+    every_cluster = tuple(parts.values())
+
+    # document screen id -> (internal screen id, the screen's cluster)
+    screen_route: Dict[int, Tuple[int, _ClusterParts]] = {}
     for position, entry in enumerate(_as_list(_require(obj, "screens", "document"), "screens"), start=1):
         ext_id = _require_int(_require(entry, "id", "screen"), "screen id")
         loc_id = _require_int(_require(entry, "location_id", f"screen {ext_id}"), f"screen {ext_id} location_id")
-        if ext_id in seen_external:
+        if ext_id in screen_route:
             raise InstanceDataError(
                 [Violation("duplicate_screen_id", f"screen id {ext_id} appears more than once")]
             )
-        seen_external.add(ext_id)
         if loc_id not in location_by_id:
             raise InstanceDataError(
                 [Violation("unknown_location", f"screen {ext_id} references unknown location {loc_id}")]
             )
+        part = parts[location_by_id[loc_id].cluster_id]
         # re-index to 1..S in file order, keeping the document id around
-        screens.append(Screen(screen_id=position, location_id=loc_id, external_id=ext_id))
-    external_to_internal = {s.external_id: s.screen_id for s in screens}
+        part.screens.append(Screen(screen_id=position, location_id=loc_id, external_id=ext_id))
+        screen_route[ext_id] = (position, part)
 
-    films = []
-    film_scope: Dict[int, Optional[str]] = {}
+    # film id -> the clusters it plays in
+    film_owners: Dict[int, Tuple[_ClusterParts, ...]] = {}
     for entry in _as_list(_require(obj, "films", "document"), "films"):
         film_id = _require_int(_require(entry, "id", "film"), "film id")
-        if film_id in film_scope:
+        if film_id in film_owners:
             raise InstanceDataError(
                 [Violation("duplicate_film_id", f"film id {film_id} appears more than once")]
             )
-        films.append(
-            Film(
-                film_id=film_id,
-                title=_require_str(_require(entry, "title", f"film {film_id}"), f"film {film_id} title"),
-                runtime_minutes=_require_int(
-                    _require(entry, "runtime_minutes", f"film {film_id}"), f"film {film_id} runtime"
-                ),
-            )
+        film = Film(
+            film_id=film_id,
+            title=_require_str(_require(entry, "title", f"film {film_id}"), f"film {film_id} title"),
+            runtime_minutes=_require_int(
+                _require(entry, "runtime_minutes", f"film {film_id}"), f"film {film_id} runtime"
+            ),
         )
         # films may be scoped to one cluster; unscoped films play in every cluster
-        film_scope[film_id] = (
-            _cluster_key(entry["cluster_id"], f"film {film_id}") if "cluster_id" in entry else None
-        )
+        if "cluster_id" in entry:
+            scope = _cluster_key(entry["cluster_id"], f"film {film_id}")
+            owners = (parts[scope],) if scope in parts else ()
+        else:
+            owners = every_cluster
+        film_owners[film_id] = owners
+        for part in owners:
+            part.films.append(film)
+            part.film_ids.add(film_id)
 
-    configurations = []
-    for entry in _as_list(obj.get("configurations", []), "configurations"):
+    config_rows = _as_list(obj.get("configurations", []), "configurations")
+    for entry in config_rows:
         film_id = _require_int(_require(entry, "film_id", "configuration"), "configuration film_id")
         config_index = _require_int(
             _require(entry, "config_index", f"film {film_id} configuration"), "config_index"
         )
-        if film_id not in film_scope:
+        if film_id not in film_owners:
             raise InstanceDataError(
                 [Violation("unknown_film", f"configuration {config_index} references unknown film {film_id}")]
             )
@@ -356,90 +402,75 @@ def parse_document(obj, allow_partial: bool = False) -> MultiClusterInstance:
             _require(entry, "showtimes", f"film {film_id} config {config_index}"),
             f"film {film_id} config {config_index} showtimes",
         )
-        configurations.append(
-            ShowtimeConfiguration(
-                film_id=film_id,
-                config_index=config_index,
-                showtimes=tuple(parse_hhmm(t) for t in raw_times),
-            )
+        config = ShowtimeConfiguration(
+            film_id=film_id,
+            config_index=config_index,
+            showtimes=tuple(parse_hhmm(t) for t in raw_times),
         )
+        for part in film_owners[film_id]:
+            part.configurations.append(config)
 
     forecast_raw = obj.get("forecast")
     if forecast_raw is None:
         if not allow_partial:
             raise InstanceFormatError("document: missing key 'forecast'")
         forecast_raw = []
-    forecast_entries: Dict[Tuple[int, int, int], int] = {}
+    # forecast rows must pair a screen with a film playing in its cluster; the
+    # first row that does not is reported once every row has parsed
+    outside: Optional[Tuple[int, int, int]] = None
     for entry in _as_list(forecast_raw, "forecast"):
-        ext_sid = _require_int(_require(entry, "screen_id", "forecast entry"), "forecast screen_id")
-        film_id = _require_int(_require(entry, "film_id", "forecast entry"), "forecast film_id")
-        config_index = _require_int(_require(entry, "config_index", "forecast entry"), "forecast config_index")
-        triple = f"(screen {ext_sid}, film {film_id}, config {config_index})"
-        if ext_sid not in external_to_internal:
-            raise InstanceDataError(
-                [Violation("unknown_screen", f"forecast entry {triple} references an unknown screen")]
+        ext_sid = entry.get("screen_id")
+        film_id = entry.get("film_id")
+        config_index = entry.get("config_index")
+        if type(ext_sid) is not int or type(film_id) is not int or type(config_index) is not int:
+            ext_sid, film_id, config_index = _forecast_ids(entry)
+        route = screen_route.get(ext_sid)
+        if route is None:
+            label = _row_label(ext_sid, film_id, config_index)
+            raise InstanceDataError([Violation("unknown_screen", f"{label} references an unknown screen")])
+        sid, part = route
+        if film_id not in part.film_ids:
+            if film_id not in film_owners:
+                label = _row_label(ext_sid, film_id, config_index)
+                raise InstanceDataError([Violation("unknown_film", f"{label} references an unknown film")])
+            if outside is None:
+                outside = (ext_sid, film_id, config_index)
+        key = (sid, film_id, config_index)
+        entries = part.forecast
+        if key in entries:
+            label = _row_label(ext_sid, film_id, config_index)
+            raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
+        attendance = entry.get("attendance")
+        if type(attendance) is int:
+            entries[key] = attendance * MILLI
+        else:
+            entries[key] = parse_attendance(
+                _require(entry, "attendance", _row_label(ext_sid, film_id, config_index))
             )
-        if film_id not in film_scope:
-            raise InstanceDataError(
-                [Violation("unknown_film", f"forecast entry {triple} references an unknown film")]
-            )
-        key = (external_to_internal[ext_sid], film_id, config_index)
-        if key in forecast_entries:
-            raise InstanceDataError(
-                [Violation("duplicate_forecast_entry", f"forecast entry {triple} appears more than once")]
-            )
-        forecast_entries[key] = parse_attendance(_require(entry, "attendance", f"forecast entry {triple}"))
 
-    cluster_ids = sorted({loc.cluster_id for loc in locations})
     clusters = []
-    for cluster_id in cluster_ids:
-        cluster_locations = tuple(l for l in locations if l.cluster_id == cluster_id)
-        location_ids = {l.location_id for l in cluster_locations}
-        cluster_screens = tuple(s for s in screens if s.location_id in location_ids)
-        cluster_films = tuple(
-            f for f in films if film_scope[f.film_id] in (None, cluster_id)
-        )
-        film_ids = {f.film_id for f in cluster_films}
-        cluster_configs = tuple(c for c in configurations if c.film_id in film_ids)
-        if not configurations:
-            cluster_configs = _generate_default_configurations(
-                cluster_films, cluster_locations, stagger
-            )
-        screen_ids = {s.screen_id for s in cluster_screens}
-        cluster_forecast = {
-            k: v for k, v in forecast_entries.items() if k[0] in screen_ids
-        }
+    for cluster_id, part in parts.items():
+        cluster_locations = tuple(part.locations)
+        cluster_films = tuple(part.films)
+        if config_rows:
+            cluster_configs = tuple(part.configurations)
+        else:
+            cluster_configs = _generate_default_configurations(cluster_films, cluster_locations, stagger)
         clusters.append(
             ClusterInstance(
                 cluster_id=cluster_id,
                 locations=cluster_locations,
-                screens=cluster_screens,
+                screens=tuple(part.screens),
                 films=cluster_films,
                 configurations=cluster_configs,
                 stagger_interval_minutes=stagger,
-                forecast=ForecastMatrix(cluster_forecast),
+                forecast=ForecastMatrix(part.forecast),
             )
         )
 
-    # forecast rows must pair a screen with a film playing in its cluster
-    claimed = set()
-    for cluster in clusters:
-        claimed.update(
-            k for k in cluster.forecast.entries
-            if k[1] in {f.film_id for f in cluster.films}
-        )
-    for key in forecast_entries:
-        if key not in claimed:
-            sid, film_id, config_index = key
-            raise InstanceDataError(
-                [
-                    Violation(
-                        "unknown_film",
-                        f"forecast entry (screen {sid}, film {film_id}, config {config_index})"
-                        " pairs a screen with a film outside its cluster",
-                    )
-                ]
-            )
+    if outside is not None:
+        label = _row_label(*outside)
+        raise InstanceDataError([Violation("unknown_film", f"{label} pairs a screen with a film outside its cluster")])
 
     return MultiClusterInstance(clusters=tuple(clusters))
 
@@ -447,11 +478,10 @@ def parse_document(obj, allow_partial: bool = False) -> MultiClusterInstance:
 def _as_list(value, context: str) -> list:
     if not isinstance(value, list):
         raise InstanceFormatError(f"{context}: expected a list, got {type(value).__name__}")
-    for item in value:
-        if context.endswith("showtimes"):
-            break
-        if not isinstance(item, dict):
-            raise InstanceFormatError(f"{context}: entries must be objects")
+    if not context.endswith("showtimes"):
+        for item in value:
+            if not isinstance(item, dict):
+                raise InstanceFormatError(f"{context}: entries must be objects")
     return value
 
 

@@ -49,6 +49,18 @@ def test_validate_bad_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("attendance", ["Infinity", "-Infinity", "NaN", '"Infinity"'])
+def test_validate_non_finite_attendance(tmp_path, capsys, attendance):
+    doc = support.matrix_document([[5, 6], [7, 8]])
+    doc["forecast"][1]["attendance"] = "@"
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc).replace('"@"', attendance), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad attendance value ")
+    assert len(err.splitlines()) == 1
+
+
 def test_solve_table(example_path, capsys):
     assert main(["solve", str(example_path)]) == 0
     captured = capsys.readouterr()
@@ -218,6 +230,15 @@ def test_verify_decomposition_films_shared_across_clusters(tmp_path, example_doc
     out = capsys.readouterr().out
     assert "sum of cluster optima: 5230" in out
     assert "joint model optimum: 5230" in out
+
+
+def test_verify_decomposition_realistic_chain(tmp_path, capsys):
+    # 3 clusters x 40 screens x 15 films: a joint model of 8720 variables
+    assert main(["synth", "--screens", "40", "--films", "15", "--clusters", "3", "--seed", "1"]) == 0
+    path = tmp_path / "chain.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["verify-decomposition", str(path)]) == 0
+    assert "decomposition verified" in capsys.readouterr().out
 
 
 def test_verify_decomposition_infeasible(infeasible_path, capsys):

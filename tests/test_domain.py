@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from decimal import Decimal
 
 import pytest
@@ -8,6 +9,7 @@ import support
 from cinestagger import (
     ClusterInstance,
     InstanceDataError,
+    InstanceError,
     InstanceFormatError,
     MultiClusterInstance,
     dumps_instance,
@@ -16,6 +18,7 @@ from cinestagger import (
 )
 from cinestagger.domain import (
     MAX_MINUTES,
+    MILLI,
     as_multi,
     format_attendance,
     format_hhmm,
@@ -23,6 +26,7 @@ from cinestagger.domain import (
     parse_document,
     parse_hhmm,
 )
+from cinestagger.synth import generate_document
 
 
 def test_parse_hhmm_basic():
@@ -61,6 +65,14 @@ def test_parse_attendance_rejects():
     for bad in ["1.2345", Decimal("0.0005"), "abc", True, None, [1]]:
         with pytest.raises(InstanceFormatError):
             parse_attendance(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", [float("inf"), float("-inf"), float("nan"), "Infinity", "-Infinity", "NaN", Decimal("Infinity"), "1e999999"]
+)
+def test_parse_attendance_rejects_non_finite_and_overflow(bad):
+    with pytest.raises(InstanceFormatError, match="^bad attendance value "):
+        parse_attendance(bad)
 
 
 def test_format_attendance():
@@ -339,3 +351,121 @@ def test_parse_document_without_validation():
     multi = parse_document(doc)
     codes = {v.code for v in validate_instance(multi)}
     assert codes == {"non_increasing_showtimes"}
+
+
+def two_cluster_document():
+    """Clusters a (screens 101-102, film 1) and b (screens 103-104, film 2), two configs each."""
+    doc = support.matrix_document([[5, 6], [7, 8]], cluster_id="a", first_screen=101, scoped_films=True)
+    b = support.matrix_document(
+        [[1, 2], [3, 4]], cluster_id="b", first_location=2, first_screen=103, first_film=2, scoped_films=True
+    )
+    for key in ("locations", "screens", "films", "configurations", "forecast"):
+        doc[key].extend(b[key])
+    return doc
+
+
+def row(screen_id, film_id, config_index=1, attendance=1):
+    return {"screen_id": screen_id, "film_id": film_id, "config_index": config_index, "attendance": attendance}
+
+
+def set_first_row(key, value):
+    return lambda d: d["forecast"][0].__setitem__(key, value)
+
+
+def drop_first_row_key(key):
+    return lambda d: d["forecast"][0].pop(key)
+
+
+def append_rows(*rows):
+    return lambda d: d["forecast"].extend(rows)
+
+
+@pytest.mark.parametrize(
+    "mutate, error, message",
+    [
+        pytest.param(
+            set_first_row("screen_id", True), InstanceFormatError,
+            "forecast screen_id: expected an integer, got True", id="bool-screen-id",
+        ),
+        pytest.param(
+            set_first_row("film_id", "1"), InstanceFormatError,
+            "forecast film_id: expected an integer, got '1'", id="string-film-id",
+        ),
+        pytest.param(
+            set_first_row("config_index", False), InstanceFormatError,
+            "forecast config_index: expected an integer, got False", id="bool-config-index",
+        ),
+        pytest.param(
+            drop_first_row_key("screen_id"), InstanceFormatError,
+            "forecast entry: missing key 'screen_id'", id="missing-screen-id",
+        ),
+        pytest.param(
+            drop_first_row_key("attendance"), InstanceFormatError,
+            "forecast entry (screen 101, film 1, config 1): missing key 'attendance'", id="missing-attendance",
+        ),
+        pytest.param(
+            append_rows(row(999, 1)), InstanceDataError,
+            "unknown_screen: forecast entry (screen 999, film 1, config 1) references an unknown screen",
+            id="unknown-screen",
+        ),
+        pytest.param(
+            append_rows(row(101, 77)), InstanceDataError,
+            "unknown_film: forecast entry (screen 101, film 77, config 1) references an unknown film",
+            id="unknown-film",
+        ),
+        pytest.param(
+            append_rows(row(103, 2, 2)), InstanceDataError,
+            "duplicate_forecast_entry: forecast entry (screen 103, film 2, config 2) appears more than once",
+            id="duplicate-row",
+        ),
+        # the diagnostic names the document's screen id, like every other forecast diagnostic
+        pytest.param(
+            append_rows(row(104, 1), row(101, 2)), InstanceDataError,
+            "unknown_film: forecast entry (screen 104, film 1, config 1)"
+            " pairs a screen with a film outside its cluster",
+            id="outside-cluster",
+        ),
+        # rows are parsed to the end before an outside-cluster row is reported
+        pytest.param(
+            append_rows(row(104, 1), row(101, 1, 2)), InstanceDataError,
+            "duplicate_forecast_entry: forecast entry (screen 101, film 1, config 2) appears more than once",
+            id="duplicate-after-outside-cluster",
+        ),
+        pytest.param(
+            append_rows(row(104, 1), row(101, 1, 3, attendance="many")), InstanceFormatError,
+            "bad attendance value 'many'", id="bad-attendance-after-outside-cluster",
+        ),
+    ],
+)
+def test_parse_document_forecast_errors(mutate, error, message):
+    doc = two_cluster_document()
+    mutate(doc)
+    with pytest.raises(InstanceError) as err:
+        parse_document(doc)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("clusters", range(1, 17))
+def test_forecast_rows_go_to_their_screens_cluster(clusters):
+    rng = random.Random(clusters)
+    doc = generate_document(rng.randint(1, 5), rng.randint(1, 3), clusters=clusters, seed=clusters)
+    # one unscoped film besides the per-cluster ones (synth scopes films only with > 1 cluster)
+    film_id = max(f["id"] for f in doc["films"]) + 1
+    doc["films"].append({"id": film_id, "title": "Everywhere", "runtime_minutes": 90})
+    doc["configurations"].append({"film_id": film_id, "config_index": 1, "showtimes": ["12:00"]})
+    doc["forecast"].extend(row(s["id"], film_id, attendance=rng.randint(0, 9)) for s in doc["screens"])
+    rng.shuffle(doc["forecast"])
+
+    multi = parse_document(doc)
+    internal = {s["id"]: position for position, s in enumerate(doc["screens"], start=1)}
+    assert len(multi.clusters) == clusters
+    for cluster in multi.clusters:
+        screen_ids = {s.screen_id for s in cluster.screens}
+        expected = [
+            ((internal[r["screen_id"]], r["film_id"], r["config_index"]), r["attendance"] * MILLI)
+            for r in doc["forecast"]
+            if internal[r["screen_id"]] in screen_ids
+        ]
+        assert list(cluster.forecast.entries.items()) == expected
+        assert film_id in {f.film_id for f in cluster.films}
