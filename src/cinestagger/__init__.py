@@ -11,7 +11,6 @@ from .cluster import (
     ClusterSolveReport,
     DecompositionReport,
     DecompositionSizeError,
-    build_joint_model,
     derive_clusters,
     solve_all,
     verify_decomposition,
@@ -38,6 +37,7 @@ from .formulation import (
     BilpModel,
     FeasibilityReport,
     VariableRef,
+    build_joint_model,
     build_model,
     check_feasible,
     evaluate,

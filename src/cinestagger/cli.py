@@ -24,12 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from .cluster import (
-    DecompositionSizeError,
-    build_joint_model,
-    solve_all,
-    verify_decomposition,
-)
+from .cluster import DecompositionSizeError, solve_all, verify_decomposition
 from .confgen import NoFeasibleConfigurationError, generate_configurations
 from .domain import (
     MILLI,
@@ -45,7 +40,7 @@ from .domain import (
     format_hhmm,
     load_instance,
 )
-from .formulation import build_model, export_lp_text
+from .formulation import build_joint_model, build_model, export_lp_text
 from .solver import CERTIFICATE_KINDS, CertificationError, SolveReport
 
 
@@ -103,6 +98,15 @@ def _print_csv(all_rows: List[dict]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
+def _write_lp(multi: MultiClusterInstance, path: str) -> None:
+    """Write the LP text of the one cluster's model, or of the joint model."""
+    model = (
+        build_model(multi.clusters[0]) if len(multi.clusters) == 1
+        else build_joint_model(multi)
+    )
+    Path(path).write_text(export_lp_text(model), encoding="utf-8")
+
+
 def cmd_validate(args) -> int:
     try:
         load_instance(args.instance)
@@ -119,15 +123,11 @@ def cmd_solve(args) -> int:
     multi = as_multi(instance)
 
     started = time.perf_counter()
-    report = solve_all(multi, parallel=args.parallel)
+    report = solve_all(multi)
     elapsed = time.perf_counter() - started
 
     if args.export_lp:
-        model = (
-            build_model(multi.clusters[0]) if len(multi.clusters) == 1
-            else build_joint_model(multi)
-        )
-        Path(args.export_lp).write_text(export_lp_text(model), encoding="utf-8")
+        _write_lp(multi, args.export_lp)
 
     clusters = {c.cluster_id: c for c in multi.clusters}
     if args.format == "json":
@@ -234,11 +234,7 @@ def cmd_build(args) -> int:
     )
 
     if args.export_lp:
-        model = (
-            build_model(multi.clusters[0]) if len(multi.clusters) == 1
-            else build_joint_model(multi)
-        )
-        Path(args.export_lp).write_text(export_lp_text(model), encoding="utf-8")
+        _write_lp(multi, args.export_lp)
         print(f"wrote {args.export_lp}", file=sys.stderr)
     return 0
 
@@ -303,11 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--export-lp", metavar="PATH", help="also write the model as LP text")
-    p.add_argument(
-        "--seed", type=int, default=None,
-        help="accepted for interface compatibility; solving is deterministic",
-    )
-    p.add_argument("--parallel", action="store_true", help="solve clusters concurrently")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(

@@ -10,14 +10,13 @@ joint optimum equals the sum of the per-cluster optima.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import dist
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .domain import ClusterInstance, Instance, MultiClusterInstance, as_multi
-from .formulation import BilpModel, VariableRef, build_model
+from .domain import Instance, as_multi
+from .formulation import build_joint_model, build_model
 from .solver import CertificationError, SolveReport, certify
 
 JOINT_SIZE_LIMIT = 1 << 16   # max joint-model variables verify_decomposition accepts
@@ -33,28 +32,16 @@ class ClusterSolveReport:
     overall_status: str                       # "Optimal" or "Infeasible"
     combined_objective: Optional[Fraction]    # sum when overall Optimal
 
-    def cluster_ids(self) -> List[str]:
-        return list(self.per_cluster)
 
-
-def _solve_one(cluster: ClusterInstance) -> SolveReport:
-    return certify(build_model(cluster))
-
-
-def solve_all(instance: Instance, parallel: bool = False) -> ClusterSolveReport:
-    """Certify every cluster and merge; output independent of ``parallel``.
+def solve_all(instance: Instance) -> ClusterSolveReport:
+    """Certify every cluster, in cluster id order, and merge.
 
     Infeasible clusters do not hide the others: each cluster's report is
     returned, and the overall status is Optimal only if all are.
     """
     clusters = sorted(as_multi(instance).clusters, key=lambda c: c.cluster_id)
-    if parallel and len(clusters) > 1:
-        with ThreadPoolExecutor(max_workers=len(clusters)) as pool:
-            reports = list(pool.map(_solve_one, clusters))
-    else:
-        reports = [_solve_one(c) for c in clusters]
-
-    per_cluster = {c.cluster_id: r for c, r in zip(clusters, reports)}
+    per_cluster = {c.cluster_id: certify(build_model(c)) for c in clusters}
+    reports = per_cluster.values()
     if all(r.status == "Optimal" for r in reports):
         return ClusterSolveReport(
             per_cluster=per_cluster,
@@ -65,50 +52,6 @@ def solve_all(instance: Instance, parallel: bool = False) -> ClusterSolveReport:
         per_cluster=per_cluster,
         overall_status="Infeasible",
         combined_objective=None,
-    )
-
-
-def build_joint_model(instance: MultiClusterInstance) -> BilpModel:
-    """One model over all clusters at once.
-
-    Every screen keeps its equality row; staggering rows are keyed by
-    (cluster, film, config) so the same film configuration in two
-    different clusters stays two separate columns.  A screen only pairs
-    with its own cluster's configurations, which is exactly what makes
-    the model block-diagonal.
-    """
-    clusters = sorted(instance.clusters, key=lambda c: c.cluster_id)
-
-    columns = []
-    for cluster in clusters:
-        for config in sorted(cluster.configurations, key=lambda c: c.key()):
-            columns.append((cluster.cluster_id, config.film_id, config.config_index))
-
-    screens = sorted(
-        ((s, c) for c in clusters for s in c.screens), key=lambda sc: sc[0].screen_id
-    )
-
-    variables: List[VariableRef] = []
-    objective: Dict[VariableRef, int] = {}
-    by_screen = {}
-    by_column = {key: [] for key in columns}
-    for screen, cluster in screens:
-        row = []
-        for key in columns:
-            if key[0] != cluster.cluster_id:
-                continue
-            var = VariableRef(screen.screen_id, key[1], key[2])
-            variables.append(var)
-            objective[var] = cluster.forecast.get(*var)
-            row.append(var)
-            by_column[key].append(var)
-        by_screen[screen.screen_id] = row
-
-    return BilpModel(
-        variables=tuple(variables),
-        objective=objective,
-        equality_rows=tuple((s.screen_id, tuple(by_screen[s.screen_id])) for s, _ in screens),
-        inequality_rows=tuple((key, tuple(by_column[key])) for key in columns),
     )
 
 
@@ -139,7 +82,7 @@ def verify_decomposition(instance: Instance) -> DecompositionReport:
         )
 
     joint_report = certify(build_joint_model(multi))
-    split_report = solve_all(multi, parallel=False)
+    split_report = solve_all(multi)
 
     if split_report.overall_status == "Optimal":
         if joint_report.status != "Optimal":

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import Decimal, InvalidOperation
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -96,7 +96,9 @@ def parse_attendance(value) -> int:
 
     Accepts ints, Decimals (json parsed with ``parse_float=Decimal``) and
     decimal strings.  More than three decimal places cannot be represented
-    on the fixed denominator and is rejected, as are infinities and NaN.
+    on the fixed denominator and is rejected, as are infinities, NaN and
+    decimals of magnitude 10**18 or more, whose integer conversion would
+    take time super-linear in the exponent.
     """
     if isinstance(value, bool):
         raise InstanceFormatError(f"bad attendance value {value!r}")
@@ -107,11 +109,11 @@ def parse_attendance(value) -> int:
     if isinstance(value, (str, Decimal)):
         try:
             number = Decimal(value)
-            milli = number * MILLI
-        except (InvalidOperation, Overflow):
+        except InvalidOperation:
             raise InstanceFormatError(f"bad attendance value {value!r}") from None
-        if not number.is_finite():
+        if not number.is_finite() or number.adjusted() >= 18:
             raise InstanceFormatError(f"bad attendance value {value!r}")
+        milli = number * MILLI
         if milli != milli.to_integral_value():
             raise InstanceFormatError(
                 f"attendance {value} has more than 3 decimal places"
@@ -234,10 +236,6 @@ class MultiClusterInstance:
     @property
     def cluster_ids(self) -> Tuple[str, ...]:
         return tuple(c.cluster_id for c in self.clusters)
-
-    @property
-    def total_screens(self) -> int:
-        return sum(c.screen_count for c in self.clusters)
 
     def cluster(self, cluster_id: str) -> ClusterInstance:
         for c in self.clusters:

@@ -1,4 +1,4 @@
-"""Binary program formulation for one cluster.
+"""Binary program formulation, for one cluster or for all clusters at once.
 
 One binary variable per (screen, film, configuration) triple.  Each screen
 gets an equality row forcing exactly one choice; each film configuration
@@ -6,10 +6,10 @@ gets an inequality row allowing at most one screen, which is what keeps
 showtimes staggered across the cluster.  The objective sums the forecast
 attendance of the chosen variables.
 
-Models built here are dense (every screen pairs with every configuration).
-The same containers also carry sparse joint models assembled by the
-cluster module, where a variable exists only when the screen and the
-configuration belong to the same cluster; everything below handles both.
+A cluster's model is dense (every screen pairs with every configuration).
+The joint model of several clusters keys its columns by (cluster, film,
+config) and pairs each screen only with its own cluster's columns, so it
+is block-diagonal and sparse; everything below handles both.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .domain import MILLI, ClusterInstance, format_attendance
+from .domain import MILLI, ClusterInstance, MultiClusterInstance, format_attendance
 
 # column key: (film_id, config_index), with a leading cluster id in joint models
 ColumnKey = Tuple
@@ -38,7 +38,7 @@ class VariableRef(NamedTuple):
 
 @dataclass
 class BilpModel:
-    """Immutable once built; safe to share across concurrent solves."""
+    """Immutable once built."""
 
     variables: Tuple[VariableRef, ...]
     objective: Dict[VariableRef, int]                         # milliunits
@@ -58,14 +58,59 @@ class BilpModel:
         return tuple(key for key, _ in self.inequality_rows)
 
     @cached_property
-    def _cells(self) -> Dict[Tuple[int, ColumnKey], VariableRef]:
-        # keyed by the full column key: in a joint model, a film without a
-        # cluster scope has one column per cluster for each configuration
-        return {(var.screen_id, key): var for key, row in self.inequality_rows for var in row}
+    def weights(self) -> List[List[Optional[int]]]:
+        """Coefficient in milliunits per (screen index, column index).
 
-    def cell(self, screen_id: int, column_key: ColumnKey) -> Optional[VariableRef]:
-        """The variable pairing this screen with this column, if it exists."""
-        return self._cells.get((screen_id, column_key))
+        None where no variable pairs the screen with the column.  Read
+        only: every solver and the certificate check share this matrix.
+        """
+        screen_index = {sid: si for si, sid in enumerate(self.screen_ids)}
+        m = len(self.inequality_rows)
+        matrix: List[List[Optional[int]]] = [[None] * m for _ in screen_index]
+        for ci, (_, row) in enumerate(self.inequality_rows):
+            for var in row:
+                matrix[screen_index[var.screen_id]][ci] = self.objective[var]
+        return matrix
+
+
+def _assemble(blocks: Sequence[Tuple[Tuple, ClusterInstance]]) -> BilpModel:
+    """Lay out the model of ``(key prefix, cluster)`` blocks.
+
+    Columns follow the blocks, then ascending (film, config) within a
+    block, keyed ``prefix + (film, config)``.  Variables and equality rows
+    follow ascending screen id, and each screen pairs only with its own
+    block's columns.
+    """
+    by_column: Dict[ColumnKey, List[VariableRef]] = {}
+    screens = []
+    for prefix, cluster in blocks:
+        columns = []
+        for config in sorted(cluster.configurations, key=lambda c: c.key()):
+            key = prefix + config.key()
+            by_column[key] = []
+            columns.append((by_column[key], config.film_id, config.config_index))
+        screens.extend((s.screen_id, cluster.forecast, columns) for s in cluster.screens)
+    screens.sort(key=lambda screen: screen[0])
+
+    variables: List[VariableRef] = []
+    objective: Dict[VariableRef, int] = {}
+    equality_rows = []
+    for screen_id, forecast, columns in screens:
+        row = []
+        for column, film_id, config_index in columns:
+            var = VariableRef(screen_id, film_id, config_index)
+            objective[var] = forecast.get(*var)
+            row.append(var)
+            column.append(var)
+        variables.extend(row)
+        equality_rows.append((screen_id, tuple(row)))
+
+    return BilpModel(
+        variables=tuple(variables),
+        objective=objective,
+        equality_rows=tuple(equality_rows),
+        inequality_rows=tuple((key, tuple(row)) for key, row in by_column.items()),
+    )
 
 
 def build_model(instance: ClusterInstance) -> BilpModel:
@@ -74,27 +119,20 @@ def build_model(instance: ClusterInstance) -> BilpModel:
     Deterministic layout: variables ascend by (screen, film, config);
     equality rows follow screen order, inequality rows (film, config).
     """
-    screens = sorted(instance.screens, key=lambda s: s.screen_id)
-    configs = sorted(instance.configurations, key=lambda c: c.key())
+    return _assemble([((), instance)])
 
-    variables: List[VariableRef] = []
-    objective: Dict[VariableRef, int] = {}
-    by_screen: Dict[int, List[VariableRef]] = {s.screen_id: [] for s in screens}
-    by_config: Dict[ColumnKey, List[VariableRef]] = {c.key(): [] for c in configs}
-    for screen in screens:
-        for config in configs:
-            var = VariableRef(screen.screen_id, config.film_id, config.config_index)
-            variables.append(var)
-            objective[var] = instance.forecast.get(*var)
-            by_screen[screen.screen_id].append(var)
-            by_config[config.key()].append(var)
 
-    return BilpModel(
-        variables=tuple(variables),
-        objective=objective,
-        equality_rows=tuple((s.screen_id, tuple(by_screen[s.screen_id])) for s in screens),
-        inequality_rows=tuple((c.key(), tuple(by_config[c.key()])) for c in configs),
-    )
+def build_joint_model(instance: MultiClusterInstance) -> BilpModel:
+    """One model over all clusters at once.
+
+    Every screen keeps its equality row; staggering rows are keyed by
+    (cluster, film, config) so the same film configuration in two
+    different clusters stays two separate columns.  A screen only pairs
+    with its own cluster's configurations, which is exactly what makes
+    the model block-diagonal.
+    """
+    clusters = sorted(instance.clusters, key=lambda c: c.cluster_id)
+    return _assemble([((c.cluster_id,), c) for c in clusters])
 
 
 def _lp_name(token) -> str:

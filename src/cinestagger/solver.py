@@ -53,6 +53,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .domain import MILLI
 from .formulation import BilpModel, VariableRef, check_feasible
 
+# (screen index, column index) -> coefficient; None where no variable exists
+Weights = List[List[Optional[int]]]
+
 ORACLE_MAX_SCREENS = 8
 ORACLE_MAX_COLUMNS = 10
 
@@ -192,41 +195,31 @@ def _augment_min_cost(
     return row_to_col, u[1:], v[1:]
 
 
-def _cell_weights(model: BilpModel) -> Dict[Tuple[int, int], int]:
-    """(screen index, column index) -> coefficient in milliunits; absent cells forbidden."""
-    weights = {}
-    for si, sid in enumerate(model.screen_ids):
-        for ci, key in enumerate(model.column_keys):
-            var = model.cell(sid, key)
-            if var is not None:
-                weights[(si, ci)] = model.objective[var]
-    return weights
-
-
 def _column_order(model: BilpModel) -> List[int]:
     """Column indices in ascending (film, config) order."""
     return sorted(range(len(model.column_keys)), key=lambda ci: model.column_keys[ci][-2:])
 
 
-def _perturbed_weights(
-    weights: Dict[Tuple[int, int], int], n: int, column_order: List[int]
-) -> Dict[Tuple[int, int], int]:
+def _perturbed_weights(weights: Weights, column_order: List[int]) -> Weights:
     """Weights with the lexicographic tie-break folded in (see ``solve_assignment``)."""
-    m = len(column_order)
+    n, m = len(weights), len(column_order)
     scale = m**n
-    place = [m ** (n - 1 - si) for si in range(n)]
     tie = [0] * m
     for rank, ci in enumerate(column_order):
         tie[ci] = m - 1 - rank
-    return {(si, ci): w * scale + tie[ci] * place[si] for (si, ci), w in weights.items()}
+    place = [m ** (n - 1 - si) for si in range(n)]
+    return [
+        [None if w is None else w * scale + tie[ci] * place[si] for ci, w in enumerate(row)]
+        for si, row in enumerate(weights)
+    ]
 
 
-# A search gets the cell weights, the screen count, the column indices in
-# ascending (film, config) order and the stats to count its effort in; it
-# returns the chosen column index per screen, or None when no complete
-# schedule exists, and a certificate of that result if it has one.
+# A search gets the weight matrix, the column indices in ascending (film,
+# config) order and the stats to count its effort in; it returns the chosen
+# column index per screen, or None when no complete schedule exists, and a
+# certificate of that result if it has one.
 Search = Callable[
-    [Dict[Tuple[int, int], int], int, List[int], SolveStats],
+    [Weights, List[int], SolveStats],
     Tuple[Optional[List[int]], Optional[Certificate]],
 ]
 
@@ -241,8 +234,8 @@ def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
         report.diagnostic = _pigeonhole_message(n, m)
         report.certificate = Certificate("pigeonhole")
     else:
-        weights = _cell_weights(model)
-        choice, report.certificate = search(weights, n, _column_order(model), report.stats)
+        weights = model.weights
+        choice, report.certificate = search(weights, _column_order(model), report.stats)
         if choice is None:
             report.diagnostic = _SPARSE_PIGEONHOLE
         else:
@@ -251,18 +244,18 @@ def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
                 {model.screen_ids[si]: model.column_keys[ci][-2:] for si, ci in enumerate(choice)}
             )
             report.objective = Fraction(
-                sum(weights[(si, ci)] for si, ci in enumerate(choice)), MILLI
+                sum(weights[si][ci] for si, ci in enumerate(choice)), MILLI
             )
     report.stats.wall_time = time.perf_counter() - started
     return report
 
 
-def _assignment_search(weights, n, column_order, stats):
-    m = len(column_order)
-    cost: List[List[Optional[int]]] = [[None] * m for _ in range(n)]
-    for (si, ci), w in _perturbed_weights(weights, n, column_order).items():
-        cost[si][ci] = -w
-    choice, left, right = _augment_min_cost(cost, m, stats)
+def _assignment_search(weights, column_order, stats):
+    cost = [
+        [None if w is None else -w for w in row]
+        for row in _perturbed_weights(weights, column_order)
+    ]
+    choice, left, right = _augment_min_cost(cost, len(column_order), stats)
     if choice is None:
         return None, Certificate("hall-set", screens=tuple(left), columns=tuple(right))
     # the matcher minimises -W'; negated, its potentials are the max-weight duals
@@ -293,12 +286,13 @@ def solve_assignment(model: BilpModel) -> SolveReport:
     return _solve(model, "assignment", _assignment_search)
 
 
-def _branch_and_bound_search(weights, n, column_order, stats):
+def _branch_and_bound_search(weights, column_order, stats):
+    n = len(weights)
     candidates: List[List[Tuple[int, int]]] = []
-    for si in range(n):
-        row = [(weights[(si, ci)], ci) for ci in column_order if (si, ci) in weights]
-        row.sort(key=lambda wc: -wc[0])   # stable: ties keep (film, config) order
-        candidates.append(row)
+    for row in weights:
+        cells = [(row[ci], ci) for ci in column_order if row[ci] is not None]
+        cells.sort(key=lambda wc: -wc[0])   # stable: ties keep (film, config) order
+        candidates.append(cells)
 
     used = [False] * len(column_order)
     best_value: Optional[int] = None
@@ -351,7 +345,8 @@ def solve_branch_and_bound(model: BilpModel) -> SolveReport:
     return _solve(model, "branch-and-bound", _branch_and_bound_search)
 
 
-def _brute_force_search(weights, n, column_order, stats):
+def _brute_force_search(weights, column_order, stats):
+    n = len(weights)
     used = [False] * len(column_order)
     best_value: Optional[int] = None
     best_choice: Optional[List[int]] = None
@@ -365,12 +360,13 @@ def _brute_force_search(weights, n, column_order, stats):
                 best_value = value
                 best_choice = choice[:]
             return
+        row = weights[si]
         for ci in column_order:
-            if used[ci] or (si, ci) not in weights:
+            if used[ci] or row[ci] is None:
                 continue
             used[ci] = True
             choice[si] = ci
-            enumerate_from(si + 1, value + weights[(si, ci)])
+            enumerate_from(si + 1, value + row[ci])
             used[ci] = False
         choice[si] = -1
 
@@ -430,13 +426,14 @@ def _check_lp_dual(model: BilpModel, report: SolveReport) -> None:
             f"lp-dual certificate has {len(u)} screen and {len(v)} column duals"
             f" for {n} screens and {m} columns"
         )
-    weights = _perturbed_weights(_cell_weights(model), n, _column_order(model))
-    for (si, ci), w in weights.items():
-        if u[si] + v[ci] < w:
-            raise CertificationError(
-                f"lp-dual certificate infeasible at {_cell_name(model, si, ci)}:"
-                f" {u[si]} + {v[ci]} < {w}"
-            )
+    weights = _perturbed_weights(model.weights, _column_order(model))
+    for si, row in enumerate(weights):
+        for ci, w in enumerate(row):
+            if w is not None and u[si] + v[ci] < w:
+                raise CertificationError(
+                    f"lp-dual certificate infeasible at {_cell_name(model, si, ci)}:"
+                    f" {u[si]} + {v[ci]} < {w}"
+                )
     # resolve each choice through its variable: in a joint model the same
     # (film, config) can head one column per cluster
     screen_index = {sid: si for si, sid in enumerate(model.screen_ids)}
@@ -448,7 +445,7 @@ def _check_lp_dual(model: BilpModel, report: SolveReport) -> None:
                 f"lp-dual certificate gives column {model.column_keys[ci]}"
                 f" the dual {dual}, {'negative' if dual < 0 else 'but it is unused'}"
             )
-    primal = sum(weights[(si, ci)] for ci, si in chosen.items())
+    primal = sum(weights[si][ci] for ci, si in chosen.items())
     if primal != sum(u) + sum(v):
         raise CertificationError(
             f"lp-dual certificate: dual objective {sum(u) + sum(v)}"
@@ -463,19 +460,20 @@ def _check_hall_set(model: BilpModel, certificate: Certificate) -> None:
             f"hall-set certificate of screens {sorted(screens)} and columns"
             f" {sorted(columns)} is not a Hall violator"
         )
-    for si, ci in _cell_weights(model):
-        if si in screens and ci not in columns:
-            raise CertificationError(
-                f"hall-set certificate misses the allowed cell {_cell_name(model, si, ci)}"
-            )
+    for si in sorted(screens):
+        for ci, w in enumerate(model.weights[si]):
+            if w is not None and ci not in columns:
+                raise CertificationError(
+                    f"hall-set certificate misses the allowed cell {_cell_name(model, si, ci)}"
+                )
 
 
 def check_certificate(model: BilpModel, report: SolveReport) -> None:
     """Prove ``report``'s status on ``model`` or raise :class:`CertificationError`.
 
     Reads only the report's status, schedule, objective and certificate;
-    the weights are recomputed from ``model.objective`` and the (film,
-    config) column order, in exact integers.  Optimal needs a feasible
+    the perturbed weights are recomputed from ``model.weights`` and the
+    (film, config) column order, in exact integers.  Optimal needs a feasible
     schedule (``check_feasible``) that scores the reported objective and
     an ``lp-dual`` certificate that holds on the perturbed weights, which
     proves the schedule is the canonical optimum.  Infeasible needs a

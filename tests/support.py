@@ -8,7 +8,7 @@ import copy
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from cinestagger import ClusterInstance, MultiClusterInstance, load_instance
+from cinestagger import BilpModel, ClusterInstance, MultiClusterInstance, load_instance
 
 WINDOW_OPEN = 720
 WINDOW_LAST = 1380
@@ -198,3 +198,17 @@ def shared_film_copies(example_document: dict) -> dict:
     for key in ("locations", "screens", "forecast"):
         doc[key].extend(second[key])
     return doc
+
+
+def without_variables(model: BilpModel, banned) -> BilpModel:
+    """Copy of the model with the ``banned`` variables removed."""
+
+    def keep(row):
+        return tuple(v for v in row if v not in banned)
+
+    return BilpModel(
+        variables=keep(model.variables),
+        objective={v: c for v, c in model.objective.items() if v not in banned},
+        equality_rows=tuple((sid, keep(row)) for sid, row in model.equality_rows),
+        inequality_rows=tuple((key, keep(row)) for key, row in model.inequality_rows),
+    )

@@ -61,6 +61,14 @@ def test_validate_non_finite_attendance(tmp_path, capsys, attendance):
     assert len(err.splitlines()) == 1
 
 
+def test_validate_huge_attendance(tmp_path, capsys):
+    doc = support.matrix_document([[5, 6], [7, 8]])
+    doc["forecast"][1]["attendance"] = "1e999990"
+    assert main(["validate", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad attendance value '1e999990'\n"
+
+
 def test_solve_table(example_path, capsys):
     assert main(["solve", str(example_path)]) == 0
     captured = capsys.readouterr()
@@ -96,11 +104,12 @@ def test_solve_json_round_trips(example_path, capsys):
     assert rebuilt == report.per_cluster["c1"].schedule.choices
 
 
-def test_solve_seed_and_parallel_do_not_change_output(example_path, capsys):
-    assert main(["solve", str(example_path)]) == 0
-    plain = capsys.readouterr().out
-    assert main(["solve", str(example_path), "--seed", "5", "--parallel"]) == 0
-    assert capsys.readouterr().out == plain
+def test_solve_rejects_seed_and_parallel(example_path, capsys):
+    for removed in (["--parallel"], ["--seed", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(example_path), *removed])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_export_lp(example_path, tmp_path, capsys):

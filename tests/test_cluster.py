@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -57,9 +58,11 @@ def test_joint_model_keeps_shared_films_apart(example_document):
     instance = support.load_multi(support.shared_film_copies(example_document))
     joint = build_joint_model(instance)
     assert len(joint.column_keys) == 2 * 16
-    for key in joint.column_keys:
+    for ci, key in enumerate(joint.column_keys):
         screens = {v.screen_id for v in dict(joint.inequality_rows)[key]}
-        assert all(joint.cell(sid, key) is not None for sid in screens)
+        assert all(
+            joint.weights[joint.screen_ids.index(sid)][ci] is not None for sid in screens
+        )
         assert screens == ({1, 2, 3, 4, 5, 6, 7, 8, 9} if key[0] == "c1" else set(range(10, 19)))
     report = solve_assignment(joint)
     assert report.status == "Optimal"
@@ -75,11 +78,6 @@ def test_two_copies_double_the_objective(example_document):
     assert report.combined_objective == 2 * 2615
     assert report.per_cluster["c1"].objective == 2615
     assert report.per_cluster["c2"].objective == 2615
-
-
-def test_parallel_and_sequential_reports_identical(example_document):
-    instance = support.load_multi(two_offset_copies(example_document))
-    assert solve_all(instance, parallel=True) == solve_all(instance, parallel=False)
 
 
 def test_infeasible_cluster_does_not_hide_others():
@@ -116,6 +114,35 @@ def test_joint_model_structure(example_document):
         assert len(row) == 16
         clusters = {("c1" if var.film_id <= 5 else "c2") for var in row}
         assert clusters == {"c1" if sid <= 9 else "c2"}
+
+
+def test_joint_model_lp_text(example_document, tmp_path):
+    from cinestagger.cli import main
+
+    doc = two_offset_copies(example_document)
+    path, target = tmp_path / "two.json", tmp_path / "joint.lp"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["build", str(path), "--export-lp", str(target)]) == 0
+    lines = target.read_text(encoding="utf-8").splitlines()
+
+    configs = sorted(
+        (c["film_id"], c["config_index"]) for c in example_document["configurations"]
+    )
+    expected = [f"stagger_c1_f{f}_c{k}" for f, k in configs]
+    expected += [f"stagger_c2_f{f + 5}_c{k}" for f, k in configs]
+    assert expected[0] == "stagger_c1_f1_c1" and expected[-1] == "stagger_c2_f10_c4"
+    assert [l.split(":")[0].strip() for l in lines if l.endswith(" <= 1")] == expected
+
+    screen_rows = [l for l in lines if l.startswith(" screen_")]
+    assert len(screen_rows) == 18
+    for sid, line in enumerate(screen_rows, start=1):
+        name, terms = line[:-len(" = 1")].split(": ")
+        assert name == f" screen_{sid}"
+        offset = 5 if sid > 9 else 0
+        assert terms.split(" + ") == [f"X_s{sid}_f{f + offset}_c{k}" for f, k in configs]
+
+    binary = lines[lines.index("Binary") + 1:lines.index("End")]
+    assert len(binary) == 288
 
 
 def test_verify_decomposition_two_copies(example_document):

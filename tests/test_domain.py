@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import time
 from decimal import Decimal
 
 import pytest
@@ -73,6 +74,18 @@ def test_parse_attendance_rejects():
 def test_parse_attendance_rejects_non_finite_and_overflow(bad):
     with pytest.raises(InstanceFormatError, match="^bad attendance value "):
         parse_attendance(bad)
+
+
+def test_parse_attendance_bounds_magnitude():
+    # an exact int of 10**999993 milliunits would take about 40 s to build
+    for bad in ["1e999990", "1e18", Decimal("-1e18")]:
+        started = time.perf_counter()
+        with pytest.raises(InstanceFormatError, match="^bad attendance value "):
+            parse_attendance(bad)
+        assert time.perf_counter() - started < 0.1
+    assert parse_attendance("999999999999999999.999") == 999999999999999999999
+    assert parse_attendance(Decimal("5000000000000000")) == 5 * 10**18
+    assert parse_attendance("1e16") == 10**19
 
 
 def test_format_attendance():

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 import support
-from cinestagger import VariableRef, build_model, check_feasible, evaluate, export_lp_text
+from cinestagger import (
+    VariableRef,
+    build_joint_model,
+    build_model,
+    check_feasible,
+    evaluate,
+    export_lp_text,
+)
 
 
 def known_best_variables():
@@ -55,6 +62,31 @@ def test_each_variable_in_one_row_of_each_kind(example_model):
             ineq_seen[var] = key
     assert set(eq_seen) == set(example_model.variables)
     assert set(ineq_seen) == set(example_model.variables)
+
+
+def test_weights_hold_each_variable_in_its_cell(example_model, example_document):
+    rng = random.Random(17)
+    shared = support.load_multi(support.shared_film_copies(example_document))
+    models = [example_model, build_joint_model(shared)]
+    for _ in range(5):
+        multi = support.load_multi(support.random_multi_document(rng, clusters=3))
+        models.extend(build_model(c) for c in multi.clusters)
+        models.append(build_joint_model(multi))
+    models.extend(
+        [
+            support.without_variables(m, {v for v in m.variables if rng.random() < 0.4})
+            for m in models
+        ]
+    )
+    for model in models:
+        weights = model.weights
+        assert len(weights) == len(model.screen_ids)
+        assert all(len(row) == len(model.column_keys) for row in weights)
+        for ci, (_, row) in enumerate(model.inequality_rows):
+            for var in row:
+                assert weights[model.screen_ids.index(var.screen_id)][ci] == model.objective[var]
+        # distinct variables sit in distinct cells, so every other cell is None
+        assert sum(w is not None for row in weights for w in row) == model.variable_count
 
 
 def test_lp_export_example(example_model):

@@ -234,20 +234,6 @@ def test_assignment_one_augmentation_per_screen(example_model):
     assert solve_assignment(example_model).stats.nodes == 9
 
 
-def without_variables(model, banned):
-    """Copy of the model with the ``banned`` variables removed."""
-
-    def keep(row):
-        return tuple(v for v in row if v not in banned)
-
-    return BilpModel(
-        variables=keep(model.variables),
-        objective={v: c for v, c in model.objective.items() if v not in banned},
-        equality_rows=tuple((sid, keep(row)) for sid, row in model.equality_rows),
-        inequality_rows=tuple((key, keep(row)) for key, row in model.inequality_rows),
-    )
-
-
 @st.composite
 def sparse_models(draw):
     screens = draw(st.integers(1, 6))
@@ -264,7 +250,7 @@ def sparse_models(draw):
     split = [b - a for a, b in zip(cuts, cuts[1:])]
     model = small_model(weights, split)
     banned = draw(st.sets(st.sampled_from(model.variables)))
-    return without_variables(model, banned)
+    return support.without_variables(model, banned)
 
 
 # attendance near 10^16 once made the assignment solver return a wrong optimum
@@ -279,7 +265,7 @@ REPRODUCER = build_model(
 # screens 1-3 can only use configurations 1 and 2: a Hall set of three
 # screens on two columns
 _SQUARE = small_model([[9, 5, 4, 1], [7, 3, 8, 2], [6, 6, 6, 6], [1, 2, 3, 4]])
-CROWDED = without_variables(
+CROWDED = support.without_variables(
     _SQUARE, {v for v in _SQUARE.variables if v.screen_id <= 3 and v.config_index >= 3}
 )
 
