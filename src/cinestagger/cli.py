@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import re
 import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
@@ -34,8 +35,8 @@ from .domain import (
     InstanceFormatError,
     MultiClusterInstance,
     as_multi,
-    attendance_to_json,
     dumps_instance,
+    dumps_json,
     format_attendance,
     format_hhmm,
     load_instance,
@@ -46,6 +47,13 @@ from .solver import CERTIFICATE_KINDS, CertificationError, SolveReport
 
 def _fmt_objective(objective) -> str:
     return format_attendance(int(objective * MILLI))
+
+
+def _json_objective(objective: Fraction):
+    """An objective as an exact JSON number: an int when whole, else its decimal."""
+    if objective.denominator == 1:
+        return objective.numerator
+    return Decimal(_fmt_objective(objective))
 
 
 def _schedule_rows(cluster: ClusterInstance, report: SolveReport) -> List[dict]:
@@ -134,7 +142,7 @@ def cmd_solve(args) -> int:
         doc = {
             "status": report.overall_status,
             "objective": (
-                attendance_to_json(int(report.combined_objective * MILLI))
+                _json_objective(report.combined_objective)
                 if report.combined_objective is not None else None
             ),
             "clusters": [],
@@ -147,12 +155,12 @@ def cmd_solve(args) -> int:
                 "certified": cluster_report.certified,
             }
             if cluster_report.status == "Optimal":
-                entry["objective"] = attendance_to_json(int(cluster_report.objective * MILLI))
+                entry["objective"] = _json_objective(cluster_report.objective)
                 entry["schedule"] = _schedule_rows(clusters[cluster_id], cluster_report)
             else:
                 entry["diagnostic"] = cluster_report.diagnostic
             doc["clusters"].append(entry)
-        print(json.dumps(doc, indent=2))
+        print(dumps_json(doc))
     else:
         all_rows = [
             row
@@ -217,17 +225,18 @@ def cmd_build(args) -> int:
     instance = load_instance(args.instance)
     multi = as_multi(instance)
 
+    # counts from each cluster's shape, as build_model lays it out: every screen
+    # pairs with every configuration, one row per screen and per configuration
     total_vars = total_eq = total_ineq = 0
     for cluster in multi.clusters:
-        model = build_model(cluster)
+        screens, configs = cluster.screen_count, cluster.configuration_count
         print(
-            f"cluster {cluster.cluster_id}: {model.variable_count} variables,"
-            f" {len(model.equality_rows)} equality rows,"
-            f" {len(model.inequality_rows)} inequality rows"
+            f"cluster {cluster.cluster_id}: {screens * configs} variables,"
+            f" {screens} equality rows, {configs} inequality rows"
         )
-        total_vars += model.variable_count
-        total_eq += len(model.equality_rows)
-        total_ineq += len(model.inequality_rows)
+        total_vars += screens * configs
+        total_eq += screens
+        total_ineq += configs
     print(
         f"total: {total_vars} variables, {total_eq} equality rows,"
         f" {total_ineq} inequality rows"
@@ -258,7 +267,7 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(doc, indent=2))
+    print(dumps_json(doc))
     return 0
 
 

@@ -26,11 +26,15 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 MILLI = 1000          # fixed scaling denominator for attendance coefficients
 MAX_MINUTES = 1679    # 27:59 -- latest representable time of day
+ATTENDANCE_LIMIT = 10 ** 18   # attendance magnitudes at or above this are rejected
+
+_THOUSANDTH = Decimal("0.001")
 
 _TIME_RE = re.compile(r"^(\d{1,2}):([0-5]\d)$")
 
@@ -97,12 +101,15 @@ def parse_attendance(value) -> int:
     Accepts ints, Decimals (json parsed with ``parse_float=Decimal``) and
     decimal strings.  More than three decimal places cannot be represented
     on the fixed denominator and is rejected, as are infinities, NaN and
-    decimals of magnitude 10**18 or more, whose integer conversion would
-    take time super-linear in the exponent.
+    any value of magnitude ``ATTENDANCE_LIMIT`` (10**18) or more, whose
+    integer conversion would take time super-linear in its digit count.
     """
     if isinstance(value, bool):
         raise InstanceFormatError(f"bad attendance value {value!r}")
     if isinstance(value, int):
+        if not -ATTENDANCE_LIMIT < value < ATTENDANCE_LIMIT:
+            # not printed: past 4300 digits CPython refuses to convert it to text
+            raise InstanceFormatError("bad attendance value (an integer of magnitude 10**18 or more)")
         return value * MILLI
     if isinstance(value, float):
         value = repr(value)
@@ -111,14 +118,18 @@ def parse_attendance(value) -> int:
             number = Decimal(value)
         except InvalidOperation:
             raise InstanceFormatError(f"bad attendance value {value!r}") from None
-        if not number.is_finite() or number.adjusted() >= 18:
+        if not number.is_finite() or abs(number) >= ATTENDANCE_LIMIT:
             raise InstanceFormatError(f"bad attendance value {value!r}")
-        milli = number * MILLI
-        if milli != milli.to_integral_value():
+        # quantize rather than multiply: a product is rounded to the context's
+        # 28 digits (to 0 for a tiny exponent) and could then look whole; below
+        # the limit the quantized value has at most 21 digits, so it is exact,
+        # and the comparison is exact too
+        milli = number.quantize(_THOUSANDTH)
+        if milli != number:
             raise InstanceFormatError(
                 f"attendance {value} has more than 3 decimal places"
             )
-        return int(milli)
+        return int(milli * MILLI)
     raise InstanceFormatError(f"bad attendance value {value!r}")
 
 
@@ -129,13 +140,6 @@ def format_attendance(milli: int) -> str:
     if rem == 0:
         return f"{sign}{units}"
     return f"{sign}{units}." + f"{rem:03d}".rstrip("0")
-
-
-def attendance_to_json(milli: int):
-    """Milliunits back to a JSON number (int when integral)."""
-    if milli % MILLI == 0:
-        return milli // MILLI
-    return float(format_attendance(milli))
 
 
 @dataclass(frozen=True)
@@ -439,7 +443,7 @@ def parse_document(obj, allow_partial: bool = False) -> MultiClusterInstance:
             label = _row_label(ext_sid, film_id, config_index)
             raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
         attendance = entry.get("attendance")
-        if type(attendance) is int:
+        if type(attendance) is int and -ATTENDANCE_LIMIT < attendance < ATTENDANCE_LIMIT:
             entries[key] = attendance * MILLI
         else:
             entries[key] = parse_attendance(
@@ -514,9 +518,11 @@ def load_instance(source: Union[str, Path, dict], allow_partial: bool = False) -
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise InstanceFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        # bad syntax, an integer past the int-string digit limit, or nesting
+        # deeper than the decoder's recursion limit
         try:
             obj = json.loads(text, parse_float=Decimal)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
 
     instance = parse_document(obj, allow_partial=allow_partial)
@@ -792,7 +798,7 @@ def serialize_instance(instance: Instance) -> dict:
             "screen_id": internal_to_external[sid],
             "film_id": film_id,
             "config_index": config_index,
-            "attendance": attendance_to_json(milli),
+            "attendance": milli // MILLI if milli % MILLI == 0 else Decimal(format_attendance(milli)),
         }
         for (sid, film_id, config_index), milli in rows
     ]
@@ -801,7 +807,85 @@ def serialize_instance(instance: Instance) -> dict:
 
 def dumps_instance(instance: Instance) -> str:
     """Serialize to canonical JSON text (byte-deterministic for equal instances)."""
-    return json.dumps(serialize_instance(instance), indent=2) + "\n"
+    return dumps_json(serialize_instance(instance)) + "\n"
+
+
+# exact scalar types and their JSON text; bool is its own type, so never read as int
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    Decimal: str,
+}
+
+
+def dumps_json(value) -> str:
+    """The text of ``json.dumps(value, indent=2)``, byte for byte.
+
+    Written by hand because CPython encodes with its pure-Python encoder
+    whenever ``indent`` is set.  Takes dicts with str keys, lists, tuples,
+    str, int, bool, None and Decimal; a Decimal is written as ``str(value)``,
+    exact, where ``json.dumps`` would refuse it.  Any other type raises
+    TypeError.
+    """
+    return _encode(value, "\n")
+
+
+def _encode(value, indent: str) -> str:
+    """``value`` as JSON whose closing bracket, if any, follows ``indent``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _encode(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_encode_items(value, inner)) + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, Decimal):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode_items(items, indent: str) -> List[str]:
+    """Each list item as JSON, a flat dict filled into its key order's template."""
+    templates: Dict[tuple, str] = {}  # key order -> template, "" once seen with a nested value
+    parts = []
+    for item in items:
+        if type(item) is dict and item:
+            keys = tuple(item)
+            template = templates.get(keys)
+            if template is None:
+                template = templates[keys] = _flat_template(keys, indent)
+            if template:
+                try:
+                    cells = [v if type(v) is int else _SCALARS[type(v)](v) for v in item.values()]
+                except KeyError:
+                    templates[keys] = ""
+                else:
+                    parts.append(template % tuple(cells))
+                    continue
+        parts.append(_encode(item, indent))
+    return parts
+
+
+def _flat_template(keys: tuple, indent: str) -> str:
+    """``%`` template of a dict with these keys and scalar values."""
+    inner = indent + "  "
+    fields = ("," + inner).join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + inner + fields + indent + "}"
 
 
 def as_multi(instance: Instance) -> MultiClusterInstance:

@@ -152,22 +152,29 @@ def export_lp_text(model: BilpModel) -> str:
     film id, then configuration index.  Zero coefficients are kept so the
     objective always lists every variable.
     """
+    variables = model.variables
+    # each name is built once, from its screen's prefix and its column's suffix
+    prefixes = {sid: f"X_s{sid}_" for sid in model.screen_ids}
+    suffixes = {key[-2:]: f"f{key[-2]}_c{key[-1]}" for key in model.column_keys}
+    names = [prefixes[sid] + suffixes[film_id, config_index] for sid, film_id, config_index in variables]
+    name_of = dict(zip(variables, names)).__getitem__
+    terms = [
+        (str(milli // MILLI) if milli % MILLI == 0 else format_attendance(milli)) + " " + name
+        for milli, name in zip(map(model.objective.__getitem__, variables), names)
+    ]
     lines = [
         "\\ Screen scheduling model: maximize forecast attendance",
         "\\ Terms ordered by ascending (screen, film, configuration)",
         "Maximize",
-        " obj: "
-        + " + ".join(
-            f"{format_attendance(model.objective[v])} {v.name}" for v in model.variables
-        ),
+        " obj: " + " + ".join(terms),
         "Subject To",
     ]
     for sid, row in model.equality_rows:
-        lines.append(f" screen_{sid}: " + " + ".join(v.name for v in row) + " = 1")
+        lines.append(f" screen_{sid}: " + " + ".join(map(name_of, row)) + " = 1")
     for key, row in model.inequality_rows:
-        lines.append(f" {_row_name(key)}: " + " + ".join(v.name for v in row) + " <= 1")
+        lines.append(f" {_row_name(key)}: " + " + ".join(map(name_of, row)) + " <= 1")
     lines.append("Binary")
-    lines.extend(f" {v.name}" for v in model.variables)
+    lines.extend(" " + name for name in names)
     lines.append("End")
     return "\n".join(lines) + "\n"
 

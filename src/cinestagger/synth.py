@@ -12,7 +12,7 @@ import random
 from typing import List, Tuple
 
 from .confgen import generate_configurations
-from .domain import Film, format_hhmm
+from .domain import ATTENDANCE_LIMIT, Film, format_hhmm
 
 WINDOW = (720, 1380)        # 12:00 .. 23:00, matching the bundled example
 STAGGER = 30
@@ -30,7 +30,7 @@ def generate_document(
     if screens < 1 or films < 1 or clusters < 1:
         raise ValueError("screens, films and clusters must all be >= 1")
     lo, hi = coeff_range
-    if lo > hi or lo < 0:
+    if lo > hi or lo < 0 or hi >= ATTENDANCE_LIMIT:
         raise ValueError(f"bad coefficient range {lo}..{hi}")
 
     rng = random.Random(seed)

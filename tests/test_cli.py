@@ -1,15 +1,19 @@
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 
 import support
-from cinestagger import load_instance, solve_all
+from cinestagger import build_model, load_instance, solve_all
 from cinestagger.cli import main
+from cinestagger.domain import as_multi
+from cinestagger.synth import generate_document
 
 
 def write_doc(tmp_path, doc, name="instance.json"):
@@ -67,6 +71,41 @@ def test_validate_huge_attendance(tmp_path, capsys):
     assert main(["validate", write_doc(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err == "error: bad attendance value '1e999990'\n"
+
+
+def test_validate_integer_past_digit_limit(tmp_path, capsys):
+    doc = support.matrix_document([[5, 6], [7, 8]])
+    doc["forecast"][1]["attendance"] = "@"
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc).replace('"@"', "9" * 5000), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_validate_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"locations": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid JSON" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "attendance",
+    ["12345678901234567.5", "99999999999999.999", "999999999999999999.999", "0.001", "7234567890123456"],
+)
+def test_solve_json_objective_is_exact(tmp_path, capsys, attendance):
+    doc = support.matrix_document([[0]])
+    doc["forecast"][0]["attendance"] = "@"
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc).replace('"@"', attendance), encoding="utf-8")
+    assert main(["solve", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(f'"objective": {attendance},') == 2
+    assert json.loads(out, parse_float=Decimal)["objective"] == Decimal(attendance)
 
 
 def test_solve_table(example_path, capsys):
@@ -190,6 +229,26 @@ def test_build_stats(example_path, capsys):
     assert "total: 144 variables, 9 equality rows, 16 inequality rows" in out
 
 
+@pytest.mark.parametrize("clusters", [1, 2, 3, 5])
+def test_build_counts_match_build_model(tmp_path, capsys, clusters):
+    rng = random.Random(clusters)
+    doc = generate_document(rng.randint(1, 8), rng.randint(1, 4), clusters=clusters, seed=clusters)
+    path = write_doc(tmp_path, doc)
+    assert main(["build", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    totals = [0, 0, 0]
+    expected = []
+    for cluster in as_multi(load_instance(path)).clusters:
+        model = build_model(cluster)
+        counts = [model.variable_count, len(model.equality_rows), len(model.inequality_rows)]
+        totals = [t + c for t, c in zip(totals, counts)]
+        expected.append((f"cluster {cluster.cluster_id}", *counts))
+    expected.append(("total", *totals))
+    assert lines == [
+        f"{label}: {v} variables, {e} equality rows, {i} inequality rows" for label, v, e, i in expected
+    ]
+
+
 def test_build_export_lp(example_path, tmp_path, capsys):
     target = tmp_path / "model.lp"
     assert main(["build", str(example_path), "--export-lp", str(target)]) == 0
@@ -224,6 +283,15 @@ def test_synth_bad_range(capsys):
     assert main(["synth", "--screens", "2", "--films", "2", "--coeff-range", "nope"]) == 2
     assert "coeff-range" in capsys.readouterr().err
     assert main(["synth", "--screens", "2", "--films", "2", "--coeff-range", "300..200"]) == 2
+
+
+def test_synth_range_stays_loadable(capsys):
+    # the loader rejects attendance of 10**18 or more, so synth must not write it
+    args = ["synth", "--screens", "2", "--films", "1", "--coeff-range"]
+    assert main([*args, "0..1000000000000000000"]) == 2
+    assert capsys.readouterr().err == "error: bad coefficient range 0..1000000000000000000\n"
+    assert main([*args, "999999999999999999..999999999999999999"]) == 0
+    assert load_instance(json.loads(capsys.readouterr().out)).forecast.get(1, 1, 1) == 999999999999999999000
 
 
 def test_verify_decomposition_command(example_path, capsys):

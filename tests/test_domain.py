@@ -5,6 +5,8 @@ import time
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import support
 from cinestagger import (
@@ -18,14 +20,17 @@ from cinestagger import (
     validate_instance,
 )
 from cinestagger.domain import (
+    ATTENDANCE_LIMIT,
     MAX_MINUTES,
     MILLI,
     as_multi,
+    dumps_json,
     format_attendance,
     format_hhmm,
     parse_attendance,
     parse_document,
     parse_hhmm,
+    serialize_instance,
 )
 from cinestagger.synth import generate_document
 
@@ -482,3 +487,105 @@ def test_forecast_rows_go_to_their_screens_cluster(clusters):
         ]
         assert list(cluster.forecast.entries.items()) == expected
         assert film_id in {f.film_id for f in cluster.films}
+
+
+def test_parse_attendance_one_rule_for_every_form():
+    # a sub-milliunit value must not underflow or round onto a milliunit
+    for bad in ["1e-999999999", Decimal("1e-4"), "1.00000000000000000000000000001"]:
+        with pytest.raises(InstanceFormatError, match="has more than 3 decimal places$"):
+            parse_attendance(bad)
+    # integers share the decimals' magnitude bound
+    for bad in [ATTENDANCE_LIMIT, -ATTENDANCE_LIMIT, 10**5000]:
+        with pytest.raises(InstanceFormatError, match="^bad attendance value "):
+            parse_attendance(bad)
+    assert parse_attendance(ATTENDANCE_LIMIT - 1) == (ATTENDANCE_LIMIT - 1) * MILLI
+    assert parse_attendance("0e-999999999") == 0
+    assert parse_attendance("0.0010") == 1
+
+
+def test_parse_document_bounds_integer_attendance():
+    doc = support.matrix_document([[5, 6]])
+    doc["forecast"][1]["attendance"] = ATTENDANCE_LIMIT
+    with pytest.raises(InstanceFormatError) as err:
+        parse_document(doc)
+    assert str(err.value) == "bad attendance value (an integer of magnitude 10**18 or more)"
+    doc["forecast"][1]["attendance"] = ATTENDANCE_LIMIT - 1
+    assert parse_document(doc).clusters[0].forecast.get(1, 1, 2) == (ATTENDANCE_LIMIT - 1) * MILLI
+
+
+# text reaching past ASCII: accents, control characters, lone surrogates, astral planes
+json_text = st.text(st.characters(max_codepoint=0x1F600, blacklist_categories=()), max_size=6)
+json_scalars = st.none() | st.booleans() | st.integers() | json_text
+ROW_KEYS = ["screen_id", "film_id", "attendance", "%s", "caf\u00e9", "line\nbreak", ""]
+# flat rows of a few shared keys in varying orders, some holding a nested list
+flat_rows = st.lists(
+    st.dictionaries(
+        st.sampled_from(ROW_KEYS),
+        json_scalars | st.lists(json_scalars, max_size=2),
+        max_size=4,
+    ),
+    max_size=6,
+)
+json_values = st.recursive(
+    json_scalars | flat_rows,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=json_values)
+@example(value=[])
+@example(value={})
+@example(value={"": [{}, [], {"a": []}]})
+@example(value=[True, 1, False, 0, None, -1])
+@example(value=[{"a": 1, "b": True}, {"b": 2, "a": "x"}, {"a": 1, "b": [2]}, {"a": 3, "b": 4}])
+@example(value={"\x00\u2028\ud800\U0001f600": "\x1f\"\\/\u00e9"})
+def test_dumps_json_matches_indented_json_dumps(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_json_decimals_and_other_types():
+    rows = [{"id": 1, "attendance": Decimal("226.5")}, {"id": 2, "attendance": Decimal("0.001")}]
+    assert dumps_json(rows) == (
+        '[\n  {\n    "id": 1,\n    "attendance": 226.5\n  },'
+        '\n  {\n    "id": 2,\n    "attendance": 0.001\n  }\n]'
+    )
+    assert dumps_json((1, ())) == json.dumps((1, ()), indent=2)
+    for bad in [1.5, {1: "int key"}, [{"a": {1, 2}}], object()]:
+        with pytest.raises(TypeError):
+            dumps_json(bad)
+
+
+@pytest.mark.parametrize("clusters", range(1, 17))
+def test_dumps_instance_matches_indented_json_dumps(clusters, example_instance):
+    rng = random.Random(clusters)
+    doc = generate_document(rng.randint(1, 6), rng.randint(1, 4), clusters=clusters, seed=clusters)
+    if clusters % 2:
+        del doc["configurations"]
+    for instance in (load_instance(doc), example_instance):
+        assert dumps_instance(instance) == json.dumps(serialize_instance(instance), indent=2) + "\n"
+
+
+EXTREME_MILLI = [
+    12345678901234567500,       # 12345678901234567.5: past float's 17 digits
+    99999999999999999,          # 99999999999999.999: float rounds it up to a whole number
+    ATTENDANCE_LIMIT * MILLI - 1,  # 999999999999999999.999, the largest value accepted
+    1,                          # 0.001, the smallest fraction
+    5 * 10**18 + 7,             # inside the 5e15..1e16 reproducer range
+    0,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(milli=st.lists(st.integers(0, ATTENDANCE_LIMIT * MILLI - 1), min_size=2, max_size=2))
+@example(milli=EXTREME_MILLI[:2])
+@example(milli=EXTREME_MILLI[2:4])
+@example(milli=EXTREME_MILLI[4:])
+def test_dumps_instance_round_trips_exact_attendance(milli):
+    doc = support.matrix_document([[5, 6], [7, 8]])
+    for row, value in zip(doc["forecast"], milli):
+        row["attendance"] = Decimal(format_attendance(value))
+    instance = load_instance(doc)
+    assert [instance.forecast.get(1, 1, c) for c in (1, 2)] == milli
+    assert load_instance(json.loads(dumps_instance(instance), parse_float=Decimal)) == instance

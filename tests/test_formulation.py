@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from cinestagger import (
     check_feasible,
     evaluate,
     export_lp_text,
+    load_instance,
 )
+from cinestagger.domain import format_attendance
 
 
 def known_best_variables():
@@ -130,6 +133,47 @@ def test_lp_export_fractional_coefficient():
 
     model = build_model(load_instance(json.loads(json.dumps(doc), parse_float=Decimal)))
     assert " obj: 226.5 X_s1_f1_c1" in export_lp_text(model)
+
+
+def reference_lp_text(model):
+    """The LP text written term by term, every name formatted where it is used."""
+    lines = [
+        "\\ Screen scheduling model: maximize forecast attendance",
+        "\\ Terms ordered by ascending (screen, film, configuration)",
+        "Maximize",
+        " obj: " + " + ".join(f"{format_attendance(model.objective[v])} {v.name}" for v in model.variables),
+        "Subject To",
+    ]
+    for sid, row in model.equality_rows:
+        lines.append(f" screen_{sid}: " + " + ".join(v.name for v in row) + " = 1")
+    for key, row in model.inequality_rows:
+        row_name = f"stagger_f{key[0]}_c{key[1]}" if len(key) == 2 else f"stagger_{key[0]}_f{key[1]}_c{key[2]}"
+        lines.append(f" {row_name}: " + " + ".join(v.name for v in row) + " <= 1")
+    lines.append("Binary")
+    lines.extend(f" {v.name}" for v in model.variables)
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def test_lp_text_matches_reference_writer(example_model, example_document):
+    rng = random.Random(23)
+    fractional = support.matrix_document([[1, 2], [3, 4]])
+    for row, value in zip(fractional["forecast"], ["226.5", "0.001", "999999999999999999.999", "12"]):
+        row["attendance"] = Decimal(value)
+    models = [
+        example_model,
+        build_model(load_instance(fractional)),
+        build_joint_model(support.load_multi(support.shared_film_copies(example_document))),
+    ]
+    for _ in range(5):
+        multi = support.load_multi(support.random_multi_document(rng, clusters=3, lo=0, hi=100000))
+        models.extend(build_model(c) for c in multi.clusters)
+        models.append(build_joint_model(multi))
+    models.extend(
+        [support.without_variables(m, {v for v in m.variables if rng.random() < 0.3}) for m in models]
+    )
+    for model in models:
+        assert export_lp_text(model) == reference_lp_text(model)
 
 
 def test_evaluate_known_best(example_model):
