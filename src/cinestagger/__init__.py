@@ -29,6 +29,7 @@ from .domain import (
     ShowtimeConfiguration,
     Violation,
     dumps_instance,
+    dumps_json,
     load_instance,
     serialize_instance,
     validate_instance,
@@ -86,6 +87,7 @@ __all__ = [
     "cycle_length",
     "derive_clusters",
     "dumps_instance",
+    "dumps_json",
     "evaluate",
     "export_lp_text",
     "generate_configurations",

@@ -20,8 +20,6 @@ import sys
 import time
 from collections import Counter
 from dataclasses import replace
-from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
@@ -40,6 +38,7 @@ from .domain import (
     format_attendance,
     format_hhmm,
     load_instance,
+    milli_to_json,
 )
 from .formulation import build_joint_model, build_model, export_lp_text
 from .solver import CERTIFICATE_KINDS, CertificationError, SolveReport
@@ -47,13 +46,6 @@ from .solver import CERTIFICATE_KINDS, CertificationError, SolveReport
 
 def _fmt_objective(objective) -> str:
     return format_attendance(int(objective * MILLI))
-
-
-def _json_objective(objective: Fraction):
-    """An objective as an exact JSON number: an int when whole, else its decimal."""
-    if objective.denominator == 1:
-        return objective.numerator
-    return Decimal(_fmt_objective(objective))
 
 
 def _schedule_rows(cluster: ClusterInstance, report: SolveReport) -> List[dict]:
@@ -142,7 +134,7 @@ def cmd_solve(args) -> int:
         doc = {
             "status": report.overall_status,
             "objective": (
-                _json_objective(report.combined_objective)
+                milli_to_json(int(report.combined_objective * MILLI))
                 if report.combined_objective is not None else None
             ),
             "clusters": [],
@@ -155,7 +147,7 @@ def cmd_solve(args) -> int:
                 "certified": cluster_report.certified,
             }
             if cluster_report.status == "Optimal":
-                entry["objective"] = _json_objective(cluster_report.objective)
+                entry["objective"] = milli_to_json(int(cluster_report.objective * MILLI))
                 entry["schedule"] = _schedule_rows(clusters[cluster_id], cluster_report)
             else:
                 entry["diagnostic"] = cluster_report.diagnostic

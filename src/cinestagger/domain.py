@@ -118,7 +118,9 @@ def parse_attendance(value) -> int:
             number = Decimal(value)
         except InvalidOperation:
             raise InstanceFormatError(f"bad attendance value {value!r}") from None
-        if not number.is_finite() or abs(number) >= ATTENDANCE_LIMIT:
+        # copy_abs, not abs: abs rounds to the context, which traps an
+        # exponent past Emax as Overflow and rounds a 29th digit up to the limit
+        if not number.is_finite() or number.copy_abs() >= ATTENDANCE_LIMIT:
             raise InstanceFormatError(f"bad attendance value {value!r}")
         # quantize rather than multiply: a product is rounded to the context's
         # 28 digits (to 0 for a tiny exponent) and could then look whole; below
@@ -140,6 +142,17 @@ def format_attendance(milli: int) -> str:
     if rem == 0:
         return f"{sign}{units}"
     return f"{sign}{units}." + f"{rem:03d}".rstrip("0")
+
+
+def milli_to_json(milli: int):
+    """Milliunits as an exact JSON number: an int when whole, else a Decimal.
+
+    The Decimal is built from :func:`format_attendance`, so it never prints
+    in exponent notation, and :func:`dumps_json` writes it as that text.
+    """
+    if milli % MILLI == 0:
+        return milli // MILLI
+    return Decimal(format_attendance(milli))
 
 
 @dataclass(frozen=True)
@@ -798,7 +811,7 @@ def serialize_instance(instance: Instance) -> dict:
             "screen_id": internal_to_external[sid],
             "film_id": film_id,
             "config_index": config_index,
-            "attendance": milli // MILLI if milli % MILLI == 0 else Decimal(format_attendance(milli)),
+            "attendance": milli_to_json(milli),
         }
         for (sid, film_id, config_index), milli in rows
     ]
@@ -824,10 +837,10 @@ def dumps_json(value) -> str:
     """The text of ``json.dumps(value, indent=2)``, byte for byte.
 
     Written by hand because CPython encodes with its pure-Python encoder
-    whenever ``indent`` is set.  Takes dicts with str keys, lists, tuples,
-    str, int, bool, None and Decimal; a Decimal is written as ``str(value)``,
-    exact, where ``json.dumps`` would refuse it.  Any other type raises
-    TypeError.
+    whenever ``indent`` is set.  Takes dicts with str keys, lists, and
+    str, int, bool, None and Decimal leaves; a Decimal is written as
+    ``str(value)``, exact, where ``json.dumps`` would refuse it.  Any other
+    type raises TypeError.
     """
     return _encode(value, "\n")
 
@@ -838,7 +851,7 @@ def _encode(value, indent: str) -> str:
     if scalar is not None:
         return scalar(value)
     inner = indent + "  "
-    if isinstance(value, dict):
+    if type(value) is dict:
         if not value:
             return "{}"
         items = [
@@ -846,46 +859,11 @@ def _encode(value, indent: str) -> str:
             for key, item in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
+    if type(value) is list:
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join(_encode_items(value, inner)) + indent + "]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, Decimal):
-        return str(value)
+        return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + indent + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _encode_items(items, indent: str) -> List[str]:
-    """Each list item as JSON, a flat dict filled into its key order's template."""
-    templates: Dict[tuple, str] = {}  # key order -> template, "" once seen with a nested value
-    parts = []
-    for item in items:
-        if type(item) is dict and item:
-            keys = tuple(item)
-            template = templates.get(keys)
-            if template is None:
-                template = templates[keys] = _flat_template(keys, indent)
-            if template:
-                try:
-                    cells = [v if type(v) is int else _SCALARS[type(v)](v) for v in item.values()]
-                except KeyError:
-                    templates[keys] = ""
-                else:
-                    parts.append(template % tuple(cells))
-                    continue
-        parts.append(_encode(item, indent))
-    return parts
-
-
-def _flat_template(keys: tuple, indent: str) -> str:
-    """``%`` template of a dict with these keys and scalar values."""
-    inner = indent + "  "
-    fields = ("," + inner).join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
-    return "{" + inner + fields + indent + "}"
 
 
 def as_multi(instance: Instance) -> MultiClusterInstance:

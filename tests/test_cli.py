@@ -73,6 +73,18 @@ def test_validate_huge_attendance(tmp_path, capsys):
     assert err == "error: bad attendance value '1e999990'\n"
 
 
+@pytest.mark.parametrize("attendance", ["1e1000000", '"1e1000000"', "-1e999999999"])
+def test_validate_attendance_past_decimal_emax(tmp_path, capsys, attendance):
+    doc = support.matrix_document([[5, 6], [7, 8]])
+    doc["forecast"][1]["attendance"] = "@"
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc).replace('"@"', attendance), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad attendance value ")
+    assert len(err.splitlines()) == 1
+
+
 def test_validate_integer_past_digit_limit(tmp_path, capsys):
     doc = support.matrix_document([[5, 6], [7, 8]])
     doc["forecast"][1]["attendance"] = "@"

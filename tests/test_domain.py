@@ -93,6 +93,16 @@ def test_parse_attendance_bounds_magnitude():
     assert parse_attendance("1e16") == 10**19
 
 
+def test_parse_attendance_past_decimal_context():
+    # exponents past the context's Emax and digits past its 28 must not be
+    # rounded (or trapped as Overflow) before the magnitude check
+    for bad in ["1e1000000", "-1e1000000", Decimal("1e999999999")]:
+        with pytest.raises(InstanceFormatError, match="^bad attendance value "):
+            parse_attendance(bad)
+    with pytest.raises(InstanceFormatError, match="more than 3 decimal places"):
+        parse_attendance("999999999999999999.99999999999")
+
+
 def test_format_attendance():
     assert format_attendance(226000) == "226"
     assert format_attendance(226500) == "226.5"
@@ -551,8 +561,7 @@ def test_dumps_json_decimals_and_other_types():
         '[\n  {\n    "id": 1,\n    "attendance": 226.5\n  },'
         '\n  {\n    "id": 2,\n    "attendance": 0.001\n  }\n]'
     )
-    assert dumps_json((1, ())) == json.dumps((1, ()), indent=2)
-    for bad in [1.5, {1: "int key"}, [{"a": {1, 2}}], object()]:
+    for bad in [1.5, {1: "int key"}, [{"a": {1, 2}}], (1, ()), object()]:
         with pytest.raises(TypeError):
             dumps_json(bad)
 
