@@ -10,7 +10,6 @@ dual for an optimum, a pigeonhole count or Hall set for infeasibility.
 from .cluster import (
     ClusterSolveReport,
     DecompositionReport,
-    DecompositionSizeError,
     derive_clusters,
     solve_all,
     verify_decomposition,
@@ -63,7 +62,6 @@ __all__ = [
     "ClusterInstance",
     "ClusterSolveReport",
     "DecompositionReport",
-    "DecompositionSizeError",
     "FeasibilityReport",
     "Film",
     "ForecastMatrix",

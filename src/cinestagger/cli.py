@@ -6,8 +6,9 @@ error diagnostics go to standard error, so output given identical input
 is byte-identical run to run.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 unreadable or
-unparsable input, 3 infeasible instance, 4 internal error (a solver's
-result failed its certificate check, so no answer is trusted).
+unparsable input or an unwritable ``--export-lp`` path, 3 infeasible
+instance, 4 internal error (a result failed its proof check, so no
+answer is trusted).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from .cluster import DecompositionSizeError, solve_all, verify_decomposition
+from .cluster import solve_all, verify_decomposition
 from .confgen import NoFeasibleConfigurationError, generate_configurations
 from .domain import (
     MILLI,
@@ -98,13 +99,18 @@ def _print_csv(all_rows: List[dict]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _write_lp(multi: MultiClusterInstance, path: str) -> None:
-    """Write the LP text of the one cluster's model, or of the joint model."""
+def _write_lp(multi: MultiClusterInstance, path: str) -> bool:
+    """Write the cluster's or the joint model's LP text; False, after one stderr line, on failure."""
     model = (
         build_model(multi.clusters[0]) if len(multi.clusters) == 1
         else build_joint_model(multi)
     )
-    Path(path).write_text(export_lp_text(model), encoding="utf-8")
+    try:
+        Path(path).write_text(export_lp_text(model), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_validate(args) -> int:
@@ -126,8 +132,8 @@ def cmd_solve(args) -> int:
     report = solve_all(multi)
     elapsed = time.perf_counter() - started
 
-    if args.export_lp:
-        _write_lp(multi, args.export_lp)
+    if args.export_lp and not _write_lp(multi, args.export_lp):
+        return 2
 
     clusters = {c.cluster_id: c for c in multi.clusters}
     if args.format == "json":
@@ -235,7 +241,8 @@ def cmd_build(args) -> int:
     )
 
     if args.export_lp:
-        _write_lp(multi, args.export_lp)
+        if not _write_lp(multi, args.export_lp):
+            return 2
         print(f"wrote {args.export_lp}", file=sys.stderr)
     return 0
 
@@ -344,7 +351,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for violation in exc.violations:
             print(str(violation), file=sys.stderr)
         return 1
-    except (NoFeasibleConfigurationError, DecompositionSizeError, ValueError) as exc:
+    except (NoFeasibleConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CertificationError as exc:

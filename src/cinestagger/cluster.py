@@ -3,9 +3,9 @@
 Staggering constraints only bind screens within one cluster of
 neighbouring locations, so the full problem splits into independent
 per-cluster problems.  ``solve_all`` exploits that; ``verify_decomposition``
-proves it on a given instance by solving the joint model (all clusters at
-once, staggering rows still scoped per cluster) and checking that the
-joint optimum equals the sum of the per-cluster optima.
+proves it on a given instance, with no joint search, by checking that the
+joint model (all clusters at once) is the direct sum of the cluster
+models: a block-diagonal program's optimum is the sum of its blocks'.
 """
 
 from __future__ import annotations
@@ -13,17 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import dist
+from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
 from .domain import Instance, as_multi
-from .formulation import build_joint_model, build_model
+from .formulation import BilpModel, build_joint_model, build_model
 from .solver import CertificationError, SolveReport, certify
-
-JOINT_SIZE_LIMIT = 1 << 16   # max joint-model variables verify_decomposition accepts
-
-
-class DecompositionSizeError(Exception):
-    """The joint model would exceed the verification size limit."""
 
 
 @dataclass
@@ -33,14 +28,9 @@ class ClusterSolveReport:
     combined_objective: Optional[Fraction]    # sum when overall Optimal
 
 
-def solve_all(instance: Instance) -> ClusterSolveReport:
-    """Certify every cluster, in cluster id order, and merge.
-
-    Infeasible clusters do not hide the others: each cluster's report is
-    returned, and the overall status is Optimal only if all are.
-    """
-    clusters = sorted(as_multi(instance).clusters, key=lambda c: c.cluster_id)
-    per_cluster = {c.cluster_id: certify(build_model(c)) for c in clusters}
+def _certify_all(models: Dict[str, BilpModel]) -> ClusterSolveReport:
+    """Certify every cluster model and merge; Optimal only if all clusters are."""
+    per_cluster = {cluster_id: certify(model) for cluster_id, model in models.items()}
     reports = per_cluster.values()
     if all(r.status == "Optimal" for r in reports):
         return ClusterSolveReport(
@@ -55,6 +45,16 @@ def solve_all(instance: Instance) -> ClusterSolveReport:
     )
 
 
+def solve_all(instance: Instance) -> ClusterSolveReport:
+    """Certify every cluster, in cluster id order, and merge.
+
+    Infeasible clusters do not hide the others: each cluster's report is
+    returned, and the overall status is Optimal only if all are.
+    """
+    clusters = sorted(as_multi(instance).clusters, key=lambda c: c.cluster_id)
+    return _certify_all({c.cluster_id: build_model(c) for c in clusters})
+
+
 @dataclass
 class DecompositionReport:
     joint_status: str
@@ -64,45 +64,36 @@ class DecompositionReport:
 
 
 def verify_decomposition(instance: Instance) -> DecompositionReport:
-    """Check that solving per cluster loses nothing against a joint solve.
+    """Prove that solving per cluster loses nothing against a joint solve.
 
-    The joint model goes through ``certify`` like every cluster, so its
-    optimum (or infeasibility) carries a checked certificate too, found and
-    checked in polynomial time.  Raises :class:`DecompositionSizeError`
-    when the joint model would be too large, and
-    :class:`CertificationError` if a certificate check fails or (against
-    everything the block-diagonal structure guarantees) the two routes
-    disagree.
+    Certifies each cluster's model, then checks in O(variables) that the
+    joint model is their direct sum (the same rows, staggering keys
+    prefixed with the cluster id, a disjoint union of objectives), whose
+    optimum or infeasibility is the merged cluster result.  No joint
+    search runs.  Raises :class:`CertificationError` if either check fails.
     """
     multi = as_multi(instance)
-    joint_size = sum(c.screen_count * c.configuration_count for c in multi.clusters)
-    if joint_size > JOINT_SIZE_LIMIT:
-        raise DecompositionSizeError(
-            f"joint model would have {joint_size} variables (limit {JOINT_SIZE_LIMIT})"
-        )
+    clusters = sorted(multi.clusters, key=lambda c: c.cluster_id)
+    models = {c.cluster_id: build_model(c) for c in clusters}
+    split = _certify_all(models)
 
-    joint_report = certify(build_joint_model(multi))
-    split_report = solve_all(multi)
-
-    if split_report.overall_status == "Optimal":
-        if joint_report.status != "Optimal":
-            raise CertificationError(
-                "joint model infeasible while every cluster solved to optimality"
-            )
-        if joint_report.objective != split_report.combined_objective:
-            raise CertificationError(
-                f"decomposition mismatch: joint optimum {joint_report.objective}"
-                f" != sum of cluster optima {split_report.combined_objective}"
-            )
-    elif joint_report.status == "Optimal":
-        raise CertificationError(
-            "joint model solved to optimality while some cluster is infeasible"
-        )
-
+    equality, staggering, objective = [], [], {}
+    for cluster_id, model in models.items():
+        equality.extend(model.equality_rows)
+        staggering.extend(((cluster_id,) + key, row) for key, row in model.inequality_rows)
+        objective.update(model.objective)
+    joint = build_joint_model(multi)
+    if (
+        joint.equality_rows != tuple(sorted(equality, key=itemgetter(0)))
+        or joint.inequality_rows != tuple(staggering)
+        or joint.objective != objective
+        or len(objective) != sum(len(m.objective) for m in models.values())
+    ):
+        raise CertificationError("the joint model is not the direct sum of the cluster models")
     return DecompositionReport(
-        joint_status=joint_report.status,
-        joint_objective=joint_report.objective,
-        per_cluster=split_report,
+        joint_status=split.overall_status,
+        joint_objective=split.combined_objective,
+        per_cluster=split,
         equal=True,
     )
 

@@ -173,6 +173,13 @@ def test_solve_export_lp(example_path, tmp_path, capsys):
     assert "226 X_s1_f1_c1" in text
 
 
+def test_solve_export_lp_unwritable(example_path, tmp_path, capsys):
+    assert main(["solve", str(example_path), "--export-lp", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_solve_infeasible_exit_code(infeasible_path, capsys):
     assert main(["solve", infeasible_path]) == 3
     captured = capsys.readouterr()
@@ -268,6 +275,13 @@ def test_build_export_lp(example_path, tmp_path, capsys):
     assert "Binary" in target.read_text(encoding="utf-8")
 
 
+def test_build_export_lp_unwritable(example_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "model.lp"
+    assert main(["build", str(example_path), "--export-lp", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_synth_deterministic(capsys):
     args = ["synth", "--screens", "9", "--films", "5", "--seed", "1"]
     assert main(args) == 0
@@ -328,6 +342,34 @@ def test_verify_decomposition_realistic_chain(tmp_path, capsys):
     path.write_text(capsys.readouterr().out, encoding="utf-8")
     assert main(["verify-decomposition", str(path)]) == 0
     assert "decomposition verified" in capsys.readouterr().out
+
+
+def test_verify_decomposition_twelve_cluster_chain(tmp_path, capsys):
+    # 12 clusters x 60 screens x 25 films: no joint solve, so no size limit
+    assert main(["synth", "--screens", "60", "--films", "25", "--clusters", "12", "--seed", "1"]) == 0
+    path = tmp_path / "chain.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["verify-decomposition", str(path)]) == 0
+    assert "decomposition verified" in capsys.readouterr().out
+
+
+def test_verify_decomposition_mismatch_exit_code(tmp_path, example_document, monkeypatch, capsys):
+    import cinestagger.cluster as cluster_module
+
+    honest = cluster_module.build_joint_model
+
+    def dropping(multi):
+        joint = honest(multi)
+        return support.without_variables(joint, {joint.variables[0]})
+
+    monkeypatch.setattr(cluster_module, "build_joint_model", dropping)
+    path = write_doc(tmp_path, support.shared_film_copies(example_document))
+    assert main(["verify-decomposition", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal: the joint model is not the direct sum of the cluster models\n"
+    )
 
 
 def test_verify_decomposition_infeasible(infeasible_path, capsys):

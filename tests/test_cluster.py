@@ -1,12 +1,14 @@
 import copy
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 import support
 from cinestagger import (
-    DecompositionSizeError,
+    CertificationError,
+    MultiClusterInstance,
     build_joint_model,
     build_model,
     certify,
@@ -164,9 +166,12 @@ def test_verify_decomposition_random_clusters():
     rng = random.Random(606)
     for _ in range(10):
         doc = support.random_multi_document(rng, clusters=rng.randint(2, 3))
-        report = verify_decomposition(support.load_multi(doc))
+        multi = support.load_multi(doc)
+        report = verify_decomposition(multi)
         assert report.equal
         assert report.joint_objective == report.per_cluster.combined_objective
+        # the joint matching, kept here as an independent reference
+        assert certify(build_joint_model(multi)).objective == report.joint_objective
 
 
 def test_verify_decomposition_infeasible_cluster():
@@ -177,12 +182,60 @@ def test_verify_decomposition_infeasible_cluster():
     assert report.equal
 
 
-def test_verify_decomposition_size_limit(example_instance, monkeypatch):
+def _move_first_variable(joint):
+    """c1's first variable taken out of its staggering column and put into c2's first."""
+    rows = dict(joint.inequality_rows)
+    source = joint.column_keys[0]
+    target = next(key for key in joint.column_keys if key[0] == "c2")
+    var = rows[source][0]
+    rows[source] = rows[source][1:]
+    rows[target] = rows[target] + (var,)
+    return replace(joint, inequality_rows=tuple(rows.items()))
+
+
+def _alter_one_coefficient(joint):
+    objective = dict(joint.objective)
+    objective[joint.variables[-1]] += 1
+    return replace(joint, objective=objective)
+
+
+def _drop_one_variable(joint):
+    return support.without_variables(joint, {joint.variables[7]})
+
+
+def _swap_screen_rows(joint):
+    """Screens 1 and 2 trade equality rows; columns and objective stay."""
+    rows = list(joint.equality_rows)
+    (first, first_row), (second, second_row) = rows[0], rows[1]
+    rows[0], rows[1] = (first, second_row), (second, first_row)
+    return replace(joint, equality_rows=tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_move_first_variable, _alter_one_coefficient, _drop_one_variable, _swap_screen_rows],
+)
+def test_verify_decomposition_rejects_a_joint_model_that_is_no_direct_sum(
+    example_document, monkeypatch, tamper
+):
     import cinestagger.cluster as cluster_module
 
-    monkeypatch.setattr(cluster_module, "JOINT_SIZE_LIMIT", 10)
-    with pytest.raises(DecompositionSizeError, match="144"):
-        verify_decomposition(example_instance)
+    instance = support.load_multi(two_offset_copies(example_document))
+    assert verify_decomposition(instance).joint_objective == 2 * 2615
+    monkeypatch.setattr(
+        cluster_module, "build_joint_model", lambda multi: tamper(build_joint_model(multi))
+    )
+    with pytest.raises(CertificationError, match="direct sum"):
+        verify_decomposition(instance)
+
+
+def test_verify_decomposition_rejects_clusters_sharing_variables(example_instance):
+    # the same screens in two clusters: rows and objective match, the blocks overlap
+    twice = MultiClusterInstance(
+        clusters=(example_instance, replace(example_instance, cluster_id="c2"))
+    )
+    with pytest.raises(CertificationError, match="direct sum"):
+        verify_decomposition(twice)
 
 
 def test_derive_clusters_by_distance():
