@@ -214,8 +214,7 @@ def cmd_generate_configs(args) -> int:
             )
         )
 
-    out = rebuilt[0] if len(rebuilt) == 1 else MultiClusterInstance(clusters=tuple(rebuilt))
-    sys.stdout.write(dumps_instance(out))
+    sys.stdout.write(dumps_instance(MultiClusterInstance(clusters=tuple(rebuilt))))
     return 0
 
 

@@ -63,11 +63,9 @@ def generate_configurations(
     cycle = cycle_length(film.runtime_minutes, stagger_interval, turnover_minutes)
     configs: List[ShowtimeConfiguration] = []
     for offset in range(0, cycle, stagger_interval):
-        showtimes = tuple(
-            range(open_time + offset, last_showtime + 1, cycle)
-        )
+        showtimes = tuple(range(open_time + offset, last_showtime + 1, cycle))
         if not showtimes:
-            continue
+            break   # offsets only grow, so every later one is past the last showtime too
         configs.append(
             ShowtimeConfiguration(
                 film_id=film.film_id,

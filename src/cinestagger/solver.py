@@ -18,8 +18,10 @@ program's constraint matrix is an assignment matrix, so LP duality proves
 optimality (Kuhn 1955; Burkard, Dell'Amico & Martello, *Assignment
 Problems*, SIAM 2009, ch. 4).  The certificates are:
 
-* ``lp-dual`` (Optimal): a value ``U`` per screen and ``V`` per column
-  with ``U + V`` at least the cell's weight on every allowed cell,
+* ``lp-dual`` (Optimal): the schedule gives every screen of the model one
+  of its own allowed cells and no column twice, and scores the reported
+  objective on the weight matrix; a value ``U`` per screen and ``V`` per
+  column has ``U + V`` at least the cell's weight on every allowed cell,
   ``V >= 0``, ``V == 0`` on unused columns, and ``sum(U) + sum(V)`` equal
   to the schedule's weight.  Every schedule weighs at most the dual sum,
   so the one that reaches it is optimal.
@@ -28,7 +30,8 @@ Problems*, SIAM 2009, ch. 4).  The certificates are:
   columns than there are screens, so by Hall's theorem no schedule gives
   each of them its own column.
 
-The check costs O(screens x configurations).  Branch and bound and brute
+The check reads only the model's screen ids, column keys and weight
+matrix, and costs O(screens x configurations).  Branch and bound and brute
 force never run on this path; they stay as the oracles the tests compare
 against, and disagreement with them is a bug, never settled by fiat.
 
@@ -45,13 +48,13 @@ optimum its search order finds.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .domain import MILLI
-from .formulation import BilpModel, VariableRef, check_feasible
+# check_feasible is unused here, but perfbench/tracing.py patches it on this module by getattr
+from .formulation import BilpModel, VariableRef, check_feasible  # noqa: F401
 
 # (screen index, column index) -> coefficient; None where no variable exists
 Weights = List[List[Optional[int]]]
@@ -97,7 +100,6 @@ class Certificate:
 @dataclass
 class SolveStats:
     nodes: int = 0            # search nodes, enumerated assignments, or augmentations
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -225,8 +227,7 @@ Search = Callable[
 
 
 def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
-    """Report of ``search`` on ``model``: pigeonhole check, timing, schedule."""
-    started = time.perf_counter()
+    """Report of ``search`` on ``model``: pigeonhole check, schedule."""
     n = len(model.screen_ids)
     m = len(model.column_keys)
     report = SolveReport(status="Infeasible", method=method)
@@ -246,7 +247,6 @@ def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
             report.objective = Fraction(
                 sum(weights[si][ci] for si, ci in enumerate(choice)), MILLI
             )
-    report.stats.wall_time = time.perf_counter() - started
     return report
 
 
@@ -400,52 +400,52 @@ def _cell_name(model: BilpModel, si: int, ci: int) -> str:
 def _check_lp_dual(model: BilpModel, report: SolveReport) -> None:
     if report.schedule is None:
         raise CertificationError(f"{report.method} reported Optimal without a schedule")
-    variables = report.schedule.variables()
-    try:
-        feasibility = check_feasible(model, variables)
-    except ValueError as exc:
+    n, m = len(model.screen_ids), len(model.column_keys)
+    u, v = report.certificate.screen_duals, report.certificate.column_duals
+    choices, weights = report.schedule.choices, model.weights
+    if len(choices) != n or len(u) != n or len(v) != m:
         raise CertificationError(
-            f"{report.method} returned a schedule the model rejects: {exc}"
-        ) from exc
-    if not feasibility.feasible:
-        raise CertificationError(
-            f"{report.method} returned an infeasible schedule: "
-            + "; ".join(str(row) for row in feasibility.failures())
+            f"{report.method} scheduled {len(choices)} screens, with {len(u)} screen and"
+            f" {len(v)} column duals, for {n} screens and {m} columns"
         )
-    score = Fraction(sum(model.objective[var] for var in variables), MILLI)
+    # each screen's (film, config) must name exactly one of its own allowed
+    # cells: in a joint model the same (film, config) heads one column per cluster
+    columns_of: Dict[Tuple[int, int], List[int]] = {}
+    for ci, key in enumerate(model.column_keys):
+        columns_of.setdefault(key[-2:], []).append(ci)
+    chosen: List[int] = []                           # column index per screen
+    for si, sid in enumerate(model.screen_ids):
+        cells = [ci for ci in columns_of.get(choices.get(sid), ()) if weights[si][ci] is not None]
+        if len(cells) != 1:
+            raise CertificationError(
+                f"{report.method} gave screen {sid} {choices.get(sid)}, not one of its cells"
+            )
+        chosen.append(cells[0])
+    used = set(chosen)
+    if len(used) != n:
+        raise CertificationError(f"{report.method} gave two screens one column")
+    score = Fraction(sum(weights[si][ci] for si, ci in enumerate(chosen)), MILLI)
     if report.objective != score:
         raise CertificationError(
             f"{report.method} reported objective {report.objective},"
             f" but its schedule scores {score}"
         )
 
-    n, m = len(model.screen_ids), len(model.column_keys)
-    u, v = report.certificate.screen_duals, report.certificate.column_duals
-    if len(u) != n or len(v) != m:
-        raise CertificationError(
-            f"lp-dual certificate has {len(u)} screen and {len(v)} column duals"
-            f" for {n} screens and {m} columns"
-        )
-    weights = _perturbed_weights(model.weights, _column_order(model))
-    for si, row in enumerate(weights):
+    perturbed = _perturbed_weights(weights, _column_order(model))
+    for si, row in enumerate(perturbed):
         for ci, w in enumerate(row):
             if w is not None and u[si] + v[ci] < w:
                 raise CertificationError(
                     f"lp-dual certificate infeasible at {_cell_name(model, si, ci)}:"
                     f" {u[si]} + {v[ci]} < {w}"
                 )
-    # resolve each choice through its variable: in a joint model the same
-    # (film, config) can head one column per cluster
-    screen_index = {sid: si for si, sid in enumerate(model.screen_ids)}
-    column_index = {var: ci for ci, (_, row) in enumerate(model.inequality_rows) for var in row}
-    chosen = {column_index[var]: screen_index[var.screen_id] for var in variables}
     for ci, dual in enumerate(v):
-        if dual < 0 or (dual and ci not in chosen):
+        if dual < 0 or (dual and ci not in used):
             raise CertificationError(
                 f"lp-dual certificate gives column {model.column_keys[ci]}"
                 f" the dual {dual}, {'negative' if dual < 0 else 'but it is unused'}"
             )
-    primal = sum(weights[si][ci] for ci, si in chosen.items())
+    primal = sum(perturbed[si][ci] for si, ci in enumerate(chosen))
     if primal != sum(u) + sum(v):
         raise CertificationError(
             f"lp-dual certificate: dual objective {sum(u) + sum(v)}"
@@ -471,10 +471,10 @@ def _check_hall_set(model: BilpModel, certificate: Certificate) -> None:
 def check_certificate(model: BilpModel, report: SolveReport) -> None:
     """Prove ``report``'s status on ``model`` or raise :class:`CertificationError`.
 
-    Reads only the report's status, schedule, objective and certificate;
-    the perturbed weights are recomputed from ``model.weights`` and the
-    (film, config) column order, in exact integers.  Optimal needs a feasible
-    schedule (``check_feasible``) that scores the reported objective and
+    Reads only the report and the model's ``screen_ids``, ``column_keys``
+    and ``weights``, in exact integers.  Optimal needs a schedule giving
+    each of the model's screens, and no other, one of its own allowed cells
+    and no column twice, scoring the reported objective on the matrix, and
     an ``lp-dual`` certificate that holds on the perturbed weights, which
     proves the schedule is the canonical optimum.  Infeasible needs a
     ``pigeonhole`` count or a ``hall-set``.

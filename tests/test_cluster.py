@@ -18,6 +18,8 @@ from cinestagger import (
     solve_assignment,
     verify_decomposition,
 )
+from cinestagger.solver import check_certificate
+from test_solver import tamperings
 
 
 def two_offset_copies(example_document):
@@ -80,6 +82,17 @@ def test_two_copies_double_the_objective(example_document):
     assert report.combined_objective == 2 * 2615
     assert report.per_cluster["c1"].objective == 2615
     assert report.per_cluster["c2"].objective == 2615
+
+
+def test_certificate_check_rejects_planted_joint_schedules(example_document):
+    joint = build_joint_model(support.load_multi(two_offset_copies(example_document)))
+    report = certify(joint)
+    planted = list(tamperings(joint, report, []))
+    # among them: c1's screen 1 given c2's film 6
+    assert any(r.schedule and r.schedule.choices.get(1) == (6, 1) for r in planted)
+    for tampered in planted:
+        with pytest.raises(CertificationError):
+            check_certificate(joint, tampered)
 
 
 def test_infeasible_cluster_does_not_hide_others():

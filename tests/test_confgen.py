@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -73,6 +74,26 @@ def test_single_slot_window():
     assert len(configs) == 1
     assert configs[0].showtimes == (720,)
     assert configs[0].config_index == 1
+
+
+def test_huge_cycle_stops_at_the_last_showtime():
+    # offsets past the last showtime yield nothing; the alarm fails the test
+    # instead of hanging it if the loop walks the whole cycle anyway
+    def expired(signum, frame):
+        raise TimeoutError("generate_configurations walked the whole cycle")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(5)
+    try:
+        def configs(runtime, turnover=0):
+            film = Film(film_id=1, title="Long", runtime_minutes=runtime)
+            return generate_configurations(film, WINDOW, 30, turnover)
+
+        assert configs(10**30) == configs(10**6)
+        assert configs(90, 10**12) == configs(90, 10**6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_inverted_window_rejected():

@@ -23,7 +23,13 @@ from cinestagger import (
     solve_branch_and_bound,
     solve_brute_force,
 )
-from cinestagger.solver import Certificate, Schedule, check_certificate
+from cinestagger.solver import (
+    Certificate,
+    Schedule,
+    _column_order,
+    _perturbed_weights,
+    check_certificate,
+)
 from cinestagger.synth import generate_document
 
 ALL_SOLVERS = [solve_assignment, solve_branch_and_bound, solve_brute_force]
@@ -349,6 +355,29 @@ def tamperings(model, report, schedules):
         for sid in choices:
             fewer = Schedule({s: c for s, c in choices.items() if s != sid})
             yield replace(report, schedule=fewer, objective=evaluate(model, fewer.variables()))
+        outsider = max(model.screen_ids) + 1
+        yield replace(report, schedule=Schedule({**choices, outsider: choices[model.screen_ids[0]]}))
+        # a (film, config) the screen has no cell for, such as another cluster's film
+        keys = [key[-2:] for key in model.column_keys]
+        for si, sid in enumerate(model.screen_ids):
+            own = {keys[ci] for ci, w in enumerate(model.weights[si]) if w is not None}
+            for key in sorted(set(keys) - own):
+                yield replace(report, schedule=Schedule({**choices, sid: key}))
+        # every screen takes its best cell: where two screens share a column, the
+        # row maxima and zero column duals satisfy every dual condition, and only
+        # the no-column-twice check is left to reject it
+        perturbed = _perturbed_weights(model.weights, _column_order(model))
+        best = [max((w, ci) for ci, w in enumerate(row) if w is not None) for row in perturbed]
+        if len({ci for _, ci in best}) < len(best):
+            greedy = Schedule({sid: keys[ci] for sid, (_, ci) in zip(model.screen_ids, best)})
+            yield replace(
+                report,
+                schedule=greedy,
+                objective=evaluate(model, greedy.variables()),
+                certificate=Certificate(
+                    "lp-dual", screen_duals=tuple(w for w, _ in best), column_duals=(0,) * len(v)
+                ),
+            )
         for other in schedules:
             if other != report.schedule:
                 objective = evaluate(model, other.variables())
