@@ -40,6 +40,7 @@ from .domain import (
     format_hhmm,
     load_instance,
     milli_to_json,
+    read_document,
 )
 from .formulation import build_joint_model, build_model, export_lp_text
 from .solver import CERTIFICATE_KINDS, CertificationError, SolveReport
@@ -188,20 +189,34 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _load_partial(path: str, turnover_minutes: int):
+    """The document's instance, and whether the document lists configurations.
+
+    Missing configurations are generated on load, with the turnover, before
+    the forecast is checked against them.  The parsed document is dropped
+    on return, before any output is built.
+    """
+    document = read_document(path)
+    multi = as_multi(load_instance(document, allow_partial=True, turnover_minutes=turnover_minutes))
+    return multi, bool(document.get("configurations"))
+
+
 def cmd_generate_configs(args) -> int:
-    instance = load_instance(args.instance, allow_partial=True)
-    multi = as_multi(instance)
+    multi, listed = _load_partial(args.instance, args.turnover)
 
     rebuilt = []
     for cluster in multi.clusters:
-        window = cluster.window()
-        configs = []
-        for film in sorted(cluster.films, key=lambda f: f.film_id):
-            configs.extend(
-                generate_configurations(
-                    film, window, cluster.stagger_interval_minutes, args.turnover
+        if listed:   # the document's configurations are replaced
+            window = cluster.window()
+            configs = []
+            for film in sorted(cluster.films, key=lambda f: f.film_id):
+                configs.extend(
+                    generate_configurations(
+                        film, window, cluster.stagger_interval_minutes, args.turnover
+                    )
                 )
-            )
+        else:
+            configs = cluster.configurations
         keys = {c.key() for c in configs}
         kept_forecast = {
             k: v for k, v in cluster.forecast.entries.items() if (k[1], k[2]) in keys

@@ -66,10 +66,11 @@ class DecompositionReport:
 def verify_decomposition(instance: Instance) -> DecompositionReport:
     """Prove that solving per cluster loses nothing against a joint solve.
 
-    Certifies each cluster's model, then checks in O(variables) that the
-    joint model is their direct sum (the same rows, staggering keys
-    prefixed with the cluster id, a disjoint union of objectives), whose
-    optimum or infeasibility is the merged cluster result.  No joint
+    Certifies each cluster's model, then checks in O(screens x columns)
+    that the joint model is their direct sum (distinct screen ids in
+    ascending order, staggering keys prefixed with the cluster id, each
+    cluster's weight rows in its own block of columns and None elsewhere),
+    whose optimum or infeasibility is the merged cluster result.  No joint
     search runs.  Raises :class:`CertificationError` if either check fails.
     """
     multi = as_multi(instance)
@@ -77,17 +78,24 @@ def verify_decomposition(instance: Instance) -> DecompositionReport:
     models = {c.cluster_id: build_model(c) for c in clusters}
     split = _certify_all(models)
 
-    equality, staggering, objective = [], [], {}
+    # the direct sum: each cluster's matrix in its own block of columns, keyed
+    # with the cluster id, its rows placed among all screens in id order
+    keys, placed = [], []
     for cluster_id, model in models.items():
-        equality.extend(model.equality_rows)
-        staggering.extend(((cluster_id,) + key, row) for key, row in model.inequality_rows)
-        objective.update(model.objective)
+        start = len(keys)
+        keys.extend((cluster_id,) + key for key in model.column_keys)
+        placed.extend((sid, start, row) for sid, row in zip(model.screen_ids, model.weights))
+    placed.sort(key=itemgetter(0))
+    width = len(keys)
     joint = build_joint_model(multi)
     if (
-        joint.equality_rows != tuple(sorted(equality, key=itemgetter(0)))
-        or joint.inequality_rows != tuple(staggering)
-        or joint.objective != objective
-        or len(objective) != sum(len(m.objective) for m in models.values())
+        joint.column_keys != tuple(keys)
+        or joint.screen_ids != tuple(sid for sid, _, _ in placed)
+        or len(set(joint.screen_ids)) != len(placed)      # no screen in two clusters
+        or any(
+            row != [None] * start + block + [None] * (width - start - len(block))
+            for row, (_, start, block) in zip(joint.weights, placed)
+        )
     ):
         raise CertificationError("the joint model is not the direct sum of the cluster models")
     return DecompositionReport(

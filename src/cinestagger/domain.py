@@ -315,13 +315,17 @@ def _row_label(ext_sid: int, film_id: int, config_index: int) -> str:
     return f"forecast entry (screen {ext_sid}, film {film_id}, config {config_index})"
 
 
-def parse_document(obj, allow_partial: bool = False) -> MultiClusterInstance:
+def parse_document(
+    obj, allow_partial: bool = False, turnover_minutes: int = 0
+) -> MultiClusterInstance:
     """Build a (not yet validated) instance from a parsed JSON document.
 
     Structural problems raise :class:`InstanceFormatError`; broken
     references and duplicate identifiers raise :class:`InstanceDataError`.
     With ``allow_partial`` the ``forecast`` block may be missing or
     incomplete (used by ``generate-configs`` before forecasts exist).
+    A document without configurations gets each film's generated, with
+    ``turnover_minutes`` added per screening.
     """
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance document must be a JSON object")
@@ -470,7 +474,9 @@ def parse_document(obj, allow_partial: bool = False) -> MultiClusterInstance:
         if config_rows:
             cluster_configs = tuple(part.configurations)
         else:
-            cluster_configs = _generate_default_configurations(cluster_films, cluster_locations, stagger)
+            cluster_configs = _generate_default_configurations(
+                cluster_films, cluster_locations, stagger, turnover_minutes
+            )
         clusters.append(
             ClusterInstance(
                 cluster_id=cluster_id,
@@ -500,7 +506,7 @@ def _as_list(value, context: str) -> list:
     return value
 
 
-def _generate_default_configurations(films, locations, stagger):
+def _generate_default_configurations(films, locations, stagger, turnover_minutes):
     # deferred import: confgen builds on the types above
     from .confgen import generate_configurations
 
@@ -510,35 +516,44 @@ def _generate_default_configurations(films, locations, stagger):
     )
     configs = []
     for film in sorted(films, key=lambda f: f.film_id):
-        configs.extend(generate_configurations(film, window, stagger))
+        configs.extend(generate_configurations(film, window, stagger, turnover_minutes))
     return tuple(configs)
 
 
-def load_instance(source: Union[str, Path, dict], allow_partial: bool = False) -> Instance:
+def read_document(path: Union[str, Path]):
+    """The parsed JSON document at ``path``, decimals kept exact.
+
+    Raises :class:`InstanceFormatError` when the file cannot be read or
+    is not JSON.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    # bad syntax, an integer past the int-string digit limit, or nesting
+    # deeper than the decoder's recursion limit
+    try:
+        return json.loads(text, parse_float=Decimal)
+    except (ValueError, RecursionError) as exc:
+        raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def load_instance(
+    source: Union[str, Path, dict], allow_partial: bool = False, turnover_minutes: int = 0
+) -> Instance:
     """Load and validate an instance document.
 
     ``source`` is a filesystem path or an already-parsed document dict.
+    Missing configurations are generated with ``turnover_minutes`` (see
+    :func:`parse_document`) before the forecast is checked against them.
     Returns a :class:`ClusterInstance` for single-cluster documents, a
     :class:`MultiClusterInstance` otherwise.  Raises
     :class:`InstanceFormatError` for unusable documents and
     :class:`InstanceDataError` (carrying all violations) for invalid ones.
     """
-    if not isinstance(source, (str, Path)):
-        obj = source
-    else:
-        path = Path(source)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InstanceFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
-        # bad syntax, an integer past the int-string digit limit, or nesting
-        # deeper than the decoder's recursion limit
-        try:
-            obj = json.loads(text, parse_float=Decimal)
-        except (ValueError, RecursionError) as exc:
-            raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
-
-    instance = parse_document(obj, allow_partial=allow_partial)
+    obj = read_document(source) if isinstance(source, (str, Path)) else source
+    instance = parse_document(obj, allow_partial=allow_partial, turnover_minutes=turnover_minutes)
     violations = validate_instance(instance, check_forecast=not allow_partial)
     if violations:
         raise InstanceDataError(violations)

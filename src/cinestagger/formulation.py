@@ -6,6 +6,11 @@ gets an inequality row allowing at most one screen, which is what keeps
 showtimes staggered across the cluster.  The objective sums the forecast
 attendance of the chosen variables.
 
+That makes the program an assignment problem, so a screens x columns
+weight matrix describes all of it, and the matrix is what a model stores.
+The variables, the objective and both kinds of row are views derived from
+the matrix on first access.
+
 A cluster's model is dense (every screen pairs with every configuration).
 The joint model of several clusters keys its columns by (cluster, film,
 config) and pairs each screen only with its own cluster's columns, so it
@@ -15,15 +20,20 @@ is block-diagonal and sparse; everything below handles both.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .domain import MILLI, ClusterInstance, MultiClusterInstance, format_attendance
 
 # column key: (film_id, config_index), with a leading cluster id in joint models
 ColumnKey = Tuple
+
+# (screen index, column index) -> coefficient in milliunits; None where no variable exists
+Weights = List[List[Optional[int]]]
+
+_VIEWS = ("variables", "objective", "equality_rows", "inequality_rows")
 
 
 class VariableRef(NamedTuple):
@@ -36,81 +46,116 @@ class VariableRef(NamedTuple):
         return f"X_s{self.screen_id}_f{self.film_id}_c{self.config_index}"
 
 
-@dataclass
+@dataclass(init=False)
 class BilpModel:
-    """Immutable once built."""
+    """The program as a weight matrix; immutable once built.
 
+    The data are ``screen_ids`` (one matrix row each), ``column_keys``
+    (one staggering row each) and ``weights``, the coefficient in
+    milliunits per (screen index, column index), None where no variable
+    pairs the screen with the column.  Every solver and the certificate
+    check read only these three.
+
+    ``variables``, ``objective``, ``equality_rows`` and ``inequality_rows``
+    are views of the matrix, built on first access and then cached.
+
+    ``BilpModel(variables=..., objective=..., equality_rows=...,
+    inequality_rows=...)``, which ``dataclasses.replace`` also calls,
+    builds a model from those four instead and derives its matrix from
+    them: row i holds the variables of the i-th equality row, each in the
+    column of the staggering row that lists it.
+    """
+
+    screen_ids: Tuple[int, ...] = field(init=False)
+    column_keys: Tuple[ColumnKey, ...] = field(init=False)
+    weights: Weights = field(init=False)
     variables: Tuple[VariableRef, ...]
     objective: Dict[VariableRef, int]                         # milliunits
     equality_rows: Tuple[Tuple[int, Tuple[VariableRef, ...]], ...]
     inequality_rows: Tuple[Tuple[ColumnKey, Tuple[VariableRef, ...]], ...]
 
+    def __init__(self, variables, objective, equality_rows, inequality_rows) -> None:
+        self.variables = variables
+        self.objective = objective
+        self.equality_rows = equality_rows
+        self.inequality_rows = inequality_rows
+        self.screen_ids = tuple(sid for sid, _ in equality_rows)
+        self.column_keys = tuple(key for key, _ in inequality_rows)
+        row_of = {var: si for si, (_, row) in enumerate(equality_rows) for var in row}
+        self.weights = [[None] * len(inequality_rows) for _ in equality_rows]
+        for ci, (_, row) in enumerate(inequality_rows):
+            for var in row:
+                self.weights[row_of[var]][ci] = objective[var]
+
+    @classmethod
+    def from_matrix(
+        cls, screen_ids: Tuple[int, ...], column_keys: Tuple[ColumnKey, ...], weights: Weights
+    ) -> BilpModel:
+        """A model of the matrix alone; its views are derived when first read."""
+        model = cls.__new__(cls)
+        model.screen_ids, model.column_keys, model.weights = screen_ids, column_keys, weights
+        return model
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not set yet: a matrix-built model's views
+        if name not in _VIEWS:
+            raise AttributeError(name)
+        self._derive_views()
+        return self.__dict__[name]
+
+    def _derive_views(self) -> None:
+        film_configs = [key[-2:] for key in self.column_keys]
+        columns: List[List[VariableRef]] = [[] for _ in film_configs]
+        variables: List[VariableRef] = []
+        objective: Dict[VariableRef, int] = {}
+        equality_rows = []
+        for sid, cells in zip(self.screen_ids, self.weights):
+            row = []
+            for ci, milli in enumerate(cells):
+                if milli is not None:
+                    var = VariableRef(sid, *film_configs[ci])
+                    objective[var] = milli
+                    row.append(var)
+                    columns[ci].append(var)
+            variables.extend(row)
+            equality_rows.append((sid, tuple(row)))
+        self.variables = tuple(variables)
+        self.objective = objective
+        self.equality_rows = tuple(equality_rows)
+        self.inequality_rows = tuple(
+            (key, tuple(column)) for key, column in zip(self.column_keys, columns)
+        )
+
     @property
     def variable_count(self) -> int:
-        return len(self.variables)
-
-    @cached_property
-    def screen_ids(self) -> Tuple[int, ...]:
-        return tuple(sid for sid, _ in self.equality_rows)
-
-    @cached_property
-    def column_keys(self) -> Tuple[ColumnKey, ...]:
-        return tuple(key for key, _ in self.inequality_rows)
-
-    @cached_property
-    def weights(self) -> List[List[Optional[int]]]:
-        """Coefficient in milliunits per (screen index, column index).
-
-        None where no variable pairs the screen with the column.  Read
-        only: every solver and the certificate check share this matrix.
-        """
-        screen_index = {sid: si for si, sid in enumerate(self.screen_ids)}
-        m = len(self.inequality_rows)
-        matrix: List[List[Optional[int]]] = [[None] * m for _ in screen_index]
-        for ci, (_, row) in enumerate(self.inequality_rows):
-            for var in row:
-                matrix[screen_index[var.screen_id]][ci] = self.objective[var]
-        return matrix
+        """Allowed cells of the matrix, counted without building ``variables``."""
+        return sum(len(row) - row.count(None) for row in self.weights)
 
 
 def _assemble(blocks: Sequence[Tuple[Tuple, ClusterInstance]]) -> BilpModel:
     """Lay out the model of ``(key prefix, cluster)`` blocks.
 
     Columns follow the blocks, then ascending (film, config) within a
-    block, keyed ``prefix + (film, config)``.  Variables and equality rows
-    follow ascending screen id, and each screen pairs only with its own
-    block's columns.
+    block, keyed ``prefix + (film, config)``.  Rows follow ascending
+    screen id; each screen's row holds its forecast in its own block's
+    columns and None everywhere else.
     """
-    by_column: Dict[ColumnKey, List[VariableRef]] = {}
+    column_keys: List[ColumnKey] = []
     screens = []
     for prefix, cluster in blocks:
-        columns = []
-        for config in sorted(cluster.configurations, key=lambda c: c.key()):
-            key = prefix + config.key()
-            by_column[key] = []
-            columns.append((by_column[key], config.film_id, config.config_index))
-        screens.extend((s.screen_id, cluster.forecast, columns) for s in cluster.screens)
-    screens.sort(key=lambda screen: screen[0])
+        configs = sorted(config.key() for config in cluster.configurations)
+        start = len(column_keys)
+        column_keys.extend(prefix + key for key in configs)
+        entries = cluster.forecast.entries
+        screens.extend((s.screen_id, start, configs, entries) for s in cluster.screens)
+    screens.sort(key=itemgetter(0))
 
-    variables: List[VariableRef] = []
-    objective: Dict[VariableRef, int] = {}
-    equality_rows = []
-    for screen_id, forecast, columns in screens:
-        row = []
-        for column, film_id, config_index in columns:
-            var = VariableRef(screen_id, film_id, config_index)
-            objective[var] = forecast.get(*var)
-            row.append(var)
-            column.append(var)
-        variables.extend(row)
-        equality_rows.append((screen_id, tuple(row)))
-
-    return BilpModel(
-        variables=tuple(variables),
-        objective=objective,
-        equality_rows=tuple(equality_rows),
-        inequality_rows=tuple((key, tuple(row)) for key, row in by_column.items()),
-    )
+    width = len(column_keys)
+    weights = []
+    for screen_id, start, configs, entries in screens:
+        cells = [entries[screen_id, film_id, config_index] for film_id, config_index in configs]
+        weights.append([None] * start + cells + [None] * (width - start - len(cells)))
+    return BilpModel.from_matrix(tuple(s[0] for s in screens), tuple(column_keys), weights)
 
 
 def build_model(instance: ClusterInstance) -> BilpModel:
@@ -148,31 +193,34 @@ def _row_name(key: ColumnKey) -> str:
 def export_lp_text(model: BilpModel) -> str:
     """Model as LP-format text, byte-identical for equal models.
 
-    Terms follow the model's variable order: ascending screen id, then
-    film id, then configuration index.  Zero coefficients are kept so the
-    objective always lists every variable.
+    Written straight from the matrix.  Terms follow the variable order:
+    ascending screen id, then film id, then configuration index.  Zero
+    coefficients are kept so the objective always lists every variable.
     """
-    variables = model.variables
-    # each name is built once, from its screen's prefix and its column's suffix
-    prefixes = {sid: f"X_s{sid}_" for sid in model.screen_ids}
-    suffixes = {key[-2:]: f"f{key[-2]}_c{key[-1]}" for key in model.column_keys}
-    names = [prefixes[sid] + suffixes[film_id, config_index] for sid, film_id, config_index in variables]
-    name_of = dict(zip(variables, names)).__getitem__
-    terms = [
-        (str(milli // MILLI) if milli % MILLI == 0 else format_attendance(milli)) + " " + name
-        for milli, name in zip(map(model.objective.__getitem__, variables), names)
+    suffixes = [f"f{key[-2]}_c{key[-1]}" for key in model.column_keys]
+    # each variable's name, in its cell; None where the matrix has no variable
+    cells = [
+        [None if milli is None else prefix + suffix for milli, suffix in zip(row, suffixes)]
+        for prefix, row in zip([f"X_s{sid}_" for sid in model.screen_ids], model.weights)
     ]
+    names = [name for row in cells for name in row if name is not None]
+    coefficients = [milli for row in model.weights for milli in row if milli is not None]
+    literal = {
+        milli: str(milli // MILLI) if milli % MILLI == 0 else format_attendance(milli)
+        for milli in set(coefficients)
+    }
+    columns = list(zip(*cells)) or [()] * len(model.column_keys)
     lines = [
         "\\ Screen scheduling model: maximize forecast attendance",
         "\\ Terms ordered by ascending (screen, film, configuration)",
         "Maximize",
-        " obj: " + " + ".join(terms),
+        " obj: " + " + ".join([literal[milli] + " " + name for milli, name in zip(coefficients, names)]),
         "Subject To",
     ]
-    for sid, row in model.equality_rows:
-        lines.append(f" screen_{sid}: " + " + ".join(map(name_of, row)) + " = 1")
-    for key, row in model.inequality_rows:
-        lines.append(f" {_row_name(key)}: " + " + ".join(map(name_of, row)) + " <= 1")
+    for sid, row in zip(model.screen_ids, cells):
+        lines.append(f" screen_{sid}: " + " + ".join(filter(None, row)) + " = 1")
+    for key, column in zip(model.column_keys, columns):
+        lines.append(f" {_row_name(key)}: " + " + ".join(filter(None, column)) + " <= 1")
     lines.append("Binary")
     lines.extend(" " + name for name in names)
     lines.append("End")

@@ -54,10 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .domain import MILLI
 # check_feasible is unused here, but perfbench/tracing.py patches it on this module by getattr
-from .formulation import BilpModel, VariableRef, check_feasible  # noqa: F401
-
-# (screen index, column index) -> coefficient; None where no variable exists
-Weights = List[List[Optional[int]]]
+from .formulation import BilpModel, VariableRef, Weights, check_feasible  # noqa: F401
 
 ORACLE_MAX_SCREENS = 8
 ORACLE_MAX_COLUMNS = 10
@@ -216,12 +213,23 @@ def _perturbed_weights(weights: Weights, column_order: List[int]) -> Weights:
     ]
 
 
-# A search gets the weight matrix, the column indices in ascending (film,
-# config) order and the stats to count its effort in; it returns the chosen
-# column index per screen, or None when no complete schedule exists, and a
-# certificate of that result if it has one.
+def _tie_broken(model: BilpModel) -> Weights:
+    """The model's perturbed weights, built once and kept on the model; read only.
+
+    Derived from its screen ids, column keys and weights alone, so the
+    search and the certificate check can share it.
+    """
+    cache = vars(model)
+    if "_tie_broken" not in cache:
+        cache["_tie_broken"] = _perturbed_weights(model.weights, _column_order(model))
+    return cache["_tie_broken"]
+
+
+# A search gets the model and the stats to count its effort in; it returns
+# the chosen column index per screen, or None when no complete schedule
+# exists, and a certificate of that result if it has one.
 Search = Callable[
-    [Weights, List[int], SolveStats],
+    [BilpModel, SolveStats],
     Tuple[Optional[List[int]], Optional[Certificate]],
 ]
 
@@ -236,7 +244,7 @@ def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
         report.certificate = Certificate("pigeonhole")
     else:
         weights = model.weights
-        choice, report.certificate = search(weights, _column_order(model), report.stats)
+        choice, report.certificate = search(model, report.stats)
         if choice is None:
             report.diagnostic = _SPARSE_PIGEONHOLE
         else:
@@ -250,12 +258,9 @@ def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
     return report
 
 
-def _assignment_search(weights, column_order, stats):
-    cost = [
-        [None if w is None else -w for w in row]
-        for row in _perturbed_weights(weights, column_order)
-    ]
-    choice, left, right = _augment_min_cost(cost, len(column_order), stats)
+def _assignment_search(model, stats):
+    cost = [[None if w is None else -w for w in row] for row in _tie_broken(model)]
+    choice, left, right = _augment_min_cost(cost, len(model.column_keys), stats)
     if choice is None:
         return None, Certificate("hall-set", screens=tuple(left), columns=tuple(right))
     # the matcher minimises -W'; negated, its potentials are the max-weight duals
@@ -286,7 +291,8 @@ def solve_assignment(model: BilpModel) -> SolveReport:
     return _solve(model, "assignment", _assignment_search)
 
 
-def _branch_and_bound_search(weights, column_order, stats):
+def _branch_and_bound_search(model, stats):
+    weights, column_order = model.weights, _column_order(model)
     n = len(weights)
     candidates: List[List[Tuple[int, int]]] = []
     for row in weights:
@@ -345,7 +351,8 @@ def solve_branch_and_bound(model: BilpModel) -> SolveReport:
     return _solve(model, "branch-and-bound", _branch_and_bound_search)
 
 
-def _brute_force_search(weights, column_order, stats):
+def _brute_force_search(model, stats):
+    weights, column_order = model.weights, _column_order(model)
     n = len(weights)
     used = [False] * len(column_order)
     best_value: Optional[int] = None
@@ -431,7 +438,7 @@ def _check_lp_dual(model: BilpModel, report: SolveReport) -> None:
             f" but its schedule scores {score}"
         )
 
-    perturbed = _perturbed_weights(weights, _column_order(model))
+    perturbed = _tie_broken(model)
     for si, row in enumerate(perturbed):
         for ci, w in enumerate(row):
             if w is not None and u[si] + v[ci] < w:

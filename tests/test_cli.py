@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -239,6 +240,51 @@ def test_generate_configs_drops_stale_forecast_rows(tmp_path, capsys):
     kept = {(r["film_id"], r["config_index"]) for r in out["forecast"]}
     valid = {(c["film_id"], c["config_index"]) for c in out["configurations"]}
     assert kept <= valid
+
+
+def test_generate_configs_checks_the_forecast_against_the_turnover(example_document, tmp_path, capsys):
+    # film 1 runs 90 minutes: 3 configurations at turnover 0, 4 at turnover 30
+    doc = copy.deepcopy(example_document)
+    del doc["configurations"]
+    doc["forecast"] = [row for row in doc["forecast"] if row["config_index"] == 1]
+    doc["forecast"].append({"screen_id": 1, "film_id": 1, "config_index": 4, "attendance": 7})
+    path = write_doc(tmp_path, doc)
+    assert main(["generate-configs", path, "--turnover", "30"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert {"screen_id": 1, "film_id": 1, "config_index": 4, "attendance": 7} in out["forecast"]
+    assert max(c["config_index"] for c in out["configurations"] if c["film_id"] == 1) == 4
+    assert main(["generate-configs", path]) == 1
+    assert "references an unknown configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("listed", [True, False])
+def test_generate_configs_generates_each_film_once_per_cluster(tmp_path, capsys, monkeypatch, listed):
+    import cinestagger.cli as cli_module
+    import cinestagger.confgen as confgen_module
+
+    doc = generate_document(screens=4, films=3, clusters=3, seed=5)
+    for film in doc["films"][:2]:
+        del film["cluster_id"]               # two films play in all three clusters
+    if not listed:
+        del doc["configurations"]
+    path = write_doc(tmp_path, doc)
+    assert main(["generate-configs", path, "--turnover", "15"]) == 0
+    expected = capsys.readouterr().out
+    clusters = as_multi(load_instance(path, allow_partial=True)).clusters
+
+    calls = []
+    honest = confgen_module.generate_configurations
+
+    def counting(film, *args):
+        calls.append(film.film_id)
+        return honest(film, *args)
+
+    monkeypatch.setattr(confgen_module, "generate_configurations", counting)
+    monkeypatch.setattr(cli_module, "generate_configurations", counting)
+    assert main(["generate-configs", path, "--turnover", "15"]) == 0
+    assert capsys.readouterr().out == expected
+    assert sorted(calls) == sorted(f.film_id for c in clusters for f in c.films)
+    assert len(calls) == 2 * 3 + len(doc["films"]) - 2
 
 
 def test_build_stats(example_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import support
 from cinestagger import (
+    BilpModel,
     VariableRef,
     build_joint_model,
     build_model,
@@ -15,6 +16,8 @@ from cinestagger import (
     load_instance,
 )
 from cinestagger.domain import format_attendance
+
+VIEWS = ("variables", "objective", "equality_rows", "inequality_rows")
 
 
 def known_best_variables():
@@ -90,6 +93,43 @@ def test_weights_hold_each_variable_in_its_cell(example_model, example_document)
                 assert weights[model.screen_ids.index(var.screen_id)][ci] == model.objective[var]
         # distinct variables sit in distinct cells, so every other cell is None
         assert sum(w is not None for row in weights for w in row) == model.variable_count
+
+
+def test_matrix_and_row_built_models_agree(example_model, example_document):
+    rng = random.Random(29)
+    shared = support.load_multi(support.shared_film_copies(example_document))
+    models = [example_model, build_joint_model(shared)]
+    for _ in range(4):
+        multi = support.load_multi(support.random_multi_document(rng, clusters=3, lo=0, hi=100000))
+        models.extend(build_model(c) for c in multi.clusters)
+        models.append(build_joint_model(multi))
+    # thinned models are built from rows
+    models.extend(
+        [support.without_variables(m, {v for v in m.variables if rng.random() < 0.3}) for m in models]
+    )
+    for model in models:
+        from_matrix = BilpModel.from_matrix(model.screen_ids, model.column_keys, model.weights)
+        from_rows = BilpModel(
+            variables=model.variables,
+            objective=model.objective,
+            equality_rows=model.equality_rows,
+            inequality_rows=model.inequality_rows,
+        )
+        for other in (from_matrix, from_rows):
+            for name in ("screen_ids", "column_keys", "weights") + VIEWS:
+                assert getattr(other, name) == getattr(model, name), name
+            assert other.variable_count == model.variable_count == len(model.variables)
+            assert other == model
+            assert export_lp_text(other) == export_lp_text(model) == reference_lp_text(model)
+
+
+def test_variable_count_builds_no_view():
+    model = build_model(support.matrix_instance([[1, 2, 3], [4, 5, 6]], configs_per_film=[3]))
+    assert model.variable_count == 6
+    export_lp_text(model)
+    assert not set(VIEWS) & set(vars(model))
+    assert len(model.variables) == 6
+    assert set(VIEWS) <= set(vars(model))
 
 
 def test_lp_export_example(example_model):

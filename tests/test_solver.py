@@ -152,6 +152,21 @@ def test_certify_calls_no_oracle(example_model, monkeypatch):
         assert (report.status, report.certificate.kind) == (status, kind)
 
 
+def test_certify_builds_the_tie_broken_weights_once(example_instance, monkeypatch):
+    import cinestagger.solver as solver_module
+
+    calls = []
+
+    def counting(weights, column_order):
+        calls.append(len(weights))
+        return _perturbed_weights(weights, column_order)
+
+    monkeypatch.setattr(solver_module, "_perturbed_weights", counting)
+    model = build_model(example_instance)    # the matrix is kept on the model it came from
+    assert certify(model).objective == certify(model).objective == 2615
+    assert calls == [9]
+
+
 def test_three_way_agreement_random():
     rng = random.Random(90210)
     for _ in range(40):
