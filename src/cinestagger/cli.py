@@ -25,7 +25,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from .cluster import solve_all, verify_decomposition
-from .confgen import NoFeasibleConfigurationError, generate_configurations
+# generate_configurations is unused here, but perfbench/tracing.py patches it on this module by getattr
+from .confgen import NoFeasibleConfigurationError, generate_configurations  # noqa: F401
 from .domain import (
     MILLI,
     ClusterInstance,
@@ -34,6 +35,7 @@ from .domain import (
     InstanceFormatError,
     MultiClusterInstance,
     as_multi,
+    default_configurations,
     dumps_instance,
     dumps_json,
     format_attendance,
@@ -42,7 +44,8 @@ from .domain import (
     milli_to_json,
     read_document,
 )
-from .formulation import build_joint_model, build_model, export_lp_text
+# build_joint_model is unused here, but perfbench/tracing.py patches it on this module by getattr
+from .formulation import build_joint_model, build_model, direct_sum, export_lp_text  # noqa: F401
 from .solver import CERTIFICATE_KINDS, CertificationError, SolveReport
 
 
@@ -100,12 +103,12 @@ def _print_csv(all_rows: List[dict]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _write_lp(multi: MultiClusterInstance, path: str) -> bool:
-    """Write the cluster's or the joint model's LP text; False, after one stderr line, on failure."""
-    model = (
-        build_model(multi.clusters[0]) if len(multi.clusters) == 1
-        else build_joint_model(multi)
-    )
+def _write_lp(models, path: str) -> bool:
+    """Write the LP text of the one ``(cluster id, model)`` pair or of their direct sum.
+
+    False, after one stderr line, on failure.
+    """
+    model = models[0][1] if len(models) == 1 else direct_sum(models)
     try:
         Path(path).write_text(export_lp_text(model), encoding="utf-8")
     except OSError as exc:
@@ -133,7 +136,7 @@ def cmd_solve(args) -> int:
     report = solve_all(multi)
     elapsed = time.perf_counter() - started
 
-    if args.export_lp and not _write_lp(multi, args.export_lp):
+    if args.export_lp and not _write_lp(report.models, args.export_lp):
         return 2
 
     clusters = {c.cluster_id: c for c in multi.clusters}
@@ -204,58 +207,36 @@ def _load_partial(path: str, turnover_minutes: int):
 def cmd_generate_configs(args) -> int:
     multi, listed = _load_partial(args.instance, args.turnover)
 
-    rebuilt = []
-    for cluster in multi.clusters:
-        if listed:   # the document's configurations are replaced
-            window = cluster.window()
-            configs = []
-            for film in sorted(cluster.films, key=lambda f: f.film_id):
-                configs.extend(
-                    generate_configurations(
-                        film, window, cluster.stagger_interval_minutes, args.turnover
-                    )
-                )
-        else:
-            configs = cluster.configurations
-        keys = {c.key() for c in configs}
-        kept_forecast = {
-            k: v for k, v in cluster.forecast.entries.items() if (k[1], k[2]) in keys
-        }
-        rebuilt.append(
-            replace(
-                cluster,
-                configurations=tuple(configs),
-                forecast=ForecastMatrix(kept_forecast),
-            )
-        )
+    if listed:   # the document's configurations are replaced, and their forecast rows dropped
+        rebuilt = []
+        for cluster in multi.clusters:
+            configs = default_configurations(cluster, args.turnover)
+            keys = {c.key() for c in configs}
+            kept = {k: v for k, v in cluster.forecast.entries.items() if k[1:] in keys}
+            rebuilt.append(replace(cluster, configurations=configs, forecast=ForecastMatrix(kept)))
+        multi = MultiClusterInstance(clusters=tuple(rebuilt))
 
-    sys.stdout.write(dumps_instance(MultiClusterInstance(clusters=tuple(rebuilt))))
+    sys.stdout.write(dumps_instance(multi))
     return 0
 
 
 def cmd_build(args) -> int:
-    instance = load_instance(args.instance)
-    multi = as_multi(instance)
+    clusters = sorted(as_multi(load_instance(args.instance)).clusters, key=lambda c: c.cluster_id)
+    models = [(c.cluster_id, build_model(c)) for c in clusters]
 
-    # counts from each cluster's shape, as build_model lays it out: every screen
-    # pairs with every configuration, one row per screen and per configuration
-    total_vars = total_eq = total_ineq = 0
-    for cluster in multi.clusters:
-        screens, configs = cluster.screen_count, cluster.configuration_count
+    for cluster_id, model in models:
         print(
-            f"cluster {cluster.cluster_id}: {screens * configs} variables,"
-            f" {screens} equality rows, {configs} inequality rows"
+            f"cluster {cluster_id}: {model.variable_count} variables,"
+            f" {len(model.screen_ids)} equality rows, {len(model.column_keys)} inequality rows"
         )
-        total_vars += screens * configs
-        total_eq += screens
-        total_ineq += configs
     print(
-        f"total: {total_vars} variables, {total_eq} equality rows,"
-        f" {total_ineq} inequality rows"
+        f"total: {sum(m.variable_count for _, m in models)} variables,"
+        f" {sum(len(m.screen_ids) for _, m in models)} equality rows,"
+        f" {sum(len(m.column_keys) for _, m in models)} inequality rows"
     )
 
     if args.export_lp:
-        if not _write_lp(multi, args.export_lp):
+        if not _write_lp(models, args.export_lp):
             return 2
         print(f"wrote {args.export_lp}", file=sys.stderr)
     return 0

@@ -2,22 +2,23 @@
 
 Staggering constraints only bind screens within one cluster of
 neighbouring locations, so the full problem splits into independent
-per-cluster problems.  ``solve_all`` exploits that; ``verify_decomposition``
-proves it on a given instance, with no joint search, by checking that the
-joint model (all clusters at once) is the direct sum of the cluster
-models: a block-diagonal program's optimum is the sum of its blocks'.
+per-cluster problems.  ``solve_all`` exploits that, building and
+certifying each cluster model once; ``verify_decomposition`` proves it on
+a given instance, with no joint search, by checking that the joint model
+(all clusters at once) equals ``formulation.direct_sum`` of the models
+``solve_all`` certified: a block-diagonal program's optimum is the sum of
+its blocks'.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import dist
-from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
 from .domain import Instance, as_multi
-from .formulation import BilpModel, build_joint_model, build_model
+from .formulation import BilpModel, build_joint_model, build_model, direct_sum
 from .solver import CertificationError, SolveReport, certify
 
 
@@ -26,33 +27,32 @@ class ClusterSolveReport:
     per_cluster: Dict[str, SolveReport]
     overall_status: str                       # "Optimal" or "Infeasible"
     combined_objective: Optional[Fraction]    # sum when overall Optimal
-
-
-def _certify_all(models: Dict[str, BilpModel]) -> ClusterSolveReport:
-    """Certify every cluster model and merge; Optimal only if all clusters are."""
-    per_cluster = {cluster_id: certify(model) for cluster_id, model in models.items()}
-    reports = per_cluster.values()
-    if all(r.status == "Optimal" for r in reports):
-        return ClusterSolveReport(
-            per_cluster=per_cluster,
-            overall_status="Optimal",
-            combined_objective=sum((r.objective for r in reports), Fraction(0)),
-        )
-    return ClusterSolveReport(
-        per_cluster=per_cluster,
-        overall_status="Infeasible",
-        combined_objective=None,
-    )
+    # (cluster id, model) per cluster, in cluster id order: the models certified
+    models: Tuple[Tuple[str, BilpModel], ...] = field(compare=False, repr=False)
 
 
 def solve_all(instance: Instance) -> ClusterSolveReport:
-    """Certify every cluster, in cluster id order, and merge.
+    """Build and certify every cluster's model once, in cluster id order, and merge.
 
     Infeasible clusters do not hide the others: each cluster's report is
-    returned, and the overall status is Optimal only if all are.
+    returned, and the overall status is Optimal only if all are.  Raises
+    ``ValueError`` if two clusters share an id.
     """
     clusters = sorted(as_multi(instance).clusters, key=lambda c: c.cluster_id)
-    return _certify_all({c.cluster_id: build_model(c) for c in clusters})
+    for first, second in zip(clusters, clusters[1:]):
+        if first.cluster_id == second.cluster_id:
+            raise ValueError(f"cluster id {first.cluster_id!r} appears more than once")
+    models = tuple((c.cluster_id, build_model(c)) for c in clusters)
+    per_cluster = {cluster_id: certify(model) for cluster_id, model in models}
+    optimal = all(r.status == "Optimal" for r in per_cluster.values())
+    return ClusterSolveReport(
+        per_cluster=per_cluster,
+        overall_status="Optimal" if optimal else "Infeasible",
+        combined_objective=(
+            sum((r.objective for r in per_cluster.values()), Fraction(0)) if optimal else None
+        ),
+        models=models,
+    )
 
 
 @dataclass
@@ -67,35 +67,19 @@ def verify_decomposition(instance: Instance) -> DecompositionReport:
     """Prove that solving per cluster loses nothing against a joint solve.
 
     Certifies each cluster's model, then checks in O(screens x columns)
-    that the joint model is their direct sum (distinct screen ids in
-    ascending order, staggering keys prefixed with the cluster id, each
-    cluster's weight rows in its own block of columns and None elsewhere),
-    whose optimum or infeasibility is the merged cluster result.  No joint
-    search runs.  Raises :class:`CertificationError` if either check fails.
+    that the joint model equals :func:`direct_sum` of them over distinct
+    screen ids, so its optimum or infeasibility is the merged cluster
+    result.  No joint search runs.  Raises :class:`CertificationError` if
+    either check fails.
     """
     multi = as_multi(instance)
-    clusters = sorted(multi.clusters, key=lambda c: c.cluster_id)
-    models = {c.cluster_id: build_model(c) for c in clusters}
-    split = _certify_all(models)
-
-    # the direct sum: each cluster's matrix in its own block of columns, keyed
-    # with the cluster id, its rows placed among all screens in id order
-    keys, placed = [], []
-    for cluster_id, model in models.items():
-        start = len(keys)
-        keys.extend((cluster_id,) + key for key in model.column_keys)
-        placed.extend((sid, start, row) for sid, row in zip(model.screen_ids, model.weights))
-    placed.sort(key=itemgetter(0))
-    width = len(keys)
-    joint = build_joint_model(multi)
+    split = solve_all(multi)
+    joint, expected = build_joint_model(multi), direct_sum(split.models)
     if (
-        joint.column_keys != tuple(keys)
-        or joint.screen_ids != tuple(sid for sid, _, _ in placed)
-        or len(set(joint.screen_ids)) != len(placed)      # no screen in two clusters
-        or any(
-            row != [None] * start + block + [None] * (width - start - len(block))
-            for row, (_, start, block) in zip(joint.weights, placed)
-        )
+        joint.screen_ids != expected.screen_ids
+        or joint.column_keys != expected.column_keys
+        or joint.weights != expected.weights
+        or len(set(joint.screen_ids)) != len(joint.screen_ids)    # no screen in two clusters
     ):
         raise CertificationError("the joint model is not the direct sum of the cluster models")
     return DecompositionReport(

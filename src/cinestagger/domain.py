@@ -469,25 +469,18 @@ def parse_document(
 
     clusters = []
     for cluster_id, part in parts.items():
-        cluster_locations = tuple(part.locations)
-        cluster_films = tuple(part.films)
-        if config_rows:
-            cluster_configs = tuple(part.configurations)
-        else:
-            cluster_configs = _generate_default_configurations(
-                cluster_films, cluster_locations, stagger, turnover_minutes
-            )
-        clusters.append(
-            ClusterInstance(
-                cluster_id=cluster_id,
-                locations=cluster_locations,
-                screens=tuple(part.screens),
-                films=cluster_films,
-                configurations=cluster_configs,
-                stagger_interval_minutes=stagger,
-                forecast=ForecastMatrix(part.forecast),
-            )
+        cluster = ClusterInstance(
+            cluster_id=cluster_id,
+            locations=tuple(part.locations),
+            screens=tuple(part.screens),
+            films=tuple(part.films),
+            configurations=tuple(part.configurations),
+            stagger_interval_minutes=stagger,
+            forecast=ForecastMatrix(part.forecast),
         )
+        if not config_rows:
+            cluster.configurations = default_configurations(cluster, turnover_minutes)
+        clusters.append(cluster)
 
     if outside is not None:
         label = _row_label(*outside)
@@ -506,18 +499,36 @@ def _as_list(value, context: str) -> list:
     return value
 
 
-def _generate_default_configurations(films, locations, stagger, turnover_minutes):
+def default_configurations(
+    cluster: ClusterInstance, turnover_minutes: int = 0
+) -> Tuple[ShowtimeConfiguration, ...]:
+    """Every film's generated configurations over the cluster's window, films in id order.
+
+    ``turnover_minutes`` is added per screening.  A stagger interval or
+    runtime below 1, or an inverted window, raises the
+    :class:`InstanceDataError` that :func:`validate_instance` reports for it.
+    """
     # deferred import: confgen builds on the types above
     from .confgen import generate_configurations
 
-    window = (
-        min(l.open_time for l in locations),
-        max(l.last_showtime for l in locations),
-    )
-    configs = []
-    for film in sorted(films, key=lambda f: f.film_id):
-        configs.extend(generate_configurations(film, window, stagger, turnover_minutes))
-    return tuple(configs)
+    window = cluster.window()
+    try:
+        return tuple(
+            config
+            for film in sorted(cluster.films, key=lambda f: f.film_id)
+            for config in generate_configurations(
+                film, window, cluster.stagger_interval_minutes, turnover_minutes
+            )
+        )
+    except ValueError:
+        # the validator runs only here, so a loadable document pays nothing for it
+        violations = [
+            v for v in _validate_cluster(cluster, require_contiguous=False, check_forecast=False)
+            if v.code in {"bad_stagger_interval", "bad_runtime", "window_inverted"}
+        ]
+        if violations:
+            raise InstanceDataError(violations) from None
+        raise
 
 
 def read_document(path: Union[str, Path]):

@@ -12,9 +12,11 @@ The variables, the objective and both kinds of row are views derived from
 the matrix on first access.
 
 A cluster's model is dense (every screen pairs with every configuration).
-The joint model of several clusters keys its columns by (cluster, film,
-config) and pairs each screen only with its own cluster's columns, so it
-is block-diagonal and sparse; everything below handles both.
+The joint model of several clusters is the direct sum of the cluster
+models: its columns are keyed by (cluster, film, config) and each screen
+pairs only with its own cluster's columns, so it is block-diagonal and
+sparse.  ``direct_sum`` is the one place that lays those blocks out;
+everything else handles both kinds of model.
 """
 
 from __future__ import annotations
@@ -132,52 +134,49 @@ class BilpModel:
         return sum(len(row) - row.count(None) for row in self.weights)
 
 
-def _assemble(blocks: Sequence[Tuple[Tuple, ClusterInstance]]) -> BilpModel:
-    """Lay out the model of ``(key prefix, cluster)`` blocks.
-
-    Columns follow the blocks, then ascending (film, config) within a
-    block, keyed ``prefix + (film, config)``.  Rows follow ascending
-    screen id; each screen's row holds its forecast in its own block's
-    columns and None everywhere else.
-    """
-    column_keys: List[ColumnKey] = []
-    screens = []
-    for prefix, cluster in blocks:
-        configs = sorted(config.key() for config in cluster.configurations)
-        start = len(column_keys)
-        column_keys.extend(prefix + key for key in configs)
-        entries = cluster.forecast.entries
-        screens.extend((s.screen_id, start, configs, entries) for s in cluster.screens)
-    screens.sort(key=itemgetter(0))
-
-    width = len(column_keys)
-    weights = []
-    for screen_id, start, configs, entries in screens:
-        cells = [entries[screen_id, film_id, config_index] for film_id, config_index in configs]
-        weights.append([None] * start + cells + [None] * (width - start - len(cells)))
-    return BilpModel.from_matrix(tuple(s[0] for s in screens), tuple(column_keys), weights)
-
-
 def build_model(instance: ClusterInstance) -> BilpModel:
     """Formulate the cluster's scheduling problem.
 
-    Deterministic layout: variables ascend by (screen, film, config);
-    equality rows follow screen order, inequality rows (film, config).
+    Deterministic layout: rows follow ascending screen id, columns
+    ascending (film, config); every screen pairs with every configuration.
     """
-    return _assemble([((), instance)])
+    configs = sorted(config.key() for config in instance.configurations)
+    screen_ids = tuple(sorted(s.screen_id for s in instance.screens))
+    entries = instance.forecast.entries
+    weights = [
+        [entries[sid, film_id, config_index] for film_id, config_index in configs]
+        for sid in screen_ids
+    ]
+    return BilpModel.from_matrix(screen_ids, tuple(configs), weights)
+
+
+def direct_sum(blocks: Sequence[Tuple[str, BilpModel]]) -> BilpModel:
+    """The block-diagonal model of ``(cluster id, model)`` pairs, in order.
+
+    Each block's column keys gain its cluster id as a prefix, so the same
+    film configuration in two clusters stays two columns.  Rows follow
+    ascending screen id; each screen's row holds its own block's weights
+    in that block's columns and None everywhere else.  Pairs, not a dict,
+    so a repeated cluster id is kept as two blocks.
+    """
+    column_keys: List[ColumnKey] = []
+    placed = []
+    for cluster_id, model in blocks:
+        start = len(column_keys)
+        column_keys.extend((cluster_id,) + key for key in model.column_keys)
+        placed.extend((sid, start, cells) for sid, cells in zip(model.screen_ids, model.weights))
+    placed.sort(key=itemgetter(0))
+    width = len(column_keys)
+    weights = [
+        [None] * start + cells + [None] * (width - start - len(cells)) for _, start, cells in placed
+    ]
+    return BilpModel.from_matrix(tuple(sid for sid, _, _ in placed), tuple(column_keys), weights)
 
 
 def build_joint_model(instance: MultiClusterInstance) -> BilpModel:
-    """One model over all clusters at once.
-
-    Every screen keeps its equality row; staggering rows are keyed by
-    (cluster, film, config) so the same film configuration in two
-    different clusters stays two separate columns.  A screen only pairs
-    with its own cluster's configurations, which is exactly what makes
-    the model block-diagonal.
-    """
+    """One model over all clusters at once: the direct sum of the cluster models."""
     clusters = sorted(instance.clusters, key=lambda c: c.cluster_id)
-    return _assemble([((c.cluster_id,), c) for c in clusters])
+    return direct_sum([(c.cluster_id, build_model(c)) for c in clusters])
 
 
 def _lp_name(token) -> str:

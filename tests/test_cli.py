@@ -5,13 +5,14 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 
 import pytest
 
 import support
-from cinestagger import build_model, load_instance, solve_all
+from cinestagger import build_joint_model, build_model, export_lp_text, load_instance, solve_all
 from cinestagger.cli import main
 from cinestagger.domain import as_multi
 from cinestagger.synth import generate_document
@@ -285,6 +286,92 @@ def test_generate_configs_generates_each_film_once_per_cluster(tmp_path, capsys,
     assert capsys.readouterr().out == expected
     assert sorted(calls) == sorted(f.film_id for c in clusters for f in c.films)
     assert len(calls) == 2 * 3 + len(doc["films"]) - 2
+
+
+def _invert_windows(doc):
+    for location in doc["locations"]:
+        location["open_time"], location["last_showtime"] = "23:00", "12:00"
+
+
+@pytest.mark.parametrize(
+    "spoil, line",
+    [
+        (lambda doc: doc["films"][2].update(runtime_minutes=0),
+         "bad_runtime: film 3: runtime must be >= 1, got 0"),
+        (_invert_windows, "window_inverted: location 1: open time 23:00 is after last showtime 12:00"),
+        (lambda doc: doc.update(stagger_interval_minutes=0),
+         "bad_stagger_interval: stagger interval must be >= 1, got 0"),
+    ],
+    ids=["runtime", "window", "stagger"],
+)
+def test_generation_errors_read_like_validate(example_document, tmp_path, capsys, spoil, line):
+    # with configurations listed, validate names the fault; without, loading reports the same
+    listed = copy.deepcopy(example_document)
+    spoil(listed)
+    assert main(["validate", write_doc(tmp_path, listed, "listed.json")]) == 1
+    reported = capsys.readouterr().out.splitlines()
+    assert line in reported
+    omitted = copy.deepcopy(listed)
+    del omitted["configurations"]
+    path = write_doc(tmp_path, omitted)
+    for argv in (["solve", path], ["build", path], ["generate-configs", path, "--turnover", "20"]):
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert line in lines
+        assert set(lines) <= set(reported)
+
+
+def _count_model_builds(monkeypatch):
+    """Calls of build_model and build_joint_model, by name, wherever the package looks them up."""
+    import cinestagger.cli as cli_module
+    import cinestagger.cluster as cluster_module
+    import cinestagger.formulation as formulation_module
+
+    calls = Counter()
+    for module in (formulation_module, cluster_module, cli_module):
+        for name in ("build_model", "build_joint_model"):
+            def counting(*args, _honest=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _honest(*args)
+
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_solve_export_lp_builds_each_cluster_model_once(example_path, tmp_path, capsys, monkeypatch):
+    three = write_doc(tmp_path, generate_document(4, 2, clusters=3, seed=8))
+    reference = {}
+    for path in (str(example_path), three):
+        multi = as_multi(load_instance(path))
+        model = build_model(multi.clusters[0]) if len(multi.clusters) == 1 else build_joint_model(multi)
+        reference[path] = export_lp_text(model)
+    calls = _count_model_builds(monkeypatch)
+    target = tmp_path / "model.lp"
+
+    assert main(["solve", str(example_path), "--export-lp", str(target)]) == 0
+    assert calls == {"build_model": 1}
+    assert target.read_text(encoding="utf-8") == reference[str(example_path)]
+
+    calls.clear()
+    assert main(["solve", three, "--format", "json", "--export-lp", str(target)]) == 0
+    assert calls == {"build_model": 3}
+    assert target.read_text(encoding="utf-8") == reference[three]
+
+
+def test_build_export_lp_builds_each_cluster_model_once(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, generate_document(5, 3, clusters=3, seed=9))
+    joint = build_joint_model(as_multi(load_instance(path)))
+    expected = export_lp_text(joint)
+    calls = _count_model_builds(monkeypatch)
+    target = tmp_path / "joint.lp"
+    assert main(["build", path, "--export-lp", str(target)]) == 0
+    assert calls == {"build_model": 3}
+    assert target.read_text(encoding="utf-8") == expected
+    # the cluster models' counts add up to the joint model's
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"total: {joint.variable_count} variables, {len(joint.screen_ids)} equality rows,"
+        f" {len(joint.column_keys)} inequality rows"
+    )
 
 
 def test_build_stats(example_path, capsys):

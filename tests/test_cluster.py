@@ -251,6 +251,24 @@ def test_verify_decomposition_rejects_clusters_sharing_variables(example_instanc
         verify_decomposition(twice)
 
 
+def test_solve_all_rejects_a_repeated_cluster_id(example_document):
+    # a dict keyed by cluster id would keep one c1 and drop the other's 9 screens
+    first, second = support.load_multi(two_offset_copies(example_document)).clusters
+    twice = MultiClusterInstance(clusters=(first, replace(second, cluster_id="c1")))
+    for check in (solve_all, verify_decomposition):
+        with pytest.raises(ValueError, match="cluster id 'c1' appears more than once"):
+            check(twice)
+
+
+def test_solve_all_keeps_the_models_it_certified(example_document):
+    instance = support.load_multi(two_offset_copies(example_document))
+    report = solve_all(instance)
+    assert [cluster_id for cluster_id, _ in report.models] == ["c1", "c2"]
+    for (cluster_id, model), cluster in zip(report.models, instance.clusters):
+        assert model.weights == build_model(cluster).weights
+        assert certify(model) == report.per_cluster[cluster_id]
+
+
 def test_derive_clusters_by_distance():
     coordinates = {
         1: (0.0, 0.0),

@@ -15,7 +15,8 @@ from cinestagger import (
     export_lp_text,
     load_instance,
 )
-from cinestagger.domain import format_attendance
+from cinestagger.domain import as_multi, format_attendance
+from cinestagger.formulation import direct_sum
 
 VIEWS = ("variables", "objective", "equality_rows", "inequality_rows")
 
@@ -286,3 +287,25 @@ def test_feasible_assignments_have_cardinality_screen_count(example_model):
 
 def test_variable_names():
     assert VariableRef(3, 5, 2).name == "X_s3_f5_c2"
+
+
+def test_direct_sum_of_one_cluster_is_its_joint_model(example_instance, example_model):
+    joint = build_joint_model(as_multi(example_instance))
+    single = direct_sum([("c1", example_model)])
+    assert single.screen_ids == joint.screen_ids == example_model.screen_ids
+    assert single.column_keys == joint.column_keys
+    assert single.column_keys == tuple(("c1",) + key for key in example_model.column_keys)
+    assert single.weights == joint.weights == example_model.weights
+    assert single.weights[0] is not example_model.weights[0]
+
+
+def test_direct_sum_keeps_a_repeated_cluster_id_as_two_blocks(example_model):
+    twice = direct_sum([("a", example_model), ("a", example_model)])
+    width = len(example_model.column_keys)
+    assert twice.column_keys == tuple(("a",) + key for key in example_model.column_keys) * 2
+    # rows ascend by screen id; the sort keeps block order between equal ids
+    assert twice.screen_ids == tuple(sid for sid in example_model.screen_ids for _ in (0, 1))
+    for i, row in enumerate(twice.weights):
+        cells = example_model.weights[i // 2]
+        assert row == (cells + [None] * width if i % 2 == 0 else [None] * width + cells)
+    assert twice.variable_count == 2 * example_model.variable_count
