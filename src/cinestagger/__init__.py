@@ -14,7 +14,7 @@ from .cluster import (
     solve_all,
     verify_decomposition,
 )
-from .confgen import NoFeasibleConfigurationError, cycle_length, generate_configurations
+from .confgen import cycle_length, generate_configurations
 from .domain import (
     ClusterInstance,
     Film,
@@ -70,7 +70,6 @@ __all__ = [
     "InstanceFormatError",
     "Location",
     "MultiClusterInstance",
-    "NoFeasibleConfigurationError",
     "OracleGuardError",
     "Schedule",
     "Screen",

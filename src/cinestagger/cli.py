@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from .cluster import solve_all, verify_decomposition
 # generate_configurations is unused here, but perfbench/tracing.py patches it on this module by getattr
-from .confgen import NoFeasibleConfigurationError, generate_configurations  # noqa: F401
+from .confgen import generate_configurations  # noqa: F401
 from .domain import (
     MILLI,
     ClusterInstance,
@@ -346,7 +346,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for violation in exc.violations:
             print(str(violation), file=sys.stderr)
         return 1
-    except (NoFeasibleConfigurationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CertificationError as exc:

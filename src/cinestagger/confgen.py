@@ -14,18 +14,6 @@ from typing import List, Tuple
 from .domain import Film, ShowtimeConfiguration
 
 
-class NoFeasibleConfigurationError(Exception):
-    """The operating window admits no showtime at all for a film."""
-
-    def __init__(self, film: Film, window: Tuple[int, int]):
-        self.film = film
-        self.window = window
-        super().__init__(
-            f"film {film.film_id} ({film.title!r}) admits no showtime "
-            f"in the operating window"
-        )
-
-
 def cycle_length(runtime_minutes: int, stagger_interval: int, turnover_minutes: int = 0) -> int:
     """Minutes between consecutive showtimes of one configuration.
 
@@ -54,6 +42,8 @@ def generate_configurations(
     One configuration per stagger offset of the film's cycle: offset o
     yields showtimes open+o, open+o+L, ... up to the last allowed start.
     Ordered by ascending first showtime, config_index counting from 1.
+    A window that opens after its last showtime raises ValueError; any
+    other window admits offset 0, so the list is never empty.
     """
     open_time, last_showtime = window
     if open_time > last_showtime:
@@ -73,6 +63,4 @@ def generate_configurations(
                 showtimes=showtimes,
             )
         )
-    if not configs:
-        raise NoFeasibleConfigurationError(film, window)
     return configs

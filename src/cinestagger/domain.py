@@ -13,8 +13,11 @@ Representation choices that everything downstream relies on:
 * Attendance coefficients are stored as integer milliunits (fixed
   denominator of 1000), so objective values and optimality comparisons
   are exact integer arithmetic end to end.
-* Screens are re-indexed to ``1..S`` in file order on load; the original
-  document id is kept on each screen and written back on serialization.
+* Screens are re-indexed to ``1..S`` in file order on load, and models
+  and LP names use that number.  The document id is kept on each screen;
+  violations and serialization use it.  Validation needs screen ids only
+  to be positive and unique, so a cluster checks the same on its own as
+  inside its document.
 
 Instances are immutable after loading and safe to share across threads.
 """
@@ -399,7 +402,11 @@ def parse_document(
         # films may be scoped to one cluster; unscoped films play in every cluster
         if "cluster_id" in entry:
             scope = _cluster_key(entry["cluster_id"], f"film {film_id}")
-            owners = (parts[scope],) if scope in parts else ()
+            if scope not in parts:
+                raise InstanceDataError(
+                    [Violation("unknown_cluster", f"film {film_id} references unknown cluster {scope!r}")]
+                )
+            owners = (parts[scope],)
         else:
             owners = every_cluster
         film_owners[film_id] = owners
@@ -523,7 +530,7 @@ def default_configurations(
     except ValueError:
         # the validator runs only here, so a loadable document pays nothing for it
         violations = [
-            v for v in _validate_cluster(cluster, require_contiguous=False, check_forecast=False)
+            v for v in _validate_cluster(cluster, check_forecast=False)
             if v.code in {"bad_stagger_interval", "bad_runtime", "window_inverted"}
         ]
         if violations:
@@ -577,38 +584,29 @@ def validate_instance(instance: Instance, check_forecast: bool = True) -> List[V
     """Check every instance invariant; returns one violation per failure.
 
     Violations are data, not errors: an empty list means the instance is
-    well-formed.
+    well-formed.  A cluster is checked the same way on its own as inside
+    a multi-cluster instance; across clusters, cluster ids and screen ids
+    must be unique.
     """
-    if isinstance(instance, MultiClusterInstance):
-        violations = []
-        seen_cluster_ids = set()
-        all_screen_ids: List[int] = []
-        for cluster in instance.clusters:
-            if cluster.cluster_id in seen_cluster_ids:
-                violations.append(
-                    Violation("duplicate_cluster_id", f"cluster id {cluster.cluster_id!r} appears more than once")
-                )
-            seen_cluster_ids.add(cluster.cluster_id)
-            all_screen_ids.extend(s.screen_id for s in cluster.screens)
-            violations.extend(
-                _validate_cluster(cluster, require_contiguous=False, check_forecast=check_forecast)
-            )
-        if len(set(all_screen_ids)) != len(all_screen_ids):
+    violations: List[Violation] = []
+    seen_cluster_ids = set()
+    screen_ids: List[int] = []     # each cluster's distinct screen ids
+    for cluster in as_multi(instance).clusters:
+        if cluster.cluster_id in seen_cluster_ids:
             violations.append(
-                Violation("duplicate_screen_id", "screen ids are not globally unique across clusters")
+                Violation("duplicate_cluster_id", f"cluster id {cluster.cluster_id!r} appears more than once")
             )
-        elif all_screen_ids and set(all_screen_ids) != set(range(1, len(all_screen_ids) + 1)):
-            violations.append(
-                Violation(
-                    "noncontiguous_screen_ids",
-                    f"screen ids must form 1..{len(all_screen_ids)}, got {sorted(all_screen_ids)}",
-                )
-            )
-        return violations
-    return _validate_cluster(instance, require_contiguous=True, check_forecast=check_forecast)
+        seen_cluster_ids.add(cluster.cluster_id)
+        screen_ids.extend({s.screen_id for s in cluster.screens})
+        violations.extend(_validate_cluster(cluster, check_forecast))
+    if len(set(screen_ids)) != len(screen_ids):
+        violations.append(
+            Violation("duplicate_screen_id", "screen ids are not globally unique across clusters")
+        )
+    return violations
 
 
-def _validate_cluster(cluster: ClusterInstance, require_contiguous: bool, check_forecast: bool) -> List[Violation]:
+def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Violation]:
     v: List[Violation] = []
 
     if cluster.stagger_interval_minutes < 1:
@@ -647,11 +645,11 @@ def _validate_cluster(cluster: ClusterInstance, require_contiguous: bool, check_
             if not 0 <= t <= MAX_MINUTES:
                 v.append(Violation("time_out_of_range", f"location {loc.location_id}: time {t} out of range"))
 
-    seen_screens = set()
+    source_ids: Dict[int, int] = {}     # screen id -> the document's id for it
     for screen in cluster.screens:
-        if screen.screen_id in seen_screens:
+        if screen.screen_id in source_ids:
             v.append(Violation("duplicate_screen_id", f"screen id {screen.screen_id} appears more than once"))
-        seen_screens.add(screen.screen_id)
+        source_ids[screen.screen_id] = screen.source_id
         if screen.location_id not in seen_locations:
             v.append(
                 Violation(
@@ -660,15 +658,8 @@ def _validate_cluster(cluster: ClusterInstance, require_contiguous: bool, check_
                     f" outside cluster {cluster.cluster_id!r}",
                 )
             )
-    if require_contiguous and cluster.screens:
-        expected = set(range(1, cluster.screen_count + 1))
-        if seen_screens != expected:
-            v.append(
-                Violation(
-                    "noncontiguous_screen_ids",
-                    f"screen ids must form 1..{cluster.screen_count}, got {sorted(seen_screens)}",
-                )
-            )
+        if screen.screen_id < 1:
+            v.append(Violation("bad_screen_id", f"screen id {screen.screen_id} must be positive"))
 
     if not cluster.films:
         v.append(Violation("no_films", f"cluster {cluster.cluster_id!r} has no films"))
@@ -723,30 +714,17 @@ def _validate_cluster(cluster: ClusterInstance, require_contiguous: bool, check_
             )
 
     for (sid, film_id, config_index), milli in cluster.forecast.entries.items():
+        known_config = (film_id, config_index) in seen_config_keys
+        if milli >= 0 and known_config and sid in source_ids:
+            continue
+        # labelled only here: most rows are clean, and there may be tens of thousands
+        label = _row_label(source_ids.get(sid, sid), film_id, config_index)
         if milli < 0:
-            v.append(
-                Violation(
-                    "negative_coefficient",
-                    f"forecast entry (screen {sid}, film {film_id}, config {config_index})"
-                    f" is negative ({format_attendance(milli)})",
-                )
-            )
-        if (film_id, config_index) not in seen_config_keys:
-            v.append(
-                Violation(
-                    "unknown_configuration",
-                    f"forecast entry (screen {sid}, film {film_id}, config {config_index})"
-                    " references an unknown configuration",
-                )
-            )
-        if sid not in seen_screens:
-            v.append(
-                Violation(
-                    "unknown_screen",
-                    f"forecast entry (screen {sid}, film {film_id}, config {config_index})"
-                    " references an unknown screen",
-                )
-            )
+            v.append(Violation("negative_coefficient", f"{label} is negative ({format_attendance(milli)})"))
+        if not known_config:
+            v.append(Violation("unknown_configuration", f"{label} references an unknown configuration"))
+        if sid not in source_ids:
+            v.append(Violation("unknown_screen", f"{label} references an unknown screen"))
     if check_forecast:
         for screen in cluster.screens:
             for config in cluster.configurations:
@@ -755,7 +733,7 @@ def _validate_cluster(cluster: ClusterInstance, require_contiguous: bool, check_
                     v.append(
                         Violation(
                             "missing_forecast_entry",
-                            f"no forecast entry for (screen {screen.screen_id},"
+                            f"no forecast entry for (screen {screen.source_id},"
                             f" film {config.film_id}, config {config.config_index})",
                         )
                     )

@@ -180,7 +180,13 @@ def build_joint_model(instance: MultiClusterInstance) -> BilpModel:
 
 
 def _lp_name(token) -> str:
-    return re.sub(r"[^A-Za-z0-9]", "_", str(token))
+    """``token`` in LP name characters, injectively: ASCII letters and digits
+    stay, ``_`` is doubled, and any other character becomes ``_x<hex>_``."""
+    return re.sub(
+        r"[^A-Za-z0-9]",
+        lambda match: "__" if match.group() == "_" else f"_x{ord(match.group()):x}_",
+        str(token),
+    )
 
 
 def _row_name(key: ColumnKey) -> str:

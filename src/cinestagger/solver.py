@@ -5,7 +5,8 @@ Three independent methods over the same model:
 * ``solve_assignment`` exploits the structure directly: screens are left
   nodes, film configurations right nodes, and the program is a rectangular
   max-weight assignment, solved by shortest augmenting paths in exact
-  integer arithmetic.  Its report carries a certificate of its status.
+  integer arithmetic on the weights themselves, so the matcher's final
+  duals are its ``lp-dual`` certificate as they stand.
 * ``solve_branch_and_bound`` is a depth-first search over screens with an
   additive upper bound, knowing nothing about assignment structure.
 * ``solve_brute_force`` enumerates every injective screen-to-configuration
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .domain import MILLI
 # check_feasible is unused here, but perfbench/tracing.py patches it on this module by getattr
@@ -124,23 +125,23 @@ _SPARSE_PIGEONHOLE = (
 )
 
 
-def _augment_min_cost(
-    cost: Sequence[Sequence[Optional[int]]], m: int, stats: SolveStats
+def _augment_max_weight(
+    weights: Weights, m: int, stats: SolveStats
 ) -> Tuple[Optional[List[int]], List[int], List[int]]:
-    """Min-cost rectangular assignment by shortest augmenting paths.
+    """Max-weight rectangular assignment by shortest augmenting paths.
 
-    ``cost`` is n rows by ``m`` columns of exact integers, n <= m, with
+    ``weights`` is n rows by ``m`` columns of exact integers, n <= m, with
     None marking a forbidden cell.  Returns ``(choice, u, v)``: the column
-    index chosen per row, and row and column potentials with
-    ``u[i] + v[j] <= cost[i][j]`` on every allowed cell, equality on the
-    chosen cells, ``v[j] <= 0``, and ``v[j] == 0`` on unchosen columns.
+    index chosen per row, and row and column duals with
+    ``u[i] + v[j] >= weights[i][j]`` on every allowed cell, equality on the
+    chosen cells, ``v[j] >= 0``, and ``v[j] == 0`` on unchosen columns.
     When no assignment of every row uses allowed cells only, returns
     ``(None, rows, columns)``: what the last search reached, a set of rows
     with no allowed cell outside a smaller set of columns.  Each completed
-    augmentation counts one node in ``stats``.  Potentials stay integral
+    augmentation counts one node in ``stats``.  Duals stay integral
     throughout, so the optimum is exact.
     """
-    n = len(cost)
+    n = len(weights)
     u = [0] * (n + 1)
     v = [0] * (m + 1)
     p = [0] * (m + 1)            # p[j]: row matched to column j, 1-based
@@ -155,12 +156,12 @@ def _augment_min_cost(
             i0 = p[j0]
             delta: Optional[int] = None
             j1 = 0
-            row = cost[i0 - 1]
+            row = weights[i0 - 1]
             for j in range(1, m + 1):
                 if used[j]:
                     continue
                 if row[j - 1] is not None:
-                    cur = row[j - 1] - u[i0] - v[j]
+                    cur = u[i0] + v[j] - row[j - 1]
                     if minv[j] is None or cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
@@ -175,8 +176,8 @@ def _augment_min_cost(
                 return None, rows, [j - 1 for j in range(1, m + 1) if used[j]]
             for j in range(m + 1):
                 if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
+                    u[p[j]] -= delta
+                    v[j] += delta
                 elif minv[j] is not None:
                     minv[j] -= delta
             j0 = j1
@@ -259,16 +260,10 @@ def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
 
 
 def _assignment_search(model, stats):
-    cost = [[None if w is None else -w for w in row] for row in _tie_broken(model)]
-    choice, left, right = _augment_min_cost(cost, len(model.column_keys), stats)
+    choice, left, right = _augment_max_weight(_tie_broken(model), len(model.column_keys), stats)
     if choice is None:
         return None, Certificate("hall-set", screens=tuple(left), columns=tuple(right))
-    # the matcher minimises -W'; negated, its potentials are the max-weight duals
-    return choice, Certificate(
-        "lp-dual",
-        screen_duals=tuple(-x for x in left),
-        column_duals=tuple(-x for x in right),
-    )
+    return choice, Certificate("lp-dual", screen_duals=tuple(left), column_duals=tuple(right))
 
 
 def solve_assignment(model: BilpModel) -> SolveReport:
@@ -283,8 +278,8 @@ def solve_assignment(model: BilpModel) -> SolveReport:
     are largest for the lexicographically smallest one, which is therefore
     the unique perturbed optimum.  The objective sums the original weights.
 
-    The report's certificate is the matcher's final potentials as an
-    ``lp-dual`` certificate on the perturbed weights, ``pigeonhole`` when
+    The report's certificate is the matcher's final duals, an ``lp-dual``
+    certificate on the perturbed weights, ``pigeonhole`` when
     screens outnumber columns, or the ``hall-set`` its last search reached
     when no complete schedule exists.  ``check_certificate`` checks it.
     """

@@ -321,6 +321,30 @@ def test_generation_errors_read_like_validate(example_document, tmp_path, capsys
         assert set(lines) <= set(reported)
 
 
+def test_a_film_scoped_to_an_unknown_cluster_is_rejected(example_document, tmp_path, capsys):
+    doc = copy.deepcopy(example_document)
+    doc["films"].append({"id": 99, "title": "Ghost", "runtime_minutes": 90, "cluster_id": "nowhere"})
+    line = "unknown_cluster: film 99 references unknown cluster 'nowhere'"
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [line]
+    assert main(["generate-configs", path, "--turnover", "20"]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_export_lp_row_names_are_distinct(example_document, tmp_path, capsys):
+    # "a-b" and "a_b" once both became "a_b" in the staggering row names
+    doc = copy.deepcopy(example_document)
+    for location in doc["locations"]:
+        location["cluster_id"] = "a-b" if location["id"] == 1 else "a_b"
+    lp = tmp_path / "joint.lp"
+    assert main(["build", write_doc(tmp_path, doc), "--export-lp", str(lp)]) == 0
+    rows = [line.split(":")[0].strip() for line in lp.read_text().splitlines() if line.startswith(" stagger_")]
+    assert len(rows) == 32
+    assert len(set(rows)) == len(rows)
+    assert "stagger_a_x2d_b_f1_c1" in rows and "stagger_a__b_f1_c1" in rows
+
+
 def _count_model_builds(monkeypatch):
     """Calls of build_model and build_joint_model, by name, wherever the package looks them up."""
     import cinestagger.cli as cli_module

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import time
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import support
 from cinestagger import (
     ClusterInstance,
+    ForecastMatrix,
     InstanceDataError,
     InstanceError,
     InstanceFormatError,
@@ -299,6 +301,12 @@ def test_violation_bad_runtime():
             ),
             "unknown_film",
         ),
+        (
+            lambda d: d["films"].append(
+                {"id": 99, "title": "Ghost", "runtime_minutes": 90, "cluster_id": "nowhere"}
+            ),
+            "unknown_cluster",
+        ),
     ],
 )
 def test_parse_stage_data_errors(mutate, code):
@@ -307,6 +315,79 @@ def test_parse_stage_data_errors(mutate, code):
     with pytest.raises(InstanceDataError) as err:
         load_instance(doc)
     assert any(v.code == code for v in err.value.violations)
+
+
+@pytest.mark.parametrize("clusters", [2, 3, 5])
+def test_each_cluster_validates_on_its_own(clusters):
+    # screen ids continue across clusters, so only the first cluster's start at 1
+    multi = load_instance(generate_document(3, 2, clusters=clusters, seed=1))
+    assert [validate_instance(cluster) for cluster in multi.clusters] == [[]] * clusters
+
+
+def test_forecast_violations_name_the_documents_screen(example_document):
+    doc = copy.deepcopy(example_document)
+    for screen in doc["screens"]:
+        screen["id"] += 100
+    for entry in doc["forecast"]:
+        entry["screen_id"] += 100
+    doc["forecast"][0]["attendance"] = -2                   # screen 101, film 1, config 1
+    doc["forecast"].append({"screen_id": 101, "film_id": 1, "config_index": 9, "attendance": 3})
+    del doc["forecast"][1]                                   # screen 101, film 1, config 2
+    with pytest.raises(InstanceDataError) as err:
+        load_instance(doc)
+    assert [str(v) for v in err.value.violations] == [
+        "negative_coefficient: forecast entry (screen 101, film 1, config 1) is negative (-2)",
+        "unknown_configuration: forecast entry (screen 101, film 1, config 9)"
+        " references an unknown configuration",
+        "missing_forecast_entry: no forecast entry for (screen 101, film 1, config 2)",
+    ]
+
+
+def _shift_screens(cluster, by):
+    """``cluster`` with every screen id, and its forecast rows, moved by ``by``."""
+    screens = tuple(replace(s, screen_id=s.screen_id + by) for s in cluster.screens)
+    forecast = {
+        (sid + by, film_id, config_index): milli
+        for (sid, film_id, config_index), milli in cluster.forecast.entries.items()
+    }
+    return replace(cluster, screens=screens, forecast=ForecastMatrix(forecast))
+
+
+def _stray_row(cluster):
+    return replace(cluster, forecast=ForecastMatrix({**cluster.forecast.entries, (7, 1, 1): 3000}))
+
+
+@pytest.mark.parametrize("wrap", [lambda cluster: cluster, as_multi], ids=["cluster", "multi"])
+@pytest.mark.parametrize(
+    "spoil, line",
+    [
+        (lambda cluster: _shift_screens(cluster, -1), "bad_screen_id: screen id 0 must be positive"),
+        # a screen the cluster does not have is named by the id the row holds
+        (_stray_row, "unknown_screen: forecast entry (screen 7, film 1, config 1) references an unknown screen"),
+    ],
+    ids=["zero-screen", "stray-row"],
+)
+def test_hand_built_cluster_violations(wrap, spoil, line):
+    cluster = spoil(support.matrix_instance([[5]]))
+    assert [str(v) for v in validate_instance(wrap(cluster))] == [line]
+
+
+@pytest.mark.parametrize(
+    "spoil, line",
+    [
+        # cluster b's screens 3 and 4 become 1 and 2, cluster a's ids
+        (lambda a, b: (a, _shift_screens(b, -2)),
+         "duplicate_screen_id: screen ids are not globally unique across clusters"),
+        (lambda a, b: (replace(a, screens=a.screens[:1] + a.screens), b),
+         "duplicate_screen_id: screen id 1 appears more than once"),
+    ],
+    ids=["across-clusters", "within-a-cluster"],
+)
+def test_a_repeated_screen_id_is_reported_once(spoil, line):
+    multi = load_instance(two_cluster_document())
+    assert validate_instance(multi) == []
+    spoiled = MultiClusterInstance(spoil(*multi.clusters))
+    assert [str(v) for v in validate_instance(spoiled)] == [line]
 
 
 def test_format_errors():

@@ -3,6 +3,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import support
 from cinestagger import (
@@ -16,7 +18,7 @@ from cinestagger import (
     load_instance,
 )
 from cinestagger.domain import as_multi, format_attendance
-from cinestagger.formulation import direct_sum
+from cinestagger.formulation import _row_name, direct_sum
 
 VIEWS = ("variables", "objective", "equality_rows", "inequality_rows")
 
@@ -287,6 +289,21 @@ def test_feasible_assignments_have_cardinality_screen_count(example_model):
 
 def test_variable_names():
     assert VariableRef(3, 5, 2).name == "X_s3_f5_c2"
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=st.text(max_size=6), second=st.text(max_size=6))
+@example(first="a-b", second="a_b")
+@example(first="a_x2d_b", second="a-b")
+@example(first="a__b", second="a_b")
+@example(first="c1", second="c2")
+def test_row_names_tell_cluster_ids_apart(first, second):
+    names = [_row_name((cluster_id, 1, 2)) for cluster_id in (first, second)]
+    assert (names[0] == names[1]) == (first == second)
+    # ids of ASCII letters and digits keep the names they always had
+    for cluster_id, name in zip((first, second), names):
+        if cluster_id.isascii() and cluster_id.isalnum():
+            assert name == f"stagger_{cluster_id}_f1_c2"
 
 
 def test_direct_sum_of_one_cluster_is_its_joint_model(example_instance, example_model):
