@@ -6,7 +6,8 @@ error diagnostics go to standard error, so output given identical input
 is byte-identical run to run.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 unreadable or
-unparsable input or an unwritable ``--export-lp`` path, 3 infeasible
+unparsable input, an unwritable ``--export-lp`` path or a standard output
+closed by its reader, 3 infeasible
 instance, 4 internal error (a result failed its proof check, so no
 answer is trusted).
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import re
 import sys
 import time
@@ -338,7 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        # what is still buffered goes to devnull, so the flush at exit cannot fail
+        # again (the Python docs' note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return 2
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -151,7 +151,8 @@ def milli_to_json(milli: int):
     """Milliunits as an exact JSON number: an int when whole, else a Decimal.
 
     The Decimal is built from :func:`format_attendance`, so it never prints
-    in exponent notation, and :func:`dumps_json` writes it as that text.
+    in exponent notation, and :func:`dumps_json` and :func:`dumps_instance`
+    write it as that text.
     """
     if milli % MILLI == 0:
         return milli // MILLI
@@ -741,7 +742,23 @@ def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Vi
 
 
 def serialize_instance(instance: Instance) -> dict:
-    """Instance back to the document shape accepted by :func:`load_instance`."""
+    """Instance back to the document shape accepted by :func:`load_instance`.
+
+    The parse of :func:`dumps_instance`'s text, fractional attendance
+    values as exact ``Decimal``s; raises the same ``ValueError``s.
+    """
+    return json.loads(dumps_instance(instance), parse_float=Decimal)
+
+
+def dumps_instance(instance: Instance) -> str:
+    """The instance as the document :func:`load_instance` reads, as canonical JSON text.
+
+    Byte-deterministic for equal instances, laid out as :func:`dumps_json`
+    lays out the document.  Raises ``ValueError`` when the clusters cannot
+    share one document: different stagger intervals, a film playing in some
+    but not all of several clusters, or a (film, config) key with different
+    showtimes in two clusters.
+    """
     clusters = instance.clusters if isinstance(instance, MultiClusterInstance) else (instance,)
 
     staggers = {c.stagger_interval_minutes for c in clusters}
@@ -788,43 +805,47 @@ def serialize_instance(instance: Instance) -> dict:
             )
         doc["films"].append(entry)
 
-    seen_configs = set()
-    doc["configurations"] = []
+    # a configuration shared by several clusters is written once, so it must
+    # have the same showtimes in each
+    first_seen: Dict[Tuple[int, int], Tuple[ShowtimeConfiguration, str]] = {}
     for cluster in clusters:
         for config in cluster.configurations:
-            if config.key() in seen_configs:
-                continue
-            seen_configs.add(config.key())
-            doc["configurations"].append(
-                {
-                    "film_id": config.film_id,
-                    "config_index": config.config_index,
-                    "showtimes": [format_hhmm(t) for t in config.showtimes],
-                }
-            )
-    doc["configurations"].sort(key=lambda c: (c["film_id"], c["config_index"]))
+            seen = first_seen.setdefault(config.key(), (config, cluster.cluster_id))
+            if seen[0].showtimes != config.showtimes:
+                raise ValueError(
+                    f"film {config.film_id} config {config.config_index} has different showtimes"
+                    f" in clusters {seen[1]!r} and {cluster.cluster_id!r};"
+                    " a document lists each configuration once"
+                )
+    doc["configurations"] = [
+        {
+            "film_id": config.film_id,
+            "config_index": config.config_index,
+            "showtimes": [format_hhmm(t) for t in config.showtimes],
+        }
+        for config, _ in sorted(first_seen.values(), key=lambda seen: seen[0].key())
+    ]
 
-    internal_to_external = {s.screen_id: s.source_id for s in screens}
+    # the forecast is most of the document's bytes, so its rows are written
+    # from one template, as dumps_json would write each row's dict
+    external = {s.screen_id: s.source_id for s in screens}
     rows = sorted(
         (key, milli)
         for cluster in clusters
         for key, milli in cluster.forecast.entries.items()
     )
-    doc["forecast"] = [
-        {
-            "screen_id": internal_to_external[sid],
-            "film_id": film_id,
-            "config_index": config_index,
-            "attendance": milli_to_json(milli),
-        }
+    forecast = ",".join([
+        f'\n    {{\n      "screen_id": {external[sid]},\n      "film_id": {film_id},\n'
+        f'      "config_index": {config_index},\n      "attendance": {milli_to_json(milli)}\n    }}'
         for (sid, film_id, config_index), milli in rows
-    ]
-    return doc
-
-
-def dumps_instance(instance: Instance) -> str:
-    """Serialize to canonical JSON text (byte-deterministic for equal instances)."""
-    return dumps_json(serialize_instance(instance)) + "\n"
+    ])
+    # doc holds every block but the forecast; a non-empty object, its text ends "\n}"
+    return (
+        dumps_json(doc)[:-2]
+        + ',\n  "forecast": '
+        + ("[" + forecast + "\n  ]" if rows else "[]")
+        + "\n}\n"
+    )
 
 
 # exact scalar types and their JSON text; bool is its own type, so never read as int

@@ -9,6 +9,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from cinestagger import BilpModel, ClusterInstance, MultiClusterInstance, load_instance
+from cinestagger.domain import Film, format_hhmm, milli_to_json
 
 WINDOW_OPEN = 720
 WINDOW_LAST = 1380
@@ -212,3 +213,87 @@ def without_variables(model: BilpModel, banned) -> BilpModel:
         equality_rows=tuple((sid, keep(row)) for sid, row in model.equality_rows),
         inequality_rows=tuple((key, keep(row)) for key, row in model.inequality_rows),
     )
+
+
+def reference_document(instance) -> dict:
+    """The instance as a document dict, built entry by entry.
+
+    The reference that ``dumps_instance``'s text is checked against:
+    ``dumps_json`` of this dict is the document it must write.
+    """
+    clusters = instance.clusters if isinstance(instance, MultiClusterInstance) else (instance,)
+
+    staggers = {c.stagger_interval_minutes for c in clusters}
+    if len(staggers) != 1:
+        raise ValueError("cannot serialize clusters with different stagger intervals into one document")
+
+    doc: dict = {"stagger_interval_minutes": staggers.pop()}
+    doc["locations"] = [
+        {
+            "id": loc.location_id,
+            "name": loc.name,
+            "cluster_id": loc.cluster_id,
+            "open_time": format_hhmm(loc.open_time),
+            "last_showtime": format_hhmm(loc.last_showtime),
+        }
+        for cluster in clusters
+        for loc in cluster.locations
+    ]
+
+    screens = sorted(
+        (s for cluster in clusters for s in cluster.screens), key=lambda s: s.screen_id
+    )
+    doc["screens"] = [{"id": s.source_id, "location_id": s.location_id} for s in screens]
+
+    film_clusters: Dict[int, List[str]] = {}
+    film_objects: Dict[int, Film] = {}
+    for cluster in clusters:
+        for film in cluster.films:
+            film_clusters.setdefault(film.film_id, []).append(cluster.cluster_id)
+            film_objects[film.film_id] = film
+    doc["films"] = []
+    for film_id in sorted(film_clusters):
+        film = film_objects[film_id]
+        entry = {"id": film.film_id, "title": film.title, "runtime_minutes": film.runtime_minutes}
+        owners = film_clusters[film_id]
+        if len(owners) == 1 and len(clusters) > 1:
+            entry["cluster_id"] = owners[0]
+        elif len(owners) != len(clusters):
+            raise ValueError(
+                f"film {film_id} plays in {len(owners)} of {len(clusters)} clusters;"
+                " only global or single-cluster films serialize"
+            )
+        doc["films"].append(entry)
+
+    seen_configs = set()
+    doc["configurations"] = []
+    for cluster in clusters:
+        for config in cluster.configurations:
+            if config.key() in seen_configs:
+                continue
+            seen_configs.add(config.key())
+            doc["configurations"].append(
+                {
+                    "film_id": config.film_id,
+                    "config_index": config.config_index,
+                    "showtimes": [format_hhmm(t) for t in config.showtimes],
+                }
+            )
+    doc["configurations"].sort(key=lambda c: (c["film_id"], c["config_index"]))
+
+    internal_to_external = {s.screen_id: s.source_id for s in screens}
+    rows = sorted(
+        (key, milli)
+        for cluster in clusters
+        for key, milli in cluster.forecast.entries.items()
+    )
+    doc["forecast"] = [
+        {
+            "screen_id": internal_to_external[sid],
+            "film_id": film_id,
+            "config_index": config_index,
+            "attendance": milli_to_json(milli),
+        }
+        for (sid, film_id, config_index), milli in rows
+    ]
+    return doc

@@ -2,6 +2,7 @@ import copy
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -548,3 +549,88 @@ def test_solve_byte_identical_across_processes(example_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert b"Objective: 2615" in first.stdout
+
+
+def _two_windows(open_time):
+    """synth's 3 locations split into clusters a (location 1) and b (2-3, opening at
+    ``open_time``), configurations generated on load and the forecast filled for them."""
+    doc = generate_document(screens=6, films=3, seed=5)
+    for location in doc["locations"]:
+        if location["id"] == 1:
+            location["cluster_id"] = "a"
+        else:
+            location.update(cluster_id="b", open_time=open_time)
+    del doc["configurations"]
+    doc["forecast"] = [
+        {"screen_id": screen.source_id, "film_id": film_id, "config_index": config_index, "attendance": 5}
+        for cluster in as_multi(load_instance(doc, allow_partial=True)).clusters
+        for screen in cluster.screens
+        for film_id, config_index in (c.key() for c in cluster.configurations)
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("open_time", ["12:30", "11:30"])
+def test_generate_configs_refuses_showtimes_that_differ_between_clusters(tmp_path, capsys, open_time):
+    # one document lists each (film, config) once, so it cannot carry both clusters' showtimes
+    path = write_doc(tmp_path, _two_windows(open_time))
+    assert main(["validate", path]) == 0
+    assert main(["solve", path]) == 0
+    capsys.readouterr()
+    assert main(["generate-configs", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: film 1 config 1 has different showtimes in clusters 'a' and 'b';"
+        " a document lists each configuration once"
+    ]
+
+
+@pytest.mark.parametrize("turnover", ["0", "20"])
+@pytest.mark.parametrize("source", ["example", "synth"])
+def test_generate_configs_is_a_fixed_point(example_path, tmp_path, capsys, source, turnover):
+    if source == "example":
+        path = str(example_path)
+    else:
+        path = write_doc(tmp_path, generate_document(screens=8, films=4, clusters=3, seed=2))
+    assert main(["generate-configs", path, "--turnover", turnover]) == 0
+    first = capsys.readouterr().out
+    again = tmp_path / "again.json"
+    again.write_text(first, encoding="utf-8")
+    assert main(["generate-configs", str(again), "--turnover", turnover]) == 0
+    assert capsys.readouterr().out == first
+
+
+def _closed_reader_run(argv, lines_read, err_path):
+    """Exit code and stderr of the console module writing to a pipe whose reader
+    closes after ``lines_read`` lines; stderr goes to a file, which never blocks."""
+    command = [sys.executable, "-m", "cinestagger", *argv]
+    with open(err_path, "wb") as err:
+        if lines_read == 0:
+            # the read end is closed before the child starts, so its first write fails
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as stdout:
+                child = subprocess.Popen(command, stdout=stdout, stderr=err)
+        else:
+            child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=err)
+            for _ in range(lines_read):
+                child.stdout.readline()
+            child.stdout.close()
+        code = child.wait(timeout=60)
+    return code, err_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_a_closed_stdout_exits_2_without_a_traceback(example_document, tmp_path, lines_read):
+    if lines_read == 0:
+        argv = ["validate", write_doc(tmp_path, example_document)]     # prints "ok"
+    else:
+        # far more violation lines than a pipe buffers
+        doc = generate_document(screens=40, films=15, clusters=3, seed=1)
+        for row in doc["forecast"]:
+            row["attendance"] = -1
+        argv = ["validate", write_doc(tmp_path, doc)]
+    code, err = _closed_reader_run(argv, lines_read, tmp_path / "stderr.txt")
+    assert code == 2
+    assert err == "error: cannot write standard output: Broken pipe\n"

@@ -25,6 +25,10 @@ from cinestagger.domain import (
     ATTENDANCE_LIMIT,
     MAX_MINUTES,
     MILLI,
+    Film,
+    Location,
+    Screen,
+    ShowtimeConfiguration,
     as_multi,
     dumps_json,
     format_attendance,
@@ -679,3 +683,83 @@ def test_dumps_instance_round_trips_exact_attendance(milli):
     instance = load_instance(doc)
     assert [instance.forecast.get(1, 1, c) for c in (1, 2)] == milli
     assert load_instance(json.loads(dumps_instance(instance), parse_float=Decimal)) == instance
+
+
+# names past ASCII, but no lone surrogates: JSON text joins two adjacent ones into one character
+names = st.text(st.characters(max_codepoint=0x1F600, blacklist_categories=("Cs",)), max_size=6)
+# zero, negative, fractional and the largest accepted magnitude, besides any other milliunits
+milli_values = st.sampled_from([0, -1, 1, 226500, -226500, ATTENDANCE_LIMIT * MILLI - 1]) | st.integers(
+    -(ATTENDANCE_LIMIT * MILLI - 1), ATTENDANCE_LIMIT * MILLI - 1
+)
+
+
+@st.composite
+def hand_built_instances(draw):
+    """1-4 clusters built without the loader: screen ids that are not file
+    positions, films shared by every cluster or scoped to one, and empty or
+    partial forecasts."""
+    count = draw(st.integers(1, 4))
+    cluster_ids = draw(st.lists(names.filter(bool), min_size=count, max_size=count, unique=True))
+    screens_per_cluster = [draw(st.integers(0, 3)) for _ in range(count)]
+    positions = draw(st.permutations(range(1, sum(screens_per_cluster) + 1)))
+    external_ids = draw(
+        st.lists(st.integers(1, 10**9), min_size=len(positions), max_size=len(positions), unique=True)
+    )
+    film_ids = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True))
+    location_ids = iter(
+        draw(st.lists(st.integers(1, 10**6), min_size=2 * count, max_size=2 * count, unique=True))
+    )
+
+    films_of = [[] for _ in range(count)]
+    configs_of = [[] for _ in range(count)]
+    for film_id in film_ids:
+        film = Film(film_id, draw(names), draw(st.integers(1, 300)))
+        configs = [
+            ShowtimeConfiguration(
+                film_id,
+                index,
+                tuple(sorted(draw(st.sets(st.integers(0, MAX_MINUTES), min_size=1, max_size=4)))),
+            )
+            for index in range(1, draw(st.integers(1, 3)) + 1)
+        ]
+        owners = range(count) if draw(st.booleans()) else [draw(st.integers(0, count - 1))]
+        for k in owners:
+            films_of[k].append(film)
+            configs_of[k].extend(configs)
+
+    clusters = []
+    screen_ids = iter(zip(positions, external_ids))
+    for k, cluster_id in enumerate(cluster_ids):
+        locations = []
+        for _ in range(draw(st.integers(1, 2))):
+            window = sorted(draw(st.lists(st.integers(0, MAX_MINUTES), min_size=2, max_size=2)))
+            locations.append(Location(next(location_ids), draw(names), cluster_id, *window))
+        screens = tuple(
+            Screen(position, draw(st.sampled_from(locations)).location_id, external)
+            for position, external in (next(screen_ids) for _ in range(screens_per_cluster[k]))
+        )
+        cells = [(s.screen_id, *c.key()) for s in screens for c in configs_of[k]]
+        keys = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+        clusters.append(
+            ClusterInstance(
+                cluster_id=cluster_id,
+                locations=tuple(locations),
+                screens=screens,
+                films=tuple(films_of[k]),
+                configurations=tuple(draw(st.permutations(configs_of[k]))),
+                stagger_interval_minutes=30,
+                forecast=ForecastMatrix({key: draw(milli_values) for key in keys}),
+            )
+        )
+    if count == 1 and draw(st.booleans()):
+        return clusters[0]
+    return MultiClusterInstance(clusters=tuple(clusters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=hand_built_instances())
+def test_dumps_instance_writes_the_reference_document(instance):
+    reference = support.reference_document(instance)
+    assert dumps_instance(instance) == dumps_json(reference) + "\n"
+    # the same values of the same types, Decimal where fractional
+    assert repr(serialize_instance(instance)) == repr(reference)
