@@ -32,7 +32,6 @@ from .confgen import generate_configurations  # noqa: F401
 from .domain import (
     MILLI,
     ClusterInstance,
-    ForecastMatrix,
     InstanceDataError,
     InstanceFormatError,
     MultiClusterInstance,
@@ -102,7 +101,26 @@ def _print_csv(all_rows: List[dict]) -> None:
             [r["screen_id"], r["location"], r["film_id"], r["film_title"],
              r["config_index"], " ".join(r["showtimes"])]
         )
-    sys.stdout.write(buf.getvalue())
+    _write_stdout(buf.getvalue())
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output whole, or raise BrokenPipeError.
+
+    When the reader closes during one large write, the buffered writer
+    returns a short count without an error and the text layer drops the
+    rest.  So the bytes are handed over until every one is taken: the write
+    after a short count meets the closed pipe and raises.
+    """
+    stream = sys.stdout
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:      # an in-memory text stream takes the text whole
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[buffer.write(data):]
 
 
 def _write_lp(models, path: str) -> bool:
@@ -164,7 +182,7 @@ def cmd_solve(args) -> int:
             else:
                 entry["diagnostic"] = cluster_report.diagnostic
             doc["clusters"].append(entry)
-        print(dumps_json(doc))
+        _write_stdout(dumps_json(doc) + "\n")
     else:
         all_rows = [
             row
@@ -213,12 +231,11 @@ def cmd_generate_configs(args) -> int:
         rebuilt = []
         for cluster in multi.clusters:
             configs = default_configurations(cluster, args.turnover)
-            keys = {c.key() for c in configs}
-            kept = {k: v for k, v in cluster.forecast.entries.items() if k[1:] in keys}
-            rebuilt.append(replace(cluster, configurations=configs, forecast=ForecastMatrix(kept)))
+            forecast = cluster.forecast.with_columns(c.key() for c in configs)
+            rebuilt.append(replace(cluster, configurations=configs, forecast=forecast))
         multi = MultiClusterInstance(clusters=tuple(rebuilt))
 
-    sys.stdout.write(dumps_instance(multi))
+    _write_stdout(dumps_instance(multi))
     return 0
 
 

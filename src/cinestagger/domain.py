@@ -18,6 +18,11 @@ Representation choices that everything downstream relies on:
   violations and serialization use it.  Validation needs screen ids only
   to be positive and unique, so a cluster checks the same on its own as
   inside its document.
+* A cluster's forecast is one screens x configurations matrix, rows in
+  ascending screen id and columns in ascending (film, config) order, the
+  layout of the cluster's model.  A missing forecast entry is a ``None``
+  cell.  The loader fills the matrix in one pass over the document's
+  rows, and validation, the model and the writer all read it.
 
 Instances are immutable after loading and safe to share across threads.
 """
@@ -30,8 +35,10 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 MILLI = 1000          # fixed scaling denominator for attendance coefficients
 MAX_MINUTES = 1679    # 27:59 -- latest representable time of day
@@ -151,8 +158,8 @@ def milli_to_json(milli: int):
     """Milliunits as an exact JSON number: an int when whole, else a Decimal.
 
     The Decimal is built from :func:`format_attendance`, so it never prints
-    in exponent notation, and :func:`dumps_json` and :func:`dumps_instance`
-    write it as that text.
+    in exponent notation; :func:`dumps_json` writes it as that text, the
+    text :func:`dumps_instance` writes for the value.
     """
     if milli % MILLI == 0:
         return milli // MILLI
@@ -196,14 +203,72 @@ class ShowtimeConfiguration:
         return (self.film_id, self.config_index)
 
 
+# (screen, film, config, milliunits): one forecast row
+ForecastRow = Tuple[int, int, int, int]
+
+
 @dataclass(frozen=True)
 class ForecastMatrix:
-    """Predicted attendance per (screen, film, configuration), in milliunits."""
+    """Predicted attendance, in milliunits, as a screens x columns matrix.
 
-    entries: Dict[Tuple[int, int, int], int]
+    ``rows[i][j]`` is the attendance of screen ``screen_ids[i]`` playing
+    ``column_keys[j]``, a (film, config) key, or None where no forecast row
+    gives it.  Screen ids and column keys ascend, so the cells run in
+    (screen, film, config) order.  ``flagged`` lists the rows validation
+    reports on, as (screen, film, config, milli) in the order they were
+    read: every negative cell, and every row outside the matrix, which is
+    kept only there.  A model built from the matrix shares its rows, so
+    nothing mutates them.
+    """
+
+    screen_ids: Tuple[int, ...]
+    column_keys: Tuple[Tuple[int, int], ...]
+    rows: List[List[Optional[int]]]
+    flagged: Tuple[ForecastRow, ...] = ()
+
+    @cached_property
+    def _index(self) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int]]:
+        """(screen id -> row, (film, config) -> column)."""
+        return (
+            {sid: i for i, sid in enumerate(self.screen_ids)},
+            {key: j for j, key in enumerate(self.column_keys)},
+        )
+
+    @property
+    def stray_rows(self) -> Tuple[ForecastRow, ...]:
+        """The flagged rows outside the matrix, in the order they were read."""
+        row_of, column_of = self._index
+        return tuple(row for row in self.flagged if row[0] not in row_of or row[1:3] not in column_of)
 
     def get(self, screen_id: int, film_id: int, config_index: int) -> int:
-        return self.entries[(screen_id, film_id, config_index)]
+        """The attendance of one cell; KeyError where the matrix holds none."""
+        row_of, column_of = self._index
+        i, j = row_of.get(screen_id), column_of.get((film_id, config_index))
+        if i is None or j is None or self.rows[i][j] is None:
+            raise KeyError((screen_id, film_id, config_index))
+        return self.rows[i][j]
+
+    @property
+    def entries(self) -> Mapping[Tuple[int, int, int], int]:
+        """Read-only view of the cells holding a value, by (screen, film, config), in matrix order."""
+        return MappingProxyType({
+            (sid, film_id, config_index): milli
+            for sid, row in zip(self.screen_ids, self.rows)
+            for (film_id, config_index), milli in zip(self.column_keys, row)
+            if milli is not None
+        })
+
+    def with_columns(self, column_keys: Iterable[Tuple[int, int]]) -> ForecastMatrix:
+        """The matrix over ``column_keys``: a kept column keeps its cells, a new one is all None."""
+        column_keys = tuple(sorted(set(column_keys)))
+        if column_keys == self.column_keys:
+            return self
+        column_of = self._index[1]
+        picks = [column_of.get(key) for key in column_keys]
+        rows = [[None if j is None else row[j] for j in picks] for row in self.rows]
+        kept = set(column_keys)
+        flagged = tuple(row for row in self.flagged if row[1:3] in kept)
+        return ForecastMatrix(self.screen_ids, column_keys, rows, flagged)
 
 
 @dataclass
@@ -301,9 +366,14 @@ class _ClusterParts:
     locations: List[Location] = field(default_factory=list)
     screens: List[Screen] = field(default_factory=list)
     films: List[Film] = field(default_factory=list)
-    film_ids: Set[int] = field(default_factory=set)
     configurations: List[ShowtimeConfiguration] = field(default_factory=list)
-    forecast: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
+    # the forecast matrix being filled: its (film, config) columns, film ->
+    # config index -> column for every film of the cluster, the rows, and the
+    # flagged rows in document order
+    columns: Tuple[Tuple[int, int], ...] = ()
+    columns_of: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    rows: List[List[Optional[int]]] = field(default_factory=list)
+    flagged: List[ForecastRow] = field(default_factory=list)
 
 
 def _forecast_ids(entry: dict) -> Tuple[int, int, int]:
@@ -367,12 +437,11 @@ def parse_document(
         parts[loc.cluster_id].locations.append(loc)
     every_cluster = tuple(parts.values())
 
-    # document screen id -> (internal screen id, the screen's cluster)
-    screen_route: Dict[int, Tuple[int, _ClusterParts]] = {}
+    seen_screens: Set[int] = set()
     for position, entry in enumerate(_as_list(_require(obj, "screens", "document"), "screens"), start=1):
         ext_id = _require_int(_require(entry, "id", "screen"), "screen id")
         loc_id = _require_int(_require(entry, "location_id", f"screen {ext_id}"), f"screen {ext_id} location_id")
-        if ext_id in screen_route:
+        if ext_id in seen_screens:
             raise InstanceDataError(
                 [Violation("duplicate_screen_id", f"screen id {ext_id} appears more than once")]
             )
@@ -383,7 +452,7 @@ def parse_document(
         part = parts[location_by_id[loc_id].cluster_id]
         # re-index to 1..S in file order, keeping the document id around
         part.screens.append(Screen(screen_id=position, location_id=loc_id, external_id=ext_id))
-        screen_route[ext_id] = (position, part)
+        seen_screens.add(ext_id)
 
     # film id -> the clusters it plays in
     film_owners: Dict[int, Tuple[_ClusterParts, ...]] = {}
@@ -413,7 +482,6 @@ def parse_document(
         film_owners[film_id] = owners
         for part in owners:
             part.films.append(film)
-            part.film_ids.add(film_id)
 
     config_rows = _as_list(obj.get("configurations", []), "configurations")
     for entry in config_rows:
@@ -437,45 +505,11 @@ def parse_document(
         for part in film_owners[film_id]:
             part.configurations.append(config)
 
-    forecast_raw = obj.get("forecast")
-    if forecast_raw is None:
-        if not allow_partial:
-            raise InstanceFormatError("document: missing key 'forecast'")
-        forecast_raw = []
-    # forecast rows must pair a screen with a film playing in its cluster; the
-    # first row that does not is reported once every row has parsed
-    outside: Optional[Tuple[int, int, int]] = None
-    for entry in _as_list(forecast_raw, "forecast"):
-        ext_sid = entry.get("screen_id")
-        film_id = entry.get("film_id")
-        config_index = entry.get("config_index")
-        if type(ext_sid) is not int or type(film_id) is not int or type(config_index) is not int:
-            ext_sid, film_id, config_index = _forecast_ids(entry)
-        route = screen_route.get(ext_sid)
-        if route is None:
-            label = _row_label(ext_sid, film_id, config_index)
-            raise InstanceDataError([Violation("unknown_screen", f"{label} references an unknown screen")])
-        sid, part = route
-        if film_id not in part.film_ids:
-            if film_id not in film_owners:
-                label = _row_label(ext_sid, film_id, config_index)
-                raise InstanceDataError([Violation("unknown_film", f"{label} references an unknown film")])
-            if outside is None:
-                outside = (ext_sid, film_id, config_index)
-        key = (sid, film_id, config_index)
-        entries = part.forecast
-        if key in entries:
-            label = _row_label(ext_sid, film_id, config_index)
-            raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
-        attendance = entry.get("attendance")
-        if type(attendance) is int and -ATTENDANCE_LIMIT < attendance < ATTENDANCE_LIMIT:
-            entries[key] = attendance * MILLI
-        else:
-            entries[key] = parse_attendance(
-                _require(entry, "attendance", _row_label(ext_sid, film_id, config_index))
-            )
-
-    clusters = []
+    # each cluster's configurations, generated when the document lists none,
+    # fix its matrix's columns; a generation error is raised after the forecast
+    # rows, whose own errors come first
+    clusters: List[ClusterInstance] = []
+    generation_error: Optional[Exception] = None
     for cluster_id, part in parts.items():
         cluster = ClusterInstance(
             cluster_id=cluster_id,
@@ -484,12 +518,82 @@ def parse_document(
             films=tuple(part.films),
             configurations=tuple(part.configurations),
             stagger_interval_minutes=stagger,
-            forecast=ForecastMatrix(part.forecast),
+            forecast=ForecastMatrix((), (), []),
         )
         if not config_rows:
-            cluster.configurations = default_configurations(cluster, turnover_minutes)
+            try:
+                cluster.configurations = default_configurations(cluster, turnover_minutes)
+            except (InstanceDataError, ValueError) as exc:
+                generation_error = generation_error or exc
+        part.columns = tuple(sorted({config.key() for config in cluster.configurations}))
+        part.columns_of = {film.film_id: {} for film in part.films}
+        for column, (film_id, config_index) in enumerate(part.columns):
+            part.columns_of[film_id][config_index] = column
+        part.rows = [[None] * len(part.columns) for _ in part.screens]
         clusters.append(cluster)
+    # document screen id -> (internal screen id, its matrix row, film -> config
+    # index -> column, the flagged rows) of the screen's cluster
+    row_route = {
+        screen.external_id: (screen.screen_id, row, part.columns_of, part.flagged)
+        for part in every_cluster
+        for screen, row in zip(part.screens, part.rows)
+    }
 
+    forecast_raw = obj.get("forecast")
+    if forecast_raw is None:
+        if not allow_partial:
+            raise InstanceFormatError("document: missing key 'forecast'")
+        forecast_raw = []
+    # forecast rows must pair a screen with a film playing in its cluster; the
+    # first row that does not is reported once every row has parsed
+    outside: Optional[Tuple[int, int, int]] = None
+    stray: Set[Tuple[int, int, int]] = set()    # (screen, film, config) of rows outside the matrix
+    for entry in _as_list(forecast_raw, "forecast"):
+        ext_sid = entry.get("screen_id")
+        film_id = entry.get("film_id")
+        config_index = entry.get("config_index")
+        if type(ext_sid) is not int or type(film_id) is not int or type(config_index) is not int:
+            ext_sid, film_id, config_index = _forecast_ids(entry)
+        try:
+            sid, row, columns_of, flagged = row_route[ext_sid]
+            column: Optional[int] = columns_of[film_id][config_index]
+        except KeyError:    # an unknown screen or film, or a row outside the matrix
+            column = None
+        if column is not None:
+            if row[column] is not None:
+                label = _row_label(ext_sid, film_id, config_index)
+                raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
+            attendance = entry.get("attendance")
+            if type(attendance) is int and 0 <= attendance < ATTENDANCE_LIMIT:
+                row[column] = attendance * MILLI
+                continue
+        else:
+            route = row_route.get(ext_sid)
+            if route is None:
+                label = _row_label(ext_sid, film_id, config_index)
+                raise InstanceDataError([Violation("unknown_screen", f"{label} references an unknown screen")])
+            sid, row, columns_of, flagged = route
+            if film_id not in columns_of:
+                if film_id not in film_owners:
+                    label = _row_label(ext_sid, film_id, config_index)
+                    raise InstanceDataError([Violation("unknown_film", f"{label} references an unknown film")])
+                if outside is None:
+                    outside = (ext_sid, film_id, config_index)
+            if (sid, film_id, config_index) in stray:
+                label = _row_label(ext_sid, film_id, config_index)
+                raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
+            stray.add((sid, film_id, config_index))
+        milli = parse_attendance(_require(entry, "attendance", _row_label(ext_sid, film_id, config_index)))
+        if column is not None:
+            row[column] = milli
+        if column is None or milli < 0:
+            flagged.append((sid, film_id, config_index, milli))
+
+    for cluster, part in zip(clusters, every_cluster):
+        screen_ids = tuple(screen.screen_id for screen in part.screens)
+        cluster.forecast = ForecastMatrix(screen_ids, part.columns, part.rows, tuple(part.flagged))
+    if generation_error is not None:
+        raise generation_error
     if outside is not None:
         label = _row_label(*outside)
         raise InstanceDataError([Violation("unknown_film", f"{label} pairs a screen with a film outside its cluster")])
@@ -542,14 +646,16 @@ def default_configurations(
 def read_document(path: Union[str, Path]):
     """The parsed JSON document at ``path``, decimals kept exact.
 
-    Raises :class:`InstanceFormatError` when the file cannot be read or
-    is not JSON.
+    Raises :class:`InstanceFormatError` when the file cannot be read, is
+    not UTF-8 or is not JSON.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not valid UTF-8 ({exc})") from exc
     # bad syntax, an integer past the int-string digit limit, or nesting
     # deeper than the decoder's recursion limit
     try:
@@ -714,23 +820,29 @@ def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Vi
                 Violation("film_without_configurations", f"film {film.film_id} has no showtime configurations")
             )
 
-    for (sid, film_id, config_index), milli in cluster.forecast.entries.items():
-        known_config = (film_id, config_index) in seen_config_keys
-        if milli >= 0 and known_config and sid in source_ids:
-            continue
-        # labelled only here: most rows are clean, and there may be tens of thousands
+    forecast = cluster.forecast
+    # only negative cells and rows outside the matrix can break a rule; most
+    # rows are clean, and there may be tens of thousands
+    for sid, film_id, config_index, milli in forecast.flagged:
         label = _row_label(source_ids.get(sid, sid), film_id, config_index)
         if milli < 0:
             v.append(Violation("negative_coefficient", f"{label} is negative ({format_attendance(milli)})"))
-        if not known_config:
+        if (film_id, config_index) not in seen_config_keys:
             v.append(Violation("unknown_configuration", f"{label} references an unknown configuration"))
         if sid not in source_ids:
             v.append(Violation("unknown_screen", f"{label} references an unknown screen"))
     if check_forecast:
+        # a missing entry is a None cell: only a row holding one is probed cell by cell
+        row_of, column_of = forecast._index
+        columns = [column_of.get(config.key()) for config in cluster.configurations]
+        covered = None not in columns
         for screen in cluster.screens:
-            for config in cluster.configurations:
-                key = (screen.screen_id, config.film_id, config.config_index)
-                if key not in cluster.forecast.entries:
+            i = row_of.get(screen.screen_id)
+            row = None if i is None else forecast.rows[i]
+            if covered and row is not None and None not in row:
+                continue
+            for config, j in zip(cluster.configurations, columns):
+                if row is None or j is None or row[j] is None:
                     v.append(
                         Violation(
                             "missing_forecast_entry",
@@ -827,23 +939,39 @@ def dumps_instance(instance: Instance) -> str:
     ]
 
     # the forecast is most of the document's bytes, so its rows are written
-    # from one template, as dumps_json would write each row's dict
+    # as dumps_json would write each row's dict, from one text per screen, per
+    # column and per distinct value; the matrices' cells are already in
+    # (film, config) order within each screen
     external = {s.screen_id: s.source_id for s in screens}
-    rows = sorted(
-        (key, milli)
-        for cluster in clusters
-        for key, milli in cluster.forecast.entries.items()
-    )
-    forecast = ",".join([
-        f'\n    {{\n      "screen_id": {external[sid]},\n      "film_id": {film_id},\n'
-        f'      "config_index": {config_index},\n      "attendance": {milli_to_json(milli)}\n    }}'
-        for (sid, film_id, config_index), milli in rows
-    ])
+    matrix_rows = []     # (screen id, its row, the row's column texts), one per screen
+    for cluster in clusters:
+        matrix = cluster.forecast
+        if matrix.stray_rows:
+            sid, film_id, config_index, _ = matrix.stray_rows[0]
+            raise ValueError(
+                f"{_row_label(external.get(sid, sid), film_id, config_index)} is outside"
+                f" cluster {cluster.cluster_id!r}'s screens and configurations;"
+                " only rows of its forecast matrix serialize"
+            )
+        heads = [
+            f'      "film_id": {film_id},\n      "config_index": {config_index},\n      "attendance": '
+            for film_id, config_index in matrix.column_keys
+        ]
+        matrix_rows.extend((sid, row, heads) for sid, row in zip(matrix.screen_ids, matrix.rows))
+    matrix_rows.sort(key=itemgetter(0))
+    values = set().union(*(row for _, row, _ in matrix_rows))
+    values.discard(None)
+    literal = {milli: format_attendance(milli) + "\n    }" for milli in values}
+    pieces = []
+    for sid, row, heads in matrix_rows:
+        prefix = f'\n    {{\n      "screen_id": {external[sid]},\n'
+        pieces.extend([prefix + head + literal[milli] for head, milli in zip(heads, row) if milli is not None])
+    forecast = ",".join(pieces)
     # doc holds every block but the forecast; a non-empty object, its text ends "\n}"
     return (
         dumps_json(doc)[:-2]
         + ',\n  "forecast": '
-        + ("[" + forecast + "\n  ]" if rows else "[]")
+        + ("[" + forecast + "\n  ]" if forecast else "[]")
         + "\n}\n"
     )
 

@@ -137,17 +137,23 @@ class BilpModel:
 def build_model(instance: ClusterInstance) -> BilpModel:
     """Formulate the cluster's scheduling problem.
 
-    Deterministic layout: rows follow ascending screen id, columns
-    ascending (film, config); every screen pairs with every configuration.
+    The model wraps the cluster's forecast matrix and shares its rows:
+    rows follow ascending screen id, columns ascending (film, config), and
+    every screen pairs with every configuration.  Raises ``ValueError``
+    when the matrix does not cover the cluster's screens and
+    configurations with a value in every cell.
     """
-    configs = sorted(config.key() for config in instance.configurations)
-    screen_ids = tuple(sorted(s.screen_id for s in instance.screens))
-    entries = instance.forecast.entries
-    weights = [
-        [entries[sid, film_id, config_index] for film_id, config_index in configs]
-        for sid in screen_ids
-    ]
-    return BilpModel.from_matrix(screen_ids, tuple(configs), weights)
+    forecast = instance.forecast
+    if (
+        forecast.screen_ids != tuple(sorted(s.screen_id for s in instance.screens))
+        or forecast.column_keys != tuple(sorted(c.key() for c in instance.configurations))
+        or any(None in row for row in forecast.rows)
+    ):
+        raise ValueError(
+            f"cluster {instance.cluster_id!r}: the forecast does not give every screen"
+            " and configuration a value"
+        )
+    return BilpModel.from_matrix(forecast.screen_ids, forecast.column_keys, forecast.rows)
 
 
 def direct_sum(blocks: Sequence[Tuple[str, BilpModel]]) -> BilpModel:

@@ -8,8 +8,27 @@ import copy
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from cinestagger import BilpModel, ClusterInstance, MultiClusterInstance, load_instance
-from cinestagger.domain import Film, format_hhmm, milli_to_json
+from cinestagger import (
+    BilpModel,
+    ClusterInstance,
+    ForecastMatrix,
+    InstanceDataError,
+    InstanceError,
+    InstanceFormatError,
+    MultiClusterInstance,
+    dumps_json,
+    load_instance,
+    validate_instance,
+)
+from cinestagger.domain import (
+    Film,
+    Violation,
+    format_attendance,
+    format_hhmm,
+    milli_to_json,
+    parse_attendance,
+    parse_document,
+)
 
 WINDOW_OPEN = 720
 WINDOW_LAST = 1380
@@ -215,11 +234,32 @@ def without_variables(model: BilpModel, banned) -> BilpModel:
     )
 
 
-def reference_document(instance) -> dict:
+def forecast_matrix(screen_ids, column_keys, entries: dict) -> ForecastMatrix:
+    """The forecast matrix of ``entries``, keyed by (screen, film, config), over
+    the given screens and (film, config) columns; entries outside them, and
+    negative ones, are flagged in the order given."""
+    screen_ids = tuple(sorted(set(screen_ids)))
+    column_keys = tuple(sorted(set(column_keys)))
+    row_of = {sid: i for i, sid in enumerate(screen_ids)}
+    column_of = {key: j for j, key in enumerate(column_keys)}
+    rows = [[None] * len(column_keys) for _ in screen_ids]
+    flagged = []
+    for (sid, film_id, config_index), milli in entries.items():
+        i, j = row_of.get(sid), column_of.get((film_id, config_index))
+        if i is None or j is None or milli < 0:
+            flagged.append((sid, film_id, config_index, milli))
+        if i is not None and j is not None:
+            rows[i][j] = milli
+    return ForecastMatrix(screen_ids, column_keys, rows, tuple(flagged))
+
+
+def reference_document(instance, forecasts: Optional[Dict[str, dict]] = None) -> dict:
     """The instance as a document dict, built entry by entry.
 
     The reference that ``dumps_instance``'s text is checked against:
-    ``dumps_json`` of this dict is the document it must write.
+    ``dumps_json`` of this dict is the document it must write.  With
+    ``forecasts``, each cluster's forecast rows are taken from that
+    cluster id's dict keyed by (screen, film, config).
     """
     clusters = instance.clusters if isinstance(instance, MultiClusterInstance) else (instance,)
 
@@ -285,7 +325,9 @@ def reference_document(instance) -> dict:
     rows = sorted(
         (key, milli)
         for cluster in clusters
-        for key, milli in cluster.forecast.entries.items()
+        for key, milli in (
+            cluster.forecast.entries if forecasts is None else forecasts[cluster.cluster_id]
+        ).items()
     )
     doc["forecast"] = [
         {
@@ -297,3 +339,130 @@ def reference_document(instance) -> dict:
         for (sid, film_id, config_index), milli in rows
     ]
     return doc
+
+
+# the dict-based forecast path the matrix loader replaced: the parse's
+# forecast loop, the validator's forecast checks and build_model's copy
+
+GENERATION_CODES = {"bad_stagger_interval", "bad_runtime", "window_inverted"}
+
+
+def _row_label(ext_sid: int, film_id: int, config_index: int) -> str:
+    return f"forecast entry (screen {ext_sid}, film {film_id}, config {config_index})"
+
+
+def reference_forecast_pass(doc: dict, allow_partial: bool = False):
+    """Each cluster's forecast rows as a dict keyed by (screen, film, config),
+    from ``doc``, whose other blocks parse; raises what the loop raised, and
+    returns the first row outside its cluster's films (or None) beside them."""
+    cluster_of_location = {
+        loc["id"]: str(loc["cluster_id"]) for loc in doc["locations"]
+    }
+    screen_route = {
+        s["id"]: (position, cluster_of_location[s["location_id"]])
+        for position, s in enumerate(doc["screens"], start=1)
+    }
+    every = set(cluster_of_location.values())
+    film_owners = {
+        f["id"]: {str(f["cluster_id"])} if "cluster_id" in f else every for f in doc["films"]
+    }
+    forecasts: Dict[str, dict] = {cluster_id: {} for cluster_id in sorted(every)}
+
+    forecast_raw = doc.get("forecast")
+    if forecast_raw is None:
+        if not allow_partial:
+            raise InstanceFormatError("document: missing key 'forecast'")
+        forecast_raw = []
+    outside = None
+    for entry in forecast_raw:
+        ext_sid, film_id, config_index = entry["screen_id"], entry["film_id"], entry["config_index"]
+        label = _row_label(ext_sid, film_id, config_index)
+        if ext_sid not in screen_route:
+            raise InstanceDataError([Violation("unknown_screen", f"{label} references an unknown screen")])
+        sid, cluster_id = screen_route[ext_sid]
+        if film_id not in film_owners:
+            raise InstanceDataError([Violation("unknown_film", f"{label} references an unknown film")])
+        if cluster_id not in film_owners[film_id] and outside is None:
+            outside = (ext_sid, film_id, config_index)
+        entries = forecasts[cluster_id]
+        key = (sid, film_id, config_index)
+        if key in entries:
+            raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
+        if "attendance" not in entry:
+            raise InstanceFormatError(f"{label}: missing key 'attendance'")
+        entries[key] = parse_attendance(entry["attendance"])
+    return forecasts, outside
+
+
+def reference_forecast_violations(
+    cluster: ClusterInstance, entries: dict, check_forecast: bool = True
+) -> List[str]:
+    """The validator's forecast lines for ``cluster`` with ``entries`` as its forecast."""
+    lines = []
+    source_ids = {s.screen_id: s.source_id for s in cluster.screens}
+    config_keys = {c.key() for c in cluster.configurations}
+    for (sid, film_id, config_index), milli in entries.items():
+        label = _row_label(source_ids.get(sid, sid), film_id, config_index)
+        if milli < 0:
+            lines.append(f"negative_coefficient: {label} is negative ({format_attendance(milli)})")
+        if (film_id, config_index) not in config_keys:
+            lines.append(f"unknown_configuration: {label} references an unknown configuration")
+        if sid not in source_ids:
+            lines.append(f"unknown_screen: {label} references an unknown screen")
+    if check_forecast:
+        for screen in cluster.screens:
+            for config in cluster.configurations:
+                if (screen.screen_id, config.film_id, config.config_index) not in entries:
+                    lines.append(
+                        f"missing_forecast_entry: no forecast entry for (screen {screen.source_id},"
+                        f" film {config.film_id}, config {config.config_index})"
+                    )
+    return lines
+
+
+def reference_weights(cluster: ClusterInstance, entries: dict):
+    """(screen ids, column keys, weights) of the cluster's model, copied cell by cell from ``entries``."""
+    configs = sorted(config.key() for config in cluster.configurations)
+    screen_ids = tuple(sorted(s.screen_id for s in cluster.screens))
+    weights = [[entries[sid, film_id, config_index] for film_id, config_index in configs] for sid in screen_ids]
+    return screen_ids, tuple(configs), weights
+
+
+def reference_load(doc: dict, allow_partial: bool = False, turnover_minutes: int = 0):
+    """What loading ``doc`` gives along the dict-based forecast path.
+
+    ``("error", type, text)`` when parsing raises; ``("invalid", lines)``
+    for the validator's violation lines; else ``("ok", models, text)``: each
+    cluster's (screen ids, column keys, weights), None with
+    ``allow_partial``, and the ``dumps_instance`` text.
+    """
+    try:
+        try:
+            skeleton = parse_document(
+                {**doc, "forecast": []}, allow_partial=True, turnover_minutes=turnover_minutes
+            )
+            held = None
+        except (InstanceDataError, ValueError) as exc:
+            # a configuration generation error is raised after the forecast rows' errors
+            if isinstance(exc, InstanceDataError) and {v.code for v in exc.violations} - GENERATION_CODES:
+                raise
+            skeleton, held = None, exc
+        forecasts, outside = reference_forecast_pass(doc, allow_partial)
+        if held is not None:
+            raise held
+        if outside is not None:
+            raise InstanceDataError(
+                [Violation("unknown_film", f"{_row_label(*outside)} pairs a screen with a film outside its cluster")]
+            )
+    except (InstanceError, ValueError) as exc:
+        return ("error", type(exc), str(exc))
+    lines = []
+    for cluster in skeleton.clusters:
+        lines.extend(str(v) for v in validate_instance(cluster, check_forecast=False))
+        lines.extend(reference_forecast_violations(cluster, forecasts[cluster.cluster_id], not allow_partial))
+    if lines:
+        return ("invalid", lines)
+    models = None if allow_partial else [
+        reference_weights(cluster, forecasts[cluster.cluster_id]) for cluster in skeleton.clusters
+    ]
+    return ("ok", models, dumps_json(reference_document(skeleton, forecasts)) + "\n")

@@ -13,9 +13,17 @@ from decimal import Decimal
 import pytest
 
 import support
-from cinestagger import build_joint_model, build_model, export_lp_text, load_instance, solve_all
+from cinestagger import (
+    build_joint_model,
+    build_model,
+    dumps_instance,
+    export_lp_text,
+    load_instance,
+    solve_all,
+)
 from cinestagger.cli import main
 from cinestagger.domain import as_multi
+from cinestagger.formulation import direct_sum
 from cinestagger.synth import generate_document
 
 
@@ -634,3 +642,44 @@ def test_a_closed_stdout_exits_2_without_a_traceback(example_document, tmp_path,
     code, err = _closed_reader_run(argv, lines_read, tmp_path / "stderr.txt")
     assert code == 2
     assert err == "error: cannot write standard output: Broken pipe\n"
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_one_large_write_to_a_closed_stdout_exits_2(tmp_path, lines_read):
+    # generate-configs writes its whole document at once, far more than a pipe buffers
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(generate_document(screens=45, films=15, clusters=3, seed=1), indent=2))
+    assert path.stat().st_size >= 10**6
+    code, err = _closed_reader_run(["generate-configs", str(path)], lines_read, tmp_path / "stderr.txt")
+    assert code == 2
+    assert err == "error: cannot write standard output: Broken pipe\n"
+
+
+def test_an_instance_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"a": "\xff"}')
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {path}: not valid UTF-8 (")
+
+
+def test_solving_and_writing_leave_the_forecast_untouched(tmp_path, capsys):
+    doc = generate_document(screens=5, films=3, clusters=3, seed=4)
+    multi = load_instance(doc)
+    before = copy.deepcopy([cluster.forecast for cluster in multi.clusters])
+    report = solve_all(multi)
+    # the models share the loaded rows
+    assert [m.weights for _, m in report.models] == [c.forecast.rows for c in multi.clusters]
+    assert all(m.weights is c.forecast.rows for (_, m), c in zip(report.models, multi.clusters))
+    export_lp_text(direct_sum(report.models))
+    dumps_instance(multi)
+    assert [cluster.forecast for cluster in multi.clusters] == before
+
+    path = write_doc(tmp_path, doc)
+    outputs = []
+    for _ in range(3):
+        assert main(["solve", path, "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]

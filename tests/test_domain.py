@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 import support
 from cinestagger import (
     ClusterInstance,
-    ForecastMatrix,
     InstanceDataError,
     InstanceError,
     InstanceFormatError,
     MultiClusterInstance,
+    build_model,
     dumps_instance,
     load_instance,
     validate_instance,
@@ -354,11 +354,19 @@ def _shift_screens(cluster, by):
         (sid + by, film_id, config_index): milli
         for (sid, film_id, config_index), milli in cluster.forecast.entries.items()
     }
-    return replace(cluster, screens=screens, forecast=ForecastMatrix(forecast))
+    return replace(cluster, screens=screens, forecast=_matrix_of(cluster, forecast, screens))
 
 
 def _stray_row(cluster):
-    return replace(cluster, forecast=ForecastMatrix({**cluster.forecast.entries, (7, 1, 1): 3000}))
+    return replace(cluster, forecast=_matrix_of(cluster, {**cluster.forecast.entries, (7, 1, 1): 3000}))
+
+
+def _matrix_of(cluster, entries, screens=None):
+    """``entries`` as a forecast matrix over the cluster's (or ``screens``') screens and configurations."""
+    screens = cluster.screens if screens is None else screens
+    return support.forecast_matrix(
+        [s.screen_id for s in screens], [c.key() for c in cluster.configurations], entries
+    )
 
 
 @pytest.mark.parametrize("wrap", [lambda cluster: cluster, as_multi], ids=["cluster", "multi"])
@@ -456,6 +464,20 @@ def test_fractional_attendance_survives_round_trip():
     assert instance.forecast.get(1, 1, 1) == 226500
     out = json.loads(dumps_instance(instance))
     assert out["forecast"][0]["attendance"] == 226.5
+
+
+def test_dumps_instance_refuses_rows_outside_the_matrix():
+    # only an unvalidated parse keeps such a row, and the writer writes the matrix alone
+    doc = support.matrix_document([[5]])
+    doc["forecast"].append({"screen_id": 1, "film_id": 1, "config_index": 9, "attendance": 3})
+    multi = parse_document(doc)
+    assert [r for c in multi.clusters for r in c.forecast.stray_rows] == [(1, 1, 9, 3000)]
+    with pytest.raises(ValueError) as err:
+        dumps_instance(multi)
+    assert str(err.value) == (
+        "forecast entry (screen 1, film 1, config 9) is outside cluster 't''s screens and"
+        " configurations; only rows of its forecast matrix serialize"
+    )
 
 
 def test_parse_document_without_validation():
@@ -580,7 +602,8 @@ def test_forecast_rows_go_to_their_screens_cluster(clusters):
             for r in doc["forecast"]
             if internal[r["screen_id"]] in screen_ids
         ]
-        assert list(cluster.forecast.entries.items()) == expected
+        # the matrix lists its cells in (screen, film, config) order
+        assert list(cluster.forecast.entries.items()) == sorted(expected)
         assert film_id in {f.film_id for f in cluster.films}
 
 
@@ -748,7 +771,11 @@ def hand_built_instances(draw):
                 films=tuple(films_of[k]),
                 configurations=tuple(draw(st.permutations(configs_of[k]))),
                 stagger_interval_minutes=30,
-                forecast=ForecastMatrix({key: draw(milli_values) for key in keys}),
+                forecast=support.forecast_matrix(
+                    [s.screen_id for s in screens],
+                    [c.key() for c in configs_of[k]],
+                    {key: draw(milli_values) for key in keys},
+                ),
             )
         )
     if count == 1 and draw(st.booleans()):
@@ -763,3 +790,67 @@ def test_dumps_instance_writes_the_reference_document(instance):
     assert dumps_instance(instance) == dumps_json(reference) + "\n"
     # the same values of the same types, Decimal where fractional
     assert repr(serialize_instance(instance)) == repr(reference)
+
+
+@st.composite
+def mutated_synth_documents(draw):
+    """``synth`` documents of 1-6 clusters, valid or spoiled: shuffled rows,
+    fractional attendance, omitted configurations, and negative, duplicate,
+    missing, unknown-configuration and other-cluster-film rows, alone or together."""
+    clusters = draw(st.integers(1, 6))
+    doc = generate_document(
+        draw(st.integers(1, 4)), draw(st.integers(1, 3)), clusters=clusters,
+        seed=draw(st.integers(0, 10**6)), coeff_range=draw(st.sampled_from([(0, 9), (200, 299)])),
+    )
+    rows = doc["forecast"]
+
+    def some_rows(most):
+        """Up to ``most`` row indices, none three times in four."""
+        if not draw(st.sampled_from([False, False, False, True])):
+            return []
+        return draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=most))
+
+    for i in some_rows(3):
+        rows[i]["attendance"] = Decimal(rows[i]["attendance"]) + Decimal(draw(st.sampled_from(["0.5", "0.001"])))
+    if draw(st.booleans()):
+        del doc["configurations"]
+        if draw(st.integers(0, 5)) == 0:
+            doc["films"][-1]["runtime_minutes"] = 0      # generation fails
+    for i in some_rows(3):
+        rows[i]["attendance"] = -draw(st.integers(1, 9))
+    for i in some_rows(2):
+        rows.append(dict(rows[i]))                      # duplicate
+    for i in some_rows(2):
+        rows.append({**rows[i], "config_index": draw(st.sampled_from([0, 50, 99]))})
+    if clusters > 1:
+        for i in some_rows(2):
+            rows.append({**rows[i], "film_id": draw(st.sampled_from(doc["films"]))["id"]})
+    for i in sorted(set(some_rows(3)), reverse=True):
+        del rows[i]                                     # missing
+    if draw(st.booleans()):
+        draw(st.randoms()).shuffle(rows)
+    return doc
+
+
+def matrix_load(doc: dict, allow_partial: bool = False, turnover_minutes: int = 0):
+    """What the matrix loader gives for ``doc``, in the form of ``support.reference_load``."""
+    try:
+        multi = parse_document(doc, allow_partial=allow_partial, turnover_minutes=turnover_minutes)
+    except (InstanceError, ValueError) as exc:
+        return ("error", type(exc), str(exc))
+    lines = [str(v) for v in validate_instance(multi, check_forecast=not allow_partial)]
+    if lines:
+        return ("invalid", lines)
+    models = None if allow_partial else [
+        (m.screen_ids, m.column_keys, m.weights) for m in map(build_model, multi.clusters)
+    ]
+    return ("ok", models, dumps_instance(multi))
+
+
+@settings(max_examples=250, deadline=None)
+@given(doc=mutated_synth_documents(), partial=st.booleans(), turnover=st.sampled_from([0, 20]))
+def test_matrix_loader_matches_the_dict_reference(doc, partial, turnover):
+    if partial and turnover:
+        doc.pop("forecast")
+    expected = support.reference_load(doc, partial, turnover)
+    assert matrix_load(copy.deepcopy(doc), partial, turnover) == expected
