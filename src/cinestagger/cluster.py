@@ -1,13 +1,11 @@
-"""Per-cluster decomposition and its correctness check.
+"""Per-cluster decomposition.
 
 Staggering constraints only bind screens within one cluster of
-neighbouring locations, so the full problem splits into independent
-per-cluster problems.  ``solve_all`` exploits that, building and
-certifying each cluster model once; ``verify_decomposition`` proves it on
-a given instance, with no joint search, by checking that the joint model
-(all clusters at once) equals ``formulation.direct_sum`` of the models
-``solve_all`` certified: a block-diagonal program's optimum is the sum of
-its blocks'.
+neighbouring locations, so when no two clusters share an id or a screen
+the joint program (all clusters at once) is block-diagonal: its optimum
+is the sum of the cluster optima, and it is infeasible exactly when some
+cluster is.  ``solve_all`` checks those two premises, then builds and
+certifies each cluster model once; ``verify_decomposition`` is its report.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ from math import dist
 from typing import Dict, Optional, Tuple
 
 from .domain import Instance, as_multi
-from .formulation import BilpModel, build_joint_model, build_model, direct_sum
-from .solver import CertificationError, SolveReport, certify
+from .formulation import BilpModel, build_model
+from .solver import SolveReport, certify
 
 
 @dataclass
@@ -36,12 +34,19 @@ def solve_all(instance: Instance) -> ClusterSolveReport:
 
     Infeasible clusters do not hide the others: each cluster's report is
     returned, and the overall status is Optimal only if all are.  Raises
-    ``ValueError`` if two clusters share an id.
+    ``ValueError`` if two clusters share an id, or else if a screen belongs
+    to two clusters; the loader refuses both.
     """
     clusters = sorted(as_multi(instance).clusters, key=lambda c: c.cluster_id)
     for first, second in zip(clusters, clusters[1:]):
         if first.cluster_id == second.cluster_id:
             raise ValueError(f"cluster id {first.cluster_id!r} appears more than once")
+    first_cluster: Dict[int, str] = {}      # screen id -> the first cluster holding it
+    for cluster in clusters:
+        for screen in cluster.screens:
+            first = first_cluster.setdefault(screen.screen_id, cluster.cluster_id)
+            if first != cluster.cluster_id:
+                raise ValueError(f"screen {screen.source_id} belongs to clusters {first!r} and {cluster.cluster_id!r}")
     models = tuple((c.cluster_id, build_model(c)) for c in clusters)
     per_cluster = {cluster_id: certify(model) for cluster_id, model in models}
     optimal = all(r.status == "Optimal" for r in per_cluster.values())
@@ -66,22 +71,10 @@ class DecompositionReport:
 def verify_decomposition(instance: Instance) -> DecompositionReport:
     """Prove that solving per cluster loses nothing against a joint solve.
 
-    Certifies each cluster's model, then checks in O(screens x columns)
-    that the joint model equals :func:`direct_sum` of them over distinct
-    screen ids, so its optimum or infeasibility is the merged cluster
-    result.  No joint search runs.  Raises :class:`CertificationError` if
-    either check fails.
+    This is :func:`solve_all`, whose premises make the joint program
+    block-diagonal: the certified cluster results are the joint result.
     """
-    multi = as_multi(instance)
-    split = solve_all(multi)
-    joint, expected = build_joint_model(multi), direct_sum(split.models)
-    if (
-        joint.screen_ids != expected.screen_ids
-        or joint.column_keys != expected.column_keys
-        or joint.weights != expected.weights
-        or len(set(joint.screen_ids)) != len(joint.screen_ids)    # no screen in two clusters
-    ):
-        raise CertificationError("the joint model is not the direct sum of the cluster models")
+    split = solve_all(instance)
     return DecompositionReport(
         joint_status=split.overall_status,
         joint_objective=split.combined_objective,

@@ -46,7 +46,8 @@ ATTENDANCE_LIMIT = 10 ** 18   # attendance magnitudes at or above this are rejec
 
 _THOUSANDTH = Decimal("0.001")
 
-_TIME_RE = re.compile(r"^(\d{1,2}):([0-5]\d)$")
+# re.ASCII: a bare \d also matches the digits of other scripts
+_TIME_RE = re.compile(r"^(\d{1,2}):([0-5]\d)$", re.ASCII)
 
 
 class InstanceError(Exception):
@@ -124,6 +125,9 @@ def parse_attendance(value) -> int:
     if isinstance(value, float):
         value = repr(value)
     if isinstance(value, (str, Decimal)):
+        # Decimal() also reads other scripts' digits and underscores as digits
+        if isinstance(value, str) and (not value.isascii() or "_" in value):
+            raise InstanceFormatError(f"bad attendance value {value!r}")
         try:
             number = Decimal(value)
         except InvalidOperation:
@@ -493,10 +497,12 @@ def parse_document(
             raise InstanceDataError(
                 [Violation("unknown_film", f"configuration {config_index} references unknown film {film_id}")]
             )
-        raw_times = _as_list(
-            _require(entry, "showtimes", f"film {film_id} config {config_index}"),
-            f"film {film_id} config {config_index} showtimes",
-        )
+        raw_times = _require(entry, "showtimes", f"film {film_id} config {config_index}")
+        if not isinstance(raw_times, list):
+            raise InstanceFormatError(
+                f"film {film_id} config {config_index} showtimes:"
+                f" expected a list, got {type(raw_times).__name__}"
+            )
         config = ShowtimeConfiguration(
             film_id=film_id,
             config_index=config_index,
@@ -604,10 +610,9 @@ def parse_document(
 def _as_list(value, context: str) -> list:
     if not isinstance(value, list):
         raise InstanceFormatError(f"{context}: expected a list, got {type(value).__name__}")
-    if not context.endswith("showtimes"):
-        for item in value:
-            if not isinstance(item, dict):
-                raise InstanceFormatError(f"{context}: entries must be objects")
+    for item in value:
+        if not isinstance(item, dict):
+            raise InstanceFormatError(f"{context}: entries must be objects")
     return value
 
 

@@ -216,10 +216,7 @@ def export_lp_text(model: BilpModel) -> str:
     ]
     names = [name for row in cells for name in row if name is not None]
     coefficients = [milli for row in model.weights for milli in row if milli is not None]
-    literal = {
-        milli: str(milli // MILLI) if milli % MILLI == 0 else format_attendance(milli)
-        for milli in set(coefficients)
-    }
+    literal = {milli: format_attendance(milli) for milli in set(coefficients)}
     columns = list(zip(*cells)) or [()] * len(model.column_keys)
     lines = [
         "\\ Screen scheduling model: maximize forecast attendance",

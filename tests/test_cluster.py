@@ -195,60 +195,16 @@ def test_verify_decomposition_infeasible_cluster():
     assert report.equal
 
 
-def _move_first_variable(joint):
-    """c1's first variable taken out of its staggering column and put into c2's first."""
-    rows = dict(joint.inequality_rows)
-    source = joint.column_keys[0]
-    target = next(key for key in joint.column_keys if key[0] == "c2")
-    var = rows[source][0]
-    rows[source] = rows[source][1:]
-    rows[target] = rows[target] + (var,)
-    return replace(joint, inequality_rows=tuple(rows.items()))
-
-
-def _alter_one_coefficient(joint):
-    objective = dict(joint.objective)
-    objective[joint.variables[-1]] += 1
-    return replace(joint, objective=objective)
-
-
-def _drop_one_variable(joint):
-    return support.without_variables(joint, {joint.variables[7]})
-
-
-def _swap_screen_rows(joint):
-    """Screens 1 and 2 trade equality rows; columns and objective stay."""
-    rows = list(joint.equality_rows)
-    (first, first_row), (second, second_row) = rows[0], rows[1]
-    rows[0], rows[1] = (first, second_row), (second, first_row)
-    return replace(joint, equality_rows=tuple(rows))
-
-
-@pytest.mark.parametrize(
-    "tamper",
-    [_move_first_variable, _alter_one_coefficient, _drop_one_variable, _swap_screen_rows],
-)
-def test_verify_decomposition_rejects_a_joint_model_that_is_no_direct_sum(
-    example_document, monkeypatch, tamper
-):
-    import cinestagger.cluster as cluster_module
-
-    instance = support.load_multi(two_offset_copies(example_document))
-    assert verify_decomposition(instance).joint_objective == 2 * 2615
-    monkeypatch.setattr(
-        cluster_module, "build_joint_model", lambda multi: tamper(build_joint_model(multi))
-    )
-    with pytest.raises(CertificationError, match="direct sum"):
-        verify_decomposition(instance)
-
-
 def test_verify_decomposition_rejects_clusters_sharing_variables(example_instance):
-    # the same screens in two clusters: rows and objective match, the blocks overlap
+    # the same screens in two clusters: the blocks overlap, so the split is no
+    # decomposition (solved anyway, each screen would be scheduled twice)
     twice = MultiClusterInstance(
         clusters=(example_instance, replace(example_instance, cluster_id="c2"))
     )
-    with pytest.raises(CertificationError, match="direct sum"):
-        verify_decomposition(twice)
+    for check in (solve_all, verify_decomposition):
+        with pytest.raises(ValueError) as err:
+            check(twice)
+        assert str(err.value) == "screen 1 belongs to clusters 'c1' and 'c2'"
 
 
 def test_solve_all_rejects_a_repeated_cluster_id(example_document):
@@ -258,6 +214,16 @@ def test_solve_all_rejects_a_repeated_cluster_id(example_document):
     for check in (solve_all, verify_decomposition):
         with pytest.raises(ValueError, match="cluster id 'c1' appears more than once"):
             check(twice)
+
+
+def test_solve_all_checks_cluster_ids_before_screens(example_document, example_instance):
+    # c1 twice, and a c2 that has the first c1's screens
+    _, other = support.load_multi(two_offset_copies(example_document)).clusters
+    clusters = (example_instance, replace(example_instance, cluster_id="c2"), replace(other, cluster_id="c1"))
+    for check in (solve_all, verify_decomposition):
+        with pytest.raises(ValueError) as err:
+            check(MultiClusterInstance(clusters=clusters))
+        assert str(err.value) == "cluster id 'c1' appears more than once"
 
 
 def test_solve_all_keeps_the_models_it_certified(example_document):

@@ -55,9 +55,13 @@ def test_parse_hhmm_past_midnight():
         parse_hhmm("28:00")
 
 
-@pytest.mark.parametrize("bad", ["noon", "12", "12:5", "12:61", "1230", "", "12:30:00", 730])
+@pytest.mark.parametrize(
+    "bad",
+    # other scripts' digits (Arabic-Indic, fullwidth) and underscores are no ASCII digits
+    ["noon", "12", "12:5", "12:61", "1230", "", "12:30:00", 730, "١٢:3٠", "１２:30", "1_2:30", "12:3_0"],
+)
 def test_parse_hhmm_rejects(bad):
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(InstanceFormatError, match="^bad time "):
         parse_hhmm(bad)
 
 
@@ -80,7 +84,11 @@ def test_parse_attendance_rejects():
 
 
 @pytest.mark.parametrize(
-    "bad", [float("inf"), float("-inf"), float("nan"), "Infinity", "-Infinity", "NaN", Decimal("Infinity"), "1e999999"]
+    "bad",
+    [
+        float("inf"), float("-inf"), float("nan"), "Infinity", "-Infinity", "NaN", Decimal("Infinity"), "1e999999",
+        "١٢", "１２", "1_000", "0.5_0",
+    ],
 )
 def test_parse_attendance_rejects_non_finite_and_overflow(bad):
     with pytest.raises(InstanceFormatError, match="^bad attendance value "):
@@ -382,6 +390,39 @@ def _matrix_of(cluster, entries, screens=None):
 def test_hand_built_cluster_violations(wrap, spoil, line):
     cluster = spoil(support.matrix_instance([[5]]))
     assert [str(v) for v in validate_instance(wrap(cluster))] == [line]
+
+
+@pytest.mark.parametrize(
+    "spoil, lines",
+    [
+        (
+            lambda cluster: MultiClusterInstance((cluster, cluster)),
+            [
+                "duplicate_cluster_id: cluster id 't' appears more than once",
+                "duplicate_screen_id: screen ids are not globally unique across clusters",
+            ],
+        ),
+        (
+            lambda cluster: replace(cluster, locations=()),
+            [
+                "no_locations: cluster 't' has no locations",
+                "screen_outside_cluster: screen 1 references location 1 outside cluster 't'",
+            ],
+        ),
+        (
+            lambda cluster: replace(cluster, locations=(replace(cluster.locations[0], cluster_id="u"),)),
+            ["location_outside_cluster: location 1 belongs to cluster 'u', not 't'"],
+        ),
+        (
+            lambda cluster: replace(cluster, locations=(replace(cluster.locations[0], open_time=-1),)),
+            ["time_out_of_range: location 1: time -1 out of range"],
+        ),
+    ],
+    ids=["repeated-cluster", "no-locations", "foreign-location", "time-before-midnight"],
+)
+def test_hand_built_instance_violations(spoil, lines):
+    instance = spoil(support.matrix_instance([[5]]))
+    assert [str(v) for v in validate_instance(instance)] == lines
 
 
 @pytest.mark.parametrize(
