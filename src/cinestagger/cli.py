@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import re
@@ -24,9 +25,11 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional
 
-from .cluster import solve_all, verify_decomposition
+from .cluster import ClusterSolveReport, solve_all, verify_decomposition
 # generate_configurations is unused here, but perfbench/tracing.py patches it on this module by getattr
 from .confgen import generate_configurations  # noqa: F401
 from .domain import (
@@ -42,8 +45,8 @@ from .domain import (
     format_attendance,
     format_hhmm,
     load_instance,
-    milli_to_json,
     read_document,
+    showtimes_json,
 )
 # build_joint_model is unused here, but perfbench/tracing.py patches it on this module by getattr
 from .formulation import build_joint_model, build_model, direct_sum, export_lp_text  # noqa: F401
@@ -54,34 +57,84 @@ def _fmt_objective(objective) -> str:
     return format_attendance(int(objective * MILLI))
 
 
-def _schedule_rows(cluster: ClusterInstance, report: SolveReport) -> List[dict]:
+class ScheduleRow(NamedTuple):
+    """One screen's line of a solved schedule, as every output format reads it.
+
+    The field names are the csv header.
+    """
+
+    screen_id: int          # the document's id
+    location: str
+    film_id: int
+    film_title: str
+    config_index: int
+    showtimes: List[str]    # format_hhmm texts
+
+
+def _schedule_rows(cluster: ClusterInstance, report: SolveReport) -> List[ScheduleRow]:
     rows = []
     for screen_id, (film_id, config_index) in report.schedule.items():
         screen = cluster.screen_by_id[screen_id]
         config = cluster.configuration_by_key[(film_id, config_index)]
         rows.append(
-            {
-                "screen_id": screen.source_id,
-                "location": cluster.location_by_id[screen.location_id].name,
-                "film_id": film_id,
-                "film_title": cluster.film_by_id[film_id].title,
-                "config_index": config_index,
-                "showtimes": [format_hhmm(t) for t in config.showtimes],
-            }
+            ScheduleRow(
+                screen.source_id,
+                cluster.location_by_id[screen.location_id].name,
+                film_id,
+                cluster.film_by_id[film_id].title,
+                config_index,
+                [format_hhmm(t) for t in config.showtimes],
+            )
         )
     return rows
 
 
-def _print_table(all_rows: List[dict], objective) -> None:
+def _json_array(items: List[str], indent: str) -> str:
+    """The array of JSON ``items``, each led by its own newline and indent, closing after ``indent``."""
+    return "[" + ",".join(items) + indent + "]" if items else "[]"
+
+
+def _solve_json(report: ClusterSolveReport, clusters: Dict[str, ClusterInstance]) -> str:
+    """The solve document's text, as dumps_json would write it, in one pass from the schedule rows."""
+    entries = []
+    for cluster_id, cluster_report in report.per_cluster.items():
+        entry = (
+            '\n    {\n      "cluster_id": ' + encode_basestring_ascii(cluster_id)
+            + ',\n      "status": ' + encode_basestring_ascii(cluster_report.status)
+            + ',\n      "method": ' + encode_basestring_ascii(cluster_report.method)
+            + ',\n      "certified": ' + ("true" if cluster_report.certified else "false")
+        )
+        if cluster_report.status == "Optimal":
+            rows = [
+                f'\n        {{\n          "screen_id": {row.screen_id},'
+                '\n          "location": ' + encode_basestring_ascii(row.location)
+                + f',\n          "film_id": {row.film_id},'
+                '\n          "film_title": ' + encode_basestring_ascii(row.film_title)
+                + f',\n          "config_index": {row.config_index},'
+                '\n          "showtimes": ' + showtimes_json(row.showtimes, "\n          ")
+                + "\n        }"
+                for row in _schedule_rows(clusters[cluster_id], cluster_report)
+            ]
+            entry += (
+                ',\n      "objective": ' + _fmt_objective(cluster_report.objective)
+                + ',\n      "schedule": ' + _json_array(rows, "\n      ")
+            )
+        else:
+            entry += ',\n      "diagnostic": ' + encode_basestring_ascii(cluster_report.diagnostic)
+        entries.append(entry + "\n    }")
+    objective = report.combined_objective
+    return (
+        '{\n  "status": ' + encode_basestring_ascii(report.overall_status)
+        + ',\n  "objective": ' + ("null" if objective is None else _fmt_objective(objective))
+        + ',\n  "clusters": ' + _json_array(entries, "\n  ")
+        + "\n}\n"
+    )
+
+
+def _print_table(all_rows: List[ScheduleRow], objective) -> None:
     header = ["Screen", "Location", "Film", "Configuration", "Showtimes"]
     cells = [
-        [
-            str(r["screen_id"]),
-            r["location"],
-            r["film_title"],
-            str(r["config_index"]),
-            " ".join(r["showtimes"]),
-        ]
+        [str(r.screen_id), r.location, r.film_title, str(r.config_index), " ".join(r.showtimes)]
         for r in all_rows
     ]
     widths = [max(len(header[i]), *(len(c[i]) for c in cells)) if cells else len(header[i])
@@ -92,15 +145,11 @@ def _print_table(all_rows: List[dict], objective) -> None:
     print(f"Objective: {_fmt_objective(objective)}")
 
 
-def _print_csv(all_rows: List[dict]) -> None:
+def _print_csv(all_rows: List[ScheduleRow]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["screen_id", "location", "film_id", "film_title", "config_index", "showtimes"])
-    for r in all_rows:
-        writer.writerow(
-            [r["screen_id"], r["location"], r["film_id"], r["film_title"],
-             r["config_index"], " ".join(r["showtimes"])]
-        )
+    writer.writerow(ScheduleRow._fields)
+    writer.writerows(r._replace(showtimes=" ".join(r.showtimes)) for r in all_rows)
     _write_stdout(buf.getvalue())
 
 
@@ -161,28 +210,7 @@ def cmd_solve(args) -> int:
 
     clusters = {c.cluster_id: c for c in multi.clusters}
     if args.format == "json":
-        doc = {
-            "status": report.overall_status,
-            "objective": (
-                milli_to_json(int(report.combined_objective * MILLI))
-                if report.combined_objective is not None else None
-            ),
-            "clusters": [],
-        }
-        for cluster_id, cluster_report in report.per_cluster.items():
-            entry = {
-                "cluster_id": cluster_id,
-                "status": cluster_report.status,
-                "method": cluster_report.method,
-                "certified": cluster_report.certified,
-            }
-            if cluster_report.status == "Optimal":
-                entry["objective"] = milli_to_json(int(cluster_report.objective * MILLI))
-                entry["schedule"] = _schedule_rows(clusters[cluster_id], cluster_report)
-            else:
-                entry["diagnostic"] = cluster_report.diagnostic
-            doc["clusters"].append(entry)
-        _write_stdout(dumps_json(doc) + "\n")
+        _write_stdout(_solve_json(report, clusters))
     else:
         all_rows = [
             row
@@ -190,7 +218,7 @@ def cmd_solve(args) -> int:
             if cluster_report.status == "Optimal"
             for row in _schedule_rows(clusters[cluster_id], cluster_report)
         ]
-        all_rows.sort(key=lambda r: r["screen_id"])
+        all_rows.sort(key=attrgetter("screen_id"))
         if args.format == "csv":
             _print_csv(all_rows)
         elif report.overall_status == "Optimal":
@@ -264,7 +292,7 @@ def cmd_build(args) -> int:
 def cmd_synth(args) -> int:
     from .synth import generate_document
 
-    match = re.fullmatch(r"(\d+)\.\.(\d+)", args.coeff_range)
+    match = re.fullmatch(r"(\d+)\.\.(\d+)", args.coeff_range, re.ASCII)
     if match is None:
         print(f"error: bad --coeff-range {args.coeff_range!r}, expected LO..HI", file=sys.stderr)
         return 2
@@ -306,7 +334,9 @@ def cmd_verify_decomposition(args) -> int:
     return 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each subcommand's ``func`` is bound here."""
     parser = argparse.ArgumentParser(
         prog="cinestagger",
         description="Exact film-to-screen scheduler with staggered showtimes",

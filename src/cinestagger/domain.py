@@ -106,6 +106,17 @@ def format_hhmm(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
+def showtimes_json(texts: List[str], indent: str) -> str:
+    """The JSON list of ``format_hhmm`` texts as :func:`dumps_json` lays it out after ``indent``.
+
+    The texts are digits and a colon, so each is quoted as it is.
+    """
+    if not texts:
+        return "[]"
+    inner = indent + '  "'
+    return "[" + inner + ('",' + inner).join(texts) + '"' + indent + "]"
+
+
 def parse_attendance(value) -> int:
     """Parse an attendance coefficient to exact integer milliunits.
 
@@ -934,14 +945,13 @@ def dumps_instance(instance: Instance) -> str:
                     f" in clusters {seen[1]!r} and {cluster.cluster_id!r};"
                     " a document lists each configuration once"
                 )
-    doc["configurations"] = [
-        {
-            "film_id": config.film_id,
-            "config_index": config.config_index,
-            "showtimes": [format_hhmm(t) for t in config.showtimes],
-        }
+    # written as dumps_json would write each configuration's dict
+    configurations = ",".join([
+        f'\n    {{\n      "film_id": {config.film_id},\n      "config_index": {config.config_index},'
+        '\n      "showtimes": ' + showtimes_json([format_hhmm(t) for t in config.showtimes], "\n      ")
+        + "\n    }"
         for config, _ in sorted(first_seen.values(), key=lambda seen: seen[0].key())
-    ]
+    ])
 
     # the forecast is most of the document's bytes, so its rows are written
     # as dumps_json would write each row's dict, from one text per screen, per
@@ -972,9 +982,11 @@ def dumps_instance(instance: Instance) -> str:
         prefix = f'\n    {{\n      "screen_id": {external[sid]},\n'
         pieces.extend([prefix + head + literal[milli] for head, milli in zip(heads, row) if milli is not None])
     forecast = ",".join(pieces)
-    # doc holds every block but the forecast; a non-empty object, its text ends "\n}"
+    # doc holds every block before the configurations; a non-empty object, its text ends "\n}"
     return (
         dumps_json(doc)[:-2]
+        + ',\n  "configurations": '
+        + ("[" + configurations + "\n  ]" if configurations else "[]")
         + ',\n  "forecast": '
         + ("[" + forecast + "\n  ]" if forecast else "[]")
         + "\n}\n"

@@ -341,6 +341,67 @@ def reference_document(instance, forecasts: Optional[Dict[str, dict]] = None) ->
     return doc
 
 
+def reference_schedule_rows(instance, report) -> Dict[str, List[tuple]]:
+    """Each Optimal cluster's schedule, by cluster id, built from the solve report.
+
+    One row per screen, in screen order: (the document's screen id, location
+    name, film id, film title, config index, tuple of "HH:MM" showtimes).
+    """
+    clusters = instance.clusters if isinstance(instance, MultiClusterInstance) else (instance,)
+    schedules = {}
+    for cluster in clusters:
+        cluster_report = report.per_cluster[cluster.cluster_id]
+        if cluster_report.status != "Optimal":
+            continue
+        screens = {s.screen_id: s for s in cluster.screens}
+        names = {loc.location_id: loc.name for loc in cluster.locations}
+        titles = {film.film_id: film.title for film in cluster.films}
+        showtimes = {c.key(): tuple(_hhmm(t) for t in c.showtimes) for c in cluster.configurations}
+        schedules[cluster.cluster_id] = [
+            (
+                screens[sid].source_id,
+                names[screens[sid].location_id],
+                film_id,
+                titles[film_id],
+                config_index,
+                showtimes[(film_id, config_index)],
+            )
+            for sid, (film_id, config_index) in sorted(cluster_report.schedule.choices.items())
+        ]
+    return schedules
+
+
+def reference_solve_document(instance, report) -> dict:
+    """The document ``solve --format json`` prints, as a dict built entry by entry."""
+    schedules = reference_schedule_rows(instance, report)
+    fields = ("screen_id", "location", "film_id", "film_title", "config_index", "showtimes")
+    doc = {
+        "status": report.overall_status,
+        "objective": (
+            None if report.combined_objective is None
+            else milli_to_json(int(report.combined_objective * 1000))
+        ),
+        "clusters": [],
+    }
+    for cluster_id in sorted(report.per_cluster):
+        cluster_report = report.per_cluster[cluster_id]
+        entry = {
+            "cluster_id": cluster_id,
+            "status": cluster_report.status,
+            "method": cluster_report.method,
+            "certified": cluster_report.certified,
+        }
+        if cluster_id in schedules:
+            entry["objective"] = milli_to_json(int(cluster_report.objective * 1000))
+            entry["schedule"] = [
+                dict(zip(fields, row[:-1] + (list(row[-1]),))) for row in schedules[cluster_id]
+            ]
+        else:
+            entry["diagnostic"] = cluster_report.diagnostic
+        doc["clusters"].append(entry)
+    return doc
+
+
 # the dict-based forecast path the matrix loader replaced: the parse's
 # forecast loop, the validator's forecast checks and build_model's copy
 

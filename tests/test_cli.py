@@ -22,8 +22,8 @@ from cinestagger import (
     load_instance,
     solve_all,
 )
-from cinestagger.cli import main
-from cinestagger.domain import as_multi
+from cinestagger.cli import build_parser, main
+from cinestagger.domain import as_multi, dumps_json
 from cinestagger.formulation import direct_sum
 from cinestagger.synth import generate_document
 
@@ -297,6 +297,93 @@ def test_solve_json_infeasible(infeasible_path, capsys):
             " every screen needs its own configuration",
         }
     ]
+
+
+def _merged(*parts):
+    """One document of the ``matrix_document`` parts, in order."""
+    doc = copy.deepcopy(parts[0])
+    for part in parts[1:]:
+        for key in ("locations", "screens", "films", "configurations", "forecast"):
+            doc[key].extend(part[key])
+    return doc
+
+
+def _empty_cluster(example_document):
+    # a cluster whose one location holds no screens: Optimal with nothing to schedule
+    doc = copy.deepcopy(example_document)
+    for location in doc["locations"]:
+        location["cluster_id"] = "c1"
+    doc["locations"].append(dict(doc["locations"][0], id=99, cluster_id="c0"))
+    doc["films"] = [dict(film, cluster_id="c1") for film in doc["films"]]
+    doc["films"].append({"id": 99, "title": "Unseen", "runtime_minutes": 90, "cluster_id": "c0"})
+    doc["configurations"].append({"film_id": 99, "config_index": 1, "showtimes": ["12:00"]})
+    return doc
+
+
+def _awkward_names(example_document):
+    doc = copy.deepcopy(example_document)
+    for location in doc["locations"]:
+        location["name"] = f'Hall "{location["id"]}" \\ Zoë\u2028☃'
+    for film in doc["films"]:
+        film["title"] = f'Film\u2028"{film["id"]}"\\ Amélie 🎬'
+    return doc
+
+
+def _infeasible_beside_optimal(example_document):
+    return _merged(
+        support.matrix_document([[5, 7], [6, 2]], cluster_id="a", scoped_films=True),
+        support.matrix_document(
+            [[1], [2]], cluster_id="b", first_location=2, first_screen=3, first_film=2, scoped_films=True,
+        ),
+    )
+
+
+def _fractional(example_document):
+    doc = copy.deepcopy(example_document)
+    for row in doc["forecast"]:
+        row["attendance"] += 0.25
+    return doc
+
+
+@pytest.mark.parametrize(
+    "build", [_empty_cluster, _awkward_names, _infeasible_beside_optimal, _fractional]
+)
+def test_every_format_writes_the_reported_schedule(example_document, tmp_path, capsys, build):
+    path = write_doc(tmp_path, build(example_document))
+    instance = load_instance(path)
+    report = solve_all(instance)
+    expected = support.reference_solve_document(instance, report)
+    schedules = support.reference_schedule_rows(instance, report)
+    code = 0 if report.overall_status == "Optimal" else 3
+
+    assert main(["solve", path, "--format", "json"]) == code
+    out = capsys.readouterr().out
+    assert out == dumps_json(json.loads(out, parse_float=Decimal)) + "\n"
+    assert out == dumps_json(expected) + "\n"
+
+    rows = sorted(row for schedule in schedules.values() for row in schedule)
+    assert main(["solve", path, "--format", "csv"]) == code
+    header, *lines = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["screen_id", "location", "film_id", "film_title", "config_index", "showtimes"]
+    assert [
+        (int(sid), location, int(film_id), title, int(config_index), tuple(showtimes.split(" ")))
+        for sid, location, film_id, title, config_index, showtimes in lines
+    ] == rows
+
+    assert main(["solve", path]) == code
+    table = capsys.readouterr().out
+    if code:
+        assert table == "Status: Infeasible\n"
+        return
+    # the columns start where the header's words do; split on "\n" alone, as U+2028 ends a line for splitlines
+    head, *body, total = table[:-1].split("\n")
+    starts = [head.index(word) for word in head.split()] + [None]
+    cells = [[line[a:b].rstrip() for a, b in zip(starts, starts[1:])] for line in body]
+    assert cells == [
+        [str(sid), location, title, str(config_index), " ".join(showtimes)]
+        for sid, location, _, title, config_index, showtimes in rows
+    ]
+    assert total == f"Objective: {expected['objective']}"
 
 
 def test_solve_invalid_instance(tmp_path, capsys):
@@ -581,6 +668,14 @@ def test_synth_bad_range(capsys):
     assert main(["synth", "--screens", "2", "--films", "2", "--coeff-range", "300..200"]) == 2
 
 
+def test_synth_range_digits_are_ascii(capsys):
+    args = ["synth", "--screens", "2", "--films", "1", "--coeff-range", "١..٩"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad --coeff-range '١..٩', expected LO..HI\n"
+
+
 def test_synth_range_stays_loadable(capsys):
     # the loader rejects attendance of 10**18 or more, so synth must not write it
     args = ["synth", "--screens", "2", "--films", "1", "--coeff-range"]
@@ -768,6 +863,34 @@ def test_solving_and_writing_leave_the_forecast_untouched(tmp_path, capsys):
         assert main(["solve", path, "--format", "json"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_one_parser_serves_every_call(example_path, capsys):
+    assert build_parser() is build_parser()
+    argv = ["solve", str(example_path), "--format", "json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: instance" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["synth", "--help"]])
+def test_help_is_that_of_a_fresh_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for parse in (main, build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: cinestagger ")
 
 
 # Bytes the CLI wrote for the bundled example and for `synth --screens 4

@@ -37,6 +37,7 @@ from cinestagger.domain import (
     parse_document,
     parse_hhmm,
     serialize_instance,
+    showtimes_json,
 )
 from cinestagger.synth import generate_document
 
@@ -715,6 +716,13 @@ def test_dumps_json_decimals_and_other_types():
             dumps_json(bad)
 
 
+@pytest.mark.parametrize("showtimes", [(), (0,), (720, 930, MAX_MINUTES)])
+def test_showtimes_json_lays_out_a_nested_list(showtimes):
+    texts = [format_hhmm(t) for t in showtimes]
+    # nested, so the list's own indent is not the top level's
+    assert dumps_json({"showtimes": texts}) == '{\n  "showtimes": ' + showtimes_json(texts, "\n  ") + "\n}"
+
+
 @pytest.mark.parametrize("clusters", range(1, 17))
 def test_dumps_instance_matches_indented_json_dumps(clusters, example_instance):
     rng = random.Random(clusters)
@@ -723,6 +731,13 @@ def test_dumps_instance_matches_indented_json_dumps(clusters, example_instance):
         del doc["configurations"]
     for instance in (load_instance(doc), example_instance):
         assert dumps_instance(instance) == json.dumps(serialize_instance(instance), indent=2) + "\n"
+
+
+def test_dumps_instance_writes_empty_blocks_as_dumps_json_does(example_instance):
+    bare = replace(example_instance, configurations=(), forecast=example_instance.forecast.with_columns(()))
+    text = dumps_instance(bare)
+    assert text.endswith('\n  "configurations": [],\n  "forecast": []\n}\n')
+    assert text == dumps_json(support.reference_document(bare)) + "\n"
 
 
 EXTREME_MILLI = [
