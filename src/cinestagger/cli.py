@@ -44,9 +44,9 @@ from .domain import (
     dumps_json,
     format_attendance,
     format_hhmm,
+    json_array,
     load_instance,
     read_document,
-    showtimes_json,
 )
 # build_joint_model is unused here, but perfbench/tracing.py patches it on this module by getattr
 from .formulation import build_joint_model, build_model, direct_sum, export_lp_text  # noqa: F401
@@ -89,11 +89,6 @@ def _schedule_rows(cluster: ClusterInstance, report: SolveReport) -> List[Schedu
     return rows
 
 
-def _json_array(items: List[str], indent: str) -> str:
-    """The array of JSON ``items``, each led by its own newline and indent, closing after ``indent``."""
-    return "[" + ",".join(items) + indent + "]" if items else "[]"
-
-
 def _solve_json(report: ClusterSolveReport, clusters: Dict[str, ClusterInstance]) -> str:
     """The solve document's text, as dumps_json would write it, in one pass from the schedule rows."""
     entries = []
@@ -111,13 +106,13 @@ def _solve_json(report: ClusterSolveReport, clusters: Dict[str, ClusterInstance]
                 + f',\n          "film_id": {row.film_id},'
                 '\n          "film_title": ' + encode_basestring_ascii(row.film_title)
                 + f',\n          "config_index": {row.config_index},'
-                '\n          "showtimes": ' + showtimes_json(row.showtimes, "\n          ")
+                '\n          "showtimes": ' + json_array([f'\n            "{t}"' for t in row.showtimes], "\n          ")
                 + "\n        }"
                 for row in _schedule_rows(clusters[cluster_id], cluster_report)
             ]
             entry += (
                 ',\n      "objective": ' + _fmt_objective(cluster_report.objective)
-                + ',\n      "schedule": ' + _json_array(rows, "\n      ")
+                + ',\n      "schedule": ' + json_array(rows, "\n      ")
             )
         else:
             entry += ',\n      "diagnostic": ' + encode_basestring_ascii(cluster_report.diagnostic)
@@ -126,7 +121,7 @@ def _solve_json(report: ClusterSolveReport, clusters: Dict[str, ClusterInstance]
     return (
         '{\n  "status": ' + encode_basestring_ascii(report.overall_status)
         + ',\n  "objective": ' + ("null" if objective is None else _fmt_objective(objective))
-        + ',\n  "clusters": ' + _json_array(entries, "\n  ")
+        + ',\n  "clusters": ' + json_array(entries, "\n  ")
         + "\n}\n"
     )
 

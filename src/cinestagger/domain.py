@@ -106,17 +106,6 @@ def format_hhmm(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-def showtimes_json(texts: List[str], indent: str) -> str:
-    """The JSON list of ``format_hhmm`` texts as :func:`dumps_json` lays it out after ``indent``.
-
-    The texts are digits and a colon, so each is quoted as it is.
-    """
-    if not texts:
-        return "[]"
-    inner = indent + '  "'
-    return "[" + inner + ('",' + inner).join(texts) + '"' + indent + "]"
-
-
 def parse_attendance(value) -> int:
     """Parse an attendance coefficient to exact integer milliunits.
 
@@ -946,12 +935,12 @@ def dumps_instance(instance: Instance) -> str:
                     " a document lists each configuration once"
                 )
     # written as dumps_json would write each configuration's dict
-    configurations = ",".join([
+    configurations = [
         f'\n    {{\n      "film_id": {config.film_id},\n      "config_index": {config.config_index},'
-        '\n      "showtimes": ' + showtimes_json([format_hhmm(t) for t in config.showtimes], "\n      ")
+        '\n      "showtimes": ' + json_array([f'\n        "{format_hhmm(t)}"' for t in config.showtimes], "\n      ")
         + "\n    }"
         for config, _ in sorted(first_seen.values(), key=lambda seen: seen[0].key())
-    ])
+    ]
 
     # the forecast is most of the document's bytes, so its rows are written
     # as dumps_json would write each row's dict, from one text per screen, per
@@ -981,14 +970,11 @@ def dumps_instance(instance: Instance) -> str:
     for sid, row, heads in matrix_rows:
         prefix = f'\n    {{\n      "screen_id": {external[sid]},\n'
         pieces.extend([prefix + head + literal[milli] for head, milli in zip(heads, row) if milli is not None])
-    forecast = ",".join(pieces)
     # doc holds every block before the configurations; a non-empty object, its text ends "\n}"
     return (
         dumps_json(doc)[:-2]
-        + ',\n  "configurations": '
-        + ("[" + configurations + "\n  ]" if configurations else "[]")
-        + ',\n  "forecast": '
-        + ("[" + forecast + "\n  ]" if forecast else "[]")
+        + ',\n  "configurations": ' + json_array(configurations, "\n  ")
+        + ',\n  "forecast": ' + json_array(pieces, "\n  ")
         + "\n}\n"
     )
 
@@ -1030,10 +1016,17 @@ def _encode(value, indent: str) -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if type(value) is list:
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + indent + "]"
+        return json_array([inner + _encode(item, inner) for item in value], indent)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_array(items: List[str], indent: str) -> str:
+    """The JSON array of ``items`` as :func:`dumps_json` lays it out, closing after ``indent``.
+
+    Each item is its element's text led by its own newline and indent; an
+    empty array is ``[]``.
+    """
+    return "[" + ",".join(items) + indent + "]" if items else "[]"
 
 
 def as_multi(instance: Instance) -> MultiClusterInstance:

@@ -33,11 +33,11 @@ from cinestagger.domain import (
     dumps_json,
     format_attendance,
     format_hhmm,
+    json_array,
     parse_attendance,
     parse_document,
     parse_hhmm,
     serialize_instance,
-    showtimes_json,
 )
 from cinestagger.synth import generate_document
 
@@ -717,10 +717,11 @@ def test_dumps_json_decimals_and_other_types():
 
 
 @pytest.mark.parametrize("showtimes", [(), (0,), (720, 930, MAX_MINUTES)])
-def test_showtimes_json_lays_out_a_nested_list(showtimes):
+def test_json_array_lays_out_a_nested_list(showtimes):
     texts = [format_hhmm(t) for t in showtimes]
+    items = [f'\n    "{t}"' for t in texts]
     # nested, so the list's own indent is not the top level's
-    assert dumps_json({"showtimes": texts}) == '{\n  "showtimes": ' + showtimes_json(texts, "\n  ") + "\n}"
+    assert dumps_json({"showtimes": texts}) == '{\n  "showtimes": ' + json_array(items, "\n  ") + "\n}"
 
 
 @pytest.mark.parametrize("clusters", range(1, 17))
