@@ -1,15 +1,14 @@
 """Command-line front end.
 
 Subcommands: validate, solve, generate-configs, build, synth,
-verify-decomposition.  Results go to standard output; progress and
-error diagnostics go to standard error, so output given identical input
-is byte-identical run to run.
+verify-decomposition.  Results go to standard output, each command's in
+one write; progress and error diagnostics go to standard error, so output
+given identical input is byte-identical run to run.
 
-Exit codes: 0 success, 1 validation or domain failure, 2 unreadable or
-unparsable input, an unwritable ``--export-lp`` path or a standard output
-closed by its reader, 3 infeasible
-instance, 4 internal error (a result failed its proof check, so no
-answer is trusted).
+Exit codes: 0 success, 1 validation or domain failure, 2 a bad option
+value, unreadable or unparsable input, an unwritable ``--export-lp`` path
+or a standard output closed by its reader, 3 infeasible instance, 4
+internal error (a result failed its proof check, so no answer is trusted).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional
 
-from .cluster import ClusterSolveReport, solve_all, verify_decomposition
+from .cluster import ClusterSolveReport, solve_all
 # generate_configurations is unused here, but perfbench/tracing.py patches it on this module by getattr
 from .confgen import generate_configurations  # noqa: F401
 from .domain import (
@@ -126,26 +125,23 @@ def _solve_json(report: ClusterSolveReport, clusters: Dict[str, ClusterInstance]
     )
 
 
-def _print_table(all_rows: List[ScheduleRow], objective) -> None:
+def _table_text(all_rows: List[ScheduleRow], objective) -> str:
     header = ["Screen", "Location", "Film", "Configuration", "Showtimes"]
-    cells = [
+    cells = [header] + [
         [str(r.screen_id), r.location, r.film_title, str(r.config_index), " ".join(r.showtimes)]
         for r in all_rows
     ]
-    widths = [max(len(header[i]), *(len(c[i]) for c in cells)) if cells else len(header[i])
-              for i in range(len(header))]
-    print("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip())
-    for c in cells:
-        print("  ".join(c[i].ljust(widths[i]) for i in range(len(header))).rstrip())
-    print(f"Objective: {_fmt_objective(objective)}")
+    widths = [max(len(c[i]) for c in cells) for i in range(len(header))]
+    lines = ["  ".join(c[i].ljust(widths[i]) for i in range(len(header))).rstrip() for c in cells]
+    return "\n".join(lines) + f"\nObjective: {_fmt_objective(objective)}\n"
 
 
-def _print_csv(all_rows: List[ScheduleRow]) -> None:
+def _csv_text(all_rows: List[ScheduleRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ScheduleRow._fields)
     writer.writerows(r._replace(showtimes=" ".join(r.showtimes)) for r in all_rows)
-    _write_stdout(buf.getvalue())
+    return buf.getvalue()
 
 
 def _write_stdout(text: str) -> None:
@@ -181,20 +177,26 @@ def _write_lp(models, path: str) -> bool:
     return True
 
 
+def _infeasible(report: ClusterSolveReport) -> int:
+    """Exit code 3, after one stderr line per infeasible cluster naming its diagnostic."""
+    for cluster_id, cluster_report in report.per_cluster.items():
+        if cluster_report.status == "Infeasible":
+            print(f"cluster {cluster_id}: {cluster_report.diagnostic}", file=sys.stderr)
+    return 3
+
+
 def cmd_validate(args) -> int:
     try:
         load_instance(args.instance)
     except InstanceDataError as exc:
-        for violation in exc.violations:
-            print(str(violation))
+        _write_stdout("".join(f"{violation}\n" for violation in exc.violations))
         return 1
-    print("ok")
+    _write_stdout("ok\n")
     return 0
 
 
 def cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
-    multi = as_multi(instance)
+    multi = as_multi(load_instance(args.instance))
 
     started = time.perf_counter()
     report = solve_all(multi)
@@ -205,7 +207,7 @@ def cmd_solve(args) -> int:
 
     clusters = {c.cluster_id: c for c in multi.clusters}
     if args.format == "json":
-        _write_stdout(_solve_json(report, clusters))
+        text = _solve_json(report, clusters)
     else:
         all_rows = [
             row
@@ -215,11 +217,12 @@ def cmd_solve(args) -> int:
         ]
         all_rows.sort(key=attrgetter("screen_id"))
         if args.format == "csv":
-            _print_csv(all_rows)
+            text = _csv_text(all_rows)
         elif report.overall_status == "Optimal":
-            _print_table(all_rows, report.combined_objective)
+            text = _table_text(all_rows, report.combined_objective)
         else:
-            print("Status: Infeasible")
+            text = "Status: Infeasible\n"
+    _write_stdout(text)
 
     kinds = Counter(r.certificate.kind for r in report.per_cluster.values())
     print(
@@ -227,12 +230,7 @@ def cmd_solve(args) -> int:
         f" (certificates: {', '.join(f'{kinds[k]} {k}' for k in CERTIFICATE_KINDS)})",
         file=sys.stderr,
     )
-    if report.overall_status != "Optimal":
-        for cluster_id, cluster_report in report.per_cluster.items():
-            if cluster_report.status == "Infeasible":
-                print(f"cluster {cluster_id}: {cluster_report.diagnostic}", file=sys.stderr)
-        return 3
-    return 0
+    return 0 if report.overall_status == "Optimal" else _infeasible(report)
 
 
 def _load_partial(path: str, turnover_minutes: int):
@@ -248,6 +246,9 @@ def _load_partial(path: str, turnover_minutes: int):
 
 
 def cmd_generate_configs(args) -> int:
+    if args.turnover < 0:
+        print(f"error: turnover must be >= 0, got {args.turnover}", file=sys.stderr)
+        return 2
     multi, listed = _load_partial(args.instance, args.turnover)
 
     if listed:   # the document's configurations are replaced, and their forecast rows dropped
@@ -262,20 +263,21 @@ def cmd_generate_configs(args) -> int:
     return 0
 
 
+def _model_counts(models) -> str:
+    return (
+        f"{sum(m.variable_count for m in models)} variables,"
+        f" {sum(len(m.screen_ids) for m in models)} equality rows,"
+        f" {sum(len(m.column_keys) for m in models)} inequality rows"
+    )
+
+
 def cmd_build(args) -> int:
     clusters = sorted(as_multi(load_instance(args.instance)).clusters, key=lambda c: c.cluster_id)
     models = [(c.cluster_id, build_model(c)) for c in clusters]
 
-    for cluster_id, model in models:
-        print(
-            f"cluster {cluster_id}: {model.variable_count} variables,"
-            f" {len(model.screen_ids)} equality rows, {len(model.column_keys)} inequality rows"
-        )
-    print(
-        f"total: {sum(m.variable_count for _, m in models)} variables,"
-        f" {sum(len(m.screen_ids) for _, m in models)} equality rows,"
-        f" {sum(len(m.column_keys) for _, m in models)} inequality rows"
-    )
+    lines = [f"cluster {cluster_id}: {_model_counts([model])}" for cluster_id, model in models]
+    lines.append(f"total: {_model_counts([model for _, model in models])}")
+    _write_stdout("".join(f"{line}\n" for line in lines))
 
     if args.export_lp:
         if not _write_lp(models, args.export_lp):
@@ -293,45 +295,40 @@ def cmd_synth(args) -> int:
         return 2
     lo, hi = int(match.group(1)), int(match.group(2))
     try:
-        doc = generate_document(
-            screens=args.screens,
-            films=args.films,
-            clusters=args.clusters,
-            seed=args.seed,
-            coeff_range=(lo, hi),
-        )
+        doc = generate_document(screens=args.screens, films=args.films, clusters=args.clusters,
+                                seed=args.seed, coeff_range=(lo, hi))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(dumps_json(doc))
+    _write_stdout(dumps_json(doc) + "\n")
     return 0
 
 
 def cmd_verify_decomposition(args) -> int:
-    instance = load_instance(args.instance)
-    report = verify_decomposition(instance)
+    # solve_all's premises make its certified cluster results the joint result
+    report = solve_all(load_instance(args.instance))
 
-    split = report.per_cluster
-    for cluster_id, cluster_report in split.per_cluster.items():
-        if cluster_report.status == "Optimal":
-            print(f"cluster {cluster_id}: Optimal, objective {_fmt_objective(cluster_report.objective)}")
-        else:
-            print(f"cluster {cluster_id}: Infeasible")
-    if split.overall_status == "Optimal":
-        print(f"sum of cluster optima: {_fmt_objective(split.combined_objective)}")
-        print(f"joint model optimum: {_fmt_objective(report.joint_objective)}")
-        print("decomposition verified: joint optimum equals the sum of cluster optima")
-        return 0
-    print("decomposition verified: joint model and clusters agree on infeasibility")
-    for cluster_id, cluster_report in split.per_cluster.items():
-        if cluster_report.status == "Infeasible":
-            print(f"cluster {cluster_id}: {cluster_report.diagnostic}", file=sys.stderr)
-    return 3
+    lines = [
+        f"cluster {cluster_id}: Optimal, objective {_fmt_objective(cluster_report.objective)}"
+        if cluster_report.status == "Optimal" else f"cluster {cluster_id}: Infeasible"
+        for cluster_id, cluster_report in report.per_cluster.items()
+    ]
+    if report.overall_status == "Optimal":
+        objective = _fmt_objective(report.combined_objective)
+        lines += [
+            f"sum of cluster optima: {objective}",
+            f"joint model optimum: {objective}",
+            "decomposition verified: joint optimum equals the sum of cluster optima",
+        ]
+    else:
+        lines.append("decomposition verified: joint model and clusters agree on infeasibility")
+    _write_stdout("".join(f"{line}\n" for line in lines))
+    return 0 if report.overall_status == "Optimal" else _infeasible(report)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: each subcommand's ``func`` is bound here."""
+    """The parser, built once per process; ``main`` runs ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="cinestagger",
         description="Exact film-to-screen scheduler with staggered showtimes",
@@ -340,13 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check an instance file, listing violations")
     p.add_argument("instance", help="instance JSON file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="solve an instance and print the schedule")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--export-lp", metavar="PATH", help="also write the model as LP text")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
         "generate-configs",
@@ -354,12 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("instance", help="instance JSON file, configurations optional")
     p.add_argument("--turnover", type=int, default=0, help="minutes added per screening")
-    p.set_defaults(func=cmd_generate_configs)
 
     p = sub.add_parser("build", help="print model statistics, optionally export LP text")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--export-lp", metavar="PATH")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("synth", help="generate a seeded random instance")
     p.add_argument("--screens", type=int, required=True, help="screens per cluster")
@@ -367,22 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coeff-range", default="200..299", metavar="LO..HI")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
         "verify-decomposition",
         help="check that per-cluster optima sum to the joint optimum",
     )
     p.add_argument("instance", help="instance JSON file")
-    p.set_defaults(func=cmd_verify_decomposition)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.func(args)
+        code = command(args)
         sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError as exc:

@@ -62,10 +62,18 @@ def solve_all(instance: Instance) -> ClusterSolveReport:
 
 @dataclass
 class DecompositionReport:
-    joint_status: str
-    joint_objective: Optional[Fraction]
+    """:func:`solve_all`'s report read as the joint result, which it is."""
+
     per_cluster: ClusterSolveReport
-    equal: bool
+    equal = True    # not a field: solve_all's premises make the split exact
+
+    @property
+    def joint_status(self) -> str:
+        return self.per_cluster.overall_status
+
+    @property
+    def joint_objective(self) -> Optional[Fraction]:
+        return self.per_cluster.combined_objective
 
 
 def verify_decomposition(instance: Instance) -> DecompositionReport:
@@ -74,13 +82,7 @@ def verify_decomposition(instance: Instance) -> DecompositionReport:
     This is :func:`solve_all`, whose premises make the joint program
     block-diagonal: the certified cluster results are the joint result.
     """
-    split = solve_all(instance)
-    return DecompositionReport(
-        joint_status=split.overall_status,
-        joint_objective=split.combined_objective,
-        per_cluster=split,
-        equal=True,
-    )
+    return DecompositionReport(solve_all(instance))
 
 
 def derive_clusters(

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -158,6 +159,12 @@ def _set_first(block, key, value):
             ["empty_cluster_id: cluster id is empty", "empty_cluster_id: location 1 has an empty cluster id"],
             id="empty-cluster-id",
         ),
+        pytest.param(
+            _set_first("configurations", "film_id", 99),
+            ["unknown_film: configuration 1 references unknown film 99"],
+            id="unknown-film",
+        ),
+        pytest.param(lambda d: d.__setitem__("locations", []), ["no_locations: document defines no locations"], id="no-locations"),
     ],
 )
 def test_validate_lists_each_violation(tmp_path, capsys, mutate, lines):
@@ -189,6 +196,17 @@ def test_validate_lists_each_violation(tmp_path, capsys, mutate, lines):
             _set_first("locations", "open_time", "١٢:00"), 'bad time \'١٢:00\': expected "HH:MM"',
             id="arabic-indic-time",
         ),
+        pytest.param(
+            _set_first("forecast", "screen_id", "1"), "forecast screen_id: expected an integer, got '1'",
+            id="string-screen-id",
+        ),
+        pytest.param(
+            _set_first("forecast", "film_id", True), "forecast film_id: expected an integer, got True", id="bool-film-id",
+        ),
+        pytest.param(
+            lambda d: d["forecast"][0].pop("config_index"), "forecast entry: missing key 'config_index'",
+            id="missing-config-index",
+        ),
     ],
 )
 def test_validate_rejects_a_malformed_document(tmp_path, capsys, mutate, line):
@@ -198,6 +216,16 @@ def test_validate_rejects_a_malformed_document(tmp_path, capsys, mutate, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {line}\n"
+
+
+def test_an_integer_cluster_id_loads_and_is_written_as_a_string(tmp_path, capsys):
+    doc = support.matrix_document([[5, 6], [7, 8]])
+    doc["locations"][0]["cluster_id"] = 7
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    assert main(["generate-configs", path]) == 0
+    assert json.loads(capsys.readouterr().out)["locations"][0]["cluster_id"] == "7"
 
 
 @pytest.mark.parametrize(
@@ -453,6 +481,18 @@ def test_generate_configs_checks_the_forecast_against_the_turnover(example_docum
     assert max(c["config_index"] for c in out["configurations"] if c["film_id"] == 1) == 4
     assert main(["generate-configs", path]) == 1
     assert "references an unknown configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("listed", [True, False])
+def test_generate_configs_refuses_a_negative_turnover_before_reading(example_document, tmp_path, capsys, listed):
+    doc = copy.deepcopy(example_document)
+    if not listed:
+        del doc["configurations"]
+    assert main(["generate-configs", write_doc(tmp_path, doc), "--turnover", "-5"]) == 2
+    assert capsys.readouterr() == ("", "error: turnover must be >= 0, got -5\n")
+    # before the document is read: a missing file gives the same line
+    assert main(["generate-configs", str(tmp_path / "missing.json"), "--turnover", "-5"]) == 2
+    assert capsys.readouterr() == ("", "error: turnover must be >= 0, got -5\n")
 
 
 @pytest.mark.parametrize("listed", [True, False])
@@ -921,8 +961,21 @@ def test_output_matches_the_pinned_bytes(example_path, tmp_path, capsysbinary, s
     assert main([command, str(path), *options]) == 0
     out = capsysbinary.readouterr().out
     assert (lp.read_bytes() if pinned.endswith(".lp") else out) == (PINNED / source / pinned).read_bytes()
+    if not pinned.endswith(".lp"):
+        assert _text_stream_output([command, str(path), *options]) == out.decode("utf-8")
+
+
+def _text_stream_output(argv) -> str:
+    """Standard output of ``main(argv)`` captured as the benchmark harness captures
+    it: a text stream without a ``buffer``."""
+    stream = io.StringIO()
+    with redirect_stdout(stream):
+        assert main(argv) == 0
+    return stream.getvalue()
 
 
 def test_synth_output_matches_the_pinned_bytes(capsysbinary):
-    assert main(["synth", "--screens", "4", "--films", "2", "--clusters", "3", "--seed", "1"]) == 0
+    argv = ["synth", "--screens", "4", "--films", "2", "--clusters", "3", "--seed", "1"]
+    assert main(argv) == 0
     assert capsysbinary.readouterr().out == (PINNED / "synth" / "input.json").read_bytes()
+    assert _text_stream_output(argv).encode("utf-8") == (PINNED / "synth" / "input.json").read_bytes()

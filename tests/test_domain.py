@@ -522,6 +522,37 @@ def test_dumps_instance_refuses_rows_outside_the_matrix():
     )
 
 
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        pytest.param(
+            lambda a, b: (a, replace(b, stagger_interval_minutes=15)),
+            "cannot serialize clusters with different stagger intervals into one document",
+            id="stagger",
+        ),
+        pytest.param(
+            lambda a, b: (a, replace(b, films=b.films + a.films[:1])),
+            "film 1 plays in 2 of 3 clusters; only global or single-cluster films serialize",
+            id="film-in-some-clusters",
+        ),
+    ],
+)
+def test_dumps_instance_refuses_clusters_that_share_no_document(spoil, message):
+    first, second, third = support.load_multi(support.random_multi_document(random.Random(1), clusters=3)).clusters
+    with pytest.raises(ValueError) as err:
+        dumps_instance(MultiClusterInstance((*spoil(first, second), third)))
+    assert str(err.value) == message
+
+
+def test_load_instance_refuses_a_negative_turnover():
+    doc = support.matrix_document([[5]])
+    del doc["configurations"]
+    with pytest.raises(ValueError) as err:
+        load_instance(doc, turnover_minutes=-1)
+    assert not isinstance(err.value, InstanceError)
+    assert str(err.value) == "turnover must be >= 0, got -1"
+
+
 def test_parse_document_without_validation():
     doc = support.matrix_document([[5]])
     doc["configurations"][0]["showtimes"] = ["14:00", "13:00"]

@@ -283,6 +283,31 @@ def test_check_feasible_flags_missing_screen(example_model):
     assert ("equality", 9) in [(r.kind, r.key) for r in report.failures()]
 
 
+def test_row_checks_read_as_one_line_each(example_model):
+    chosen = known_best_variables()
+    chosen[0] = VariableRef(1, 5, 1)
+    rows = {(r.kind, r.key): str(r) for r in check_feasible(example_model, chosen).rows}
+    assert rows[("equality", 1)] == "equality row screen 1: 1 chosen, ok"
+    assert rows[("inequality", (5, 1))] == "inequality row film 5 config 1: 2 chosen, violated (want at most 1)"
+    missing = check_feasible(example_model, chosen[1:]).failures()
+    assert [str(r) for r in missing] == ["equality row screen 1: 0 chosen, violated (want exactly 1)"]
+
+
+def test_check_feasible_refuses_a_variable_outside_the_model(example_model):
+    with pytest.raises(ValueError) as err:
+        check_feasible(example_model, [VariableRef(1, 99, 1)])
+    assert str(err.value) == "variable X_s1_f99_c1 is not in the model"
+
+
+def test_build_model_refuses_a_forecast_with_empty_cells():
+    doc = support.matrix_document([[5, 6], [7, 8]])
+    del doc["forecast"][-1]
+    instance = load_instance(doc, allow_partial=True)
+    with pytest.raises(ValueError) as err:
+        build_model(instance)
+    assert str(err.value) == "cluster 't': the forecast does not give every screen and configuration a value"
+
+
 def test_feasible_assignments_have_cardinality_screen_count(example_model):
     assert len(known_best_variables()) == len(example_model.equality_rows)
 

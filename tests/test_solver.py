@@ -133,6 +133,29 @@ def test_certify_raises_on_planted_disagreement(example_model, monkeypatch):
         certify(example_model)
 
 
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        pytest.param(
+            lambda r: replace(r, schedule=None), "assignment reported Optimal without a schedule", id="no-schedule",
+        ),
+        pytest.param(
+            lambda r: replace(r, certificate=Certificate("pigeonhole")),
+            "assignment reported Optimal with certificate pigeonhole",
+            id="kind-mismatch",
+        ),
+        pytest.param(
+            lambda r: replace(r, certificate=None), "assignment reported Optimal with certificate None", id="none",
+        ),
+    ],
+)
+def test_check_certificate_refuses_a_report_it_cannot_check(example_model, spoil, message):
+    report = spoil(solve_assignment(example_model))
+    with pytest.raises(CertificationError) as err:
+        check_certificate(example_model, report)
+    assert str(err.value) == message
+
+
 def test_certify_calls_no_oracle(example_model, monkeypatch):
     import cinestagger.solver as solver_module
 
