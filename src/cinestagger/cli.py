@@ -6,9 +6,10 @@ one write; progress and error diagnostics go to standard error, so output
 given identical input is byte-identical run to run.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 a bad option
-value, unreadable or unparsable input, an unwritable ``--export-lp`` path
-or a standard output closed by its reader, 3 infeasible instance, 4
-internal error (a result failed its proof check, so no answer is trusted).
+value, unreadable or unparsable input, an unwritable ``--export-lp`` path,
+or a standard output that its reader closed or whose encoding cannot
+represent the output, 3 infeasible instance, 4 internal error (a result
+failed its proof check, so no answer is trusted).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cluster import ClusterSolveReport, solve_all
 # generate_configurations is unused here, but perfbench/tracing.py patches it on this module by getattr
@@ -67,14 +68,25 @@ class ScheduleRow(NamedTuple):
     film_id: int
     film_title: str
     config_index: int
-    showtimes: List[str]    # format_hhmm texts
+    showtimes: Tuple[str, ...]     # format_hhmm texts, shared by the rows of one showtime list
 
 
-def _schedule_rows(cluster: ClusterInstance, report: SolveReport) -> List[ScheduleRow]:
+def _schedule_rows(
+    cluster: ClusterInstance, report: SolveReport, texts: Dict[Tuple[int, ...], Tuple[str, ...]]
+) -> List[ScheduleRow]:
+    """The cluster's schedule rows, one per screen.
+
+    ``texts`` maps each showtime tuple already formatted to its texts; the
+    caller passes one dict for all its clusters, so each distinct tuple is
+    formatted once and its rows share the texts.
+    """
     rows = []
     for screen_id, (film_id, config_index) in report.schedule.items():
         screen = cluster.screen_by_id[screen_id]
-        config = cluster.configuration_by_key[(film_id, config_index)]
+        showtimes = cluster.configuration_by_key[(film_id, config_index)].showtimes
+        formatted = texts.get(showtimes)
+        if formatted is None:
+            formatted = texts[showtimes] = tuple(map(format_hhmm, showtimes))
         rows.append(
             ScheduleRow(
                 screen.source_id,
@@ -82,7 +94,7 @@ def _schedule_rows(cluster: ClusterInstance, report: SolveReport) -> List[Schedu
                 film_id,
                 cluster.film_by_id[film_id].title,
                 config_index,
-                [format_hhmm(t) for t in config.showtimes],
+                formatted,
             )
         )
     return rows
@@ -90,6 +102,8 @@ def _schedule_rows(cluster: ClusterInstance, report: SolveReport) -> List[Schedu
 
 def _solve_json(report: ClusterSolveReport, clusters: Dict[str, ClusterInstance]) -> str:
     """The solve document's text, as dumps_json would write it, in one pass from the schedule rows."""
+    texts: Dict[Tuple[int, ...], Tuple[str, ...]] = {}
+    arrays: Dict[Tuple[str, ...], str] = {}     # each distinct showtime list's JSON array text
     entries = []
     for cluster_id, cluster_report in report.per_cluster.items():
         entry = (
@@ -99,16 +113,21 @@ def _solve_json(report: ClusterSolveReport, clusters: Dict[str, ClusterInstance]
             + ',\n      "certified": ' + ("true" if cluster_report.certified else "false")
         )
         if cluster_report.status == "Optimal":
-            rows = [
-                f'\n        {{\n          "screen_id": {row.screen_id},'
-                '\n          "location": ' + encode_basestring_ascii(row.location)
-                + f',\n          "film_id": {row.film_id},'
-                '\n          "film_title": ' + encode_basestring_ascii(row.film_title)
-                + f',\n          "config_index": {row.config_index},'
-                '\n          "showtimes": ' + json_array([f'\n            "{t}"' for t in row.showtimes], "\n          ")
-                + "\n        }"
-                for row in _schedule_rows(clusters[cluster_id], cluster_report)
-            ]
+            rows = []
+            for row in _schedule_rows(clusters[cluster_id], cluster_report, texts):
+                array = arrays.get(row.showtimes)
+                if array is None:
+                    array = arrays[row.showtimes] = json_array(
+                        [f'\n            "{t}"' for t in row.showtimes], "\n          "
+                    )
+                rows.append(
+                    f'\n        {{\n          "screen_id": {row.screen_id},'
+                    '\n          "location": ' + encode_basestring_ascii(row.location)
+                    + f',\n          "film_id": {row.film_id},'
+                    '\n          "film_title": ' + encode_basestring_ascii(row.film_title)
+                    + f',\n          "config_index": {row.config_index},'
+                    '\n          "showtimes": ' + array + "\n        }"
+                )
             entry += (
                 ',\n      "objective": ' + _fmt_objective(cluster_report.objective)
                 + ',\n      "schedule": ' + json_array(rows, "\n      ")
@@ -144,8 +163,13 @@ def _csv_text(all_rows: List[ScheduleRow]) -> str:
     return buf.getvalue()
 
 
+class UnwritableOutputError(Exception):
+    """Standard output's encoding cannot represent the text; nothing was written."""
+
+
 def _write_stdout(text: str) -> None:
-    """Write ``text`` to standard output whole, or raise BrokenPipeError.
+    """Write ``text`` to standard output whole, or raise BrokenPipeError or
+    UnwritableOutputError.
 
     When the reader closes during one large write, the buffered writer
     returns a short count without an error and the text layer drops the
@@ -158,7 +182,10 @@ def _write_stdout(text: str) -> None:
         stream.write(text)
         return
     stream.flush()
-    data = memoryview(text.encode(stream.encoding, stream.errors))
+    try:
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+    except UnicodeEncodeError as exc:   # a ValueError, but not the document's fault
+        raise UnwritableOutputError(exc) from None
     while data:
         data = data[buffer.write(data):]
 
@@ -209,11 +236,12 @@ def cmd_solve(args) -> int:
     if args.format == "json":
         text = _solve_json(report, clusters)
     else:
+        texts: Dict[Tuple[int, ...], Tuple[str, ...]] = {}
         all_rows = [
             row
             for cluster_id, cluster_report in report.per_cluster.items()
             if cluster_report.status == "Optimal"
-            for row in _schedule_rows(clusters[cluster_id], cluster_report)
+            for row in _schedule_rows(clusters[cluster_id], cluster_report, texts)
         ]
         all_rows.sort(key=attrgetter("screen_id"))
         if args.format == "csv":
@@ -384,6 +412,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return 2
+    except UnwritableOutputError as exc:
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return 2
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -413,8 +413,17 @@ def parse_document(
         "stagger_interval_minutes",
     )
 
+    # each block's loop reads well-typed fields directly; only an entry that
+    # fails a type check goes through the checking helpers, which raise the
+    # entry's first error and build its context strings
     locations = []
     for entry in _as_list(_require(obj, "locations", "document"), "locations"):
+        loc_id, name, cluster_id = entry.get("id"), entry.get("name"), entry.get("cluster_id")
+        open_time, last_showtime = entry.get("open_time"), entry.get("last_showtime")
+        if (type(loc_id) is int and type(name) is str and type(cluster_id) is str
+                and type(open_time) is str and type(last_showtime) is str):
+            locations.append(Location(loc_id, name, cluster_id, parse_hhmm(open_time), parse_hhmm(last_showtime)))
+            continue
         loc_id = _require_int(_require(entry, "id", "location"), "location id")
         locations.append(
             Location(
@@ -443,8 +452,10 @@ def parse_document(
 
     seen_screens: Set[int] = set()
     for position, entry in enumerate(_as_list(_require(obj, "screens", "document"), "screens"), start=1):
-        ext_id = _require_int(_require(entry, "id", "screen"), "screen id")
-        loc_id = _require_int(_require(entry, "location_id", f"screen {ext_id}"), f"screen {ext_id} location_id")
+        ext_id, loc_id = entry.get("id"), entry.get("location_id")
+        if type(ext_id) is not int or type(loc_id) is not int:
+            ext_id = _require_int(_require(entry, "id", "screen"), "screen id")
+            loc_id = _require_int(_require(entry, "location_id", f"screen {ext_id}"), f"screen {ext_id} location_id")
         if ext_id in seen_screens:
             raise InstanceDataError(
                 [Violation("duplicate_screen_id", f"screen id {ext_id} appears more than once")]
@@ -461,21 +472,23 @@ def parse_document(
     # film id -> the clusters it plays in
     film_owners: Dict[int, Tuple[_ClusterParts, ...]] = {}
     for entry in _as_list(_require(obj, "films", "document"), "films"):
-        film_id = _require_int(_require(entry, "id", "film"), "film id")
+        film_id = entry.get("id")
+        if type(film_id) is not int:
+            film_id = _require_int(_require(entry, "id", "film"), "film id")
         if film_id in film_owners:
             raise InstanceDataError(
                 [Violation("duplicate_film_id", f"film id {film_id} appears more than once")]
             )
-        film = Film(
-            film_id=film_id,
-            title=_require_str(_require(entry, "title", f"film {film_id}"), f"film {film_id} title"),
-            runtime_minutes=_require_int(
-                _require(entry, "runtime_minutes", f"film {film_id}"), f"film {film_id} runtime"
-            ),
-        )
+        title, runtime = entry.get("title"), entry.get("runtime_minutes")
+        if type(title) is not str or type(runtime) is not int:
+            title = _require_str(_require(entry, "title", f"film {film_id}"), f"film {film_id} title")
+            runtime = _require_int(_require(entry, "runtime_minutes", f"film {film_id}"), f"film {film_id} runtime")
+        film = Film(film_id, title, runtime)
         # films may be scoped to one cluster; unscoped films play in every cluster
         if "cluster_id" in entry:
-            scope = _cluster_key(entry["cluster_id"], f"film {film_id}")
+            scope = entry["cluster_id"]
+            if type(scope) is not str:
+                scope = _cluster_key(scope, f"film {film_id}")
             if scope not in parts:
                 raise InstanceDataError(
                     [Violation("unknown_cluster", f"film {film_id} references unknown cluster {scope!r}")]
@@ -487,27 +500,36 @@ def parse_document(
         for part in owners:
             part.films.append(film)
 
+    # films of one cycle length share showtime lists: each distinct list of
+    # strings is parsed once, and a list that does not parse is never kept
+    showtimes_of: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
     config_rows = _as_list(obj.get("configurations", []), "configurations")
     for entry in config_rows:
-        film_id = _require_int(_require(entry, "film_id", "configuration"), "configuration film_id")
-        config_index = _require_int(
-            _require(entry, "config_index", f"film {film_id} configuration"), "config_index"
-        )
+        film_id, config_index = entry.get("film_id"), entry.get("config_index")
+        if type(film_id) is not int or type(config_index) is not int:
+            film_id = _require_int(_require(entry, "film_id", "configuration"), "configuration film_id")
+            config_index = _require_int(
+                _require(entry, "config_index", f"film {film_id} configuration"), "config_index"
+            )
         if film_id not in film_owners:
             raise InstanceDataError(
                 [Violation("unknown_film", f"configuration {config_index} references unknown film {film_id}")]
             )
-        raw_times = _require(entry, "showtimes", f"film {film_id} config {config_index}")
-        if not isinstance(raw_times, list):
-            raise InstanceFormatError(
-                f"film {film_id} config {config_index} showtimes:"
-                f" expected a list, got {type(raw_times).__name__}"
-            )
-        config = ShowtimeConfiguration(
-            film_id=film_id,
-            config_index=config_index,
-            showtimes=tuple(parse_hhmm(t) for t in raw_times),
-        )
+        raw_times = entry.get("showtimes")
+        if type(raw_times) is not list:
+            raw_times = _require(entry, "showtimes", f"film {film_id} config {config_index}")
+            if not isinstance(raw_times, list):
+                raise InstanceFormatError(
+                    f"film {film_id} config {config_index} showtimes:"
+                    f" expected a list, got {type(raw_times).__name__}"
+                )
+        try:
+            showtimes = showtimes_of.get(tuple(raw_times))
+        except TypeError:   # an unhashable entry, which parse_hhmm refuses below
+            showtimes = None
+        if showtimes is None:
+            showtimes = showtimes_of[tuple(raw_times)] = tuple(map(parse_hhmm, raw_times))
+        config = ShowtimeConfiguration(film_id, config_index, showtimes)
         for part in film_owners[film_id]:
             part.configurations.append(config)
 
@@ -791,13 +813,20 @@ def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Vi
     films_with_configs = set()
     seen_config_keys = set()
     for config in cluster.configurations:
+        key, times = config.key(), config.showtimes
+        duplicate = key in seen_config_keys
+        seen_config_keys.add(key)
+        films_with_configs.add(config.film_id)
+        # strictly increasing times lie in the window when the first and last do
+        if (not duplicate and config.film_id in seen_films and config.config_index >= 1 and times
+                and window[0] <= times[0] and times[-1] <= window[1]
+                and all(a < b for a, b in zip(times, times[1:]))):
+            continue    # nothing to report, so no label
         label = f"film {config.film_id} config {config.config_index}"
-        if config.key() in seen_config_keys:
+        if duplicate:
             v.append(Violation("duplicate_config_index", f"{label} appears more than once"))
-        seen_config_keys.add(config.key())
         if config.film_id not in seen_films:
             v.append(Violation("unknown_film", f"{label} references an unknown film"))
-        films_with_configs.add(config.film_id)
         if config.config_index < 1:
             v.append(Violation("bad_config_index", f"{label}: config index must be positive"))
         if not config.showtimes:

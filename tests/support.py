@@ -21,13 +21,26 @@ from cinestagger import (
     validate_instance,
 )
 from cinestagger.domain import (
+    ATTENDANCE_LIMIT,
+    MILLI,
     Film,
+    Location,
+    Screen,
+    ShowtimeConfiguration,
     Violation,
+    _as_list,
+    _cluster_key,
+    _ClusterParts,
+    _forecast_ids,
+    _require,
+    _require_int,
+    _require_str,
+    default_configurations,
     format_attendance,
     format_hhmm,
     milli_to_json,
     parse_attendance,
-    parse_document,
+    parse_hhmm,
 )
 
 WINDOW_OPEN = 720
@@ -499,7 +512,7 @@ def reference_load(doc: dict, allow_partial: bool = False, turnover_minutes: int
     """
     try:
         try:
-            skeleton = parse_document(
+            skeleton = reference_parse_document(
                 {**doc, "forecast": []}, allow_partial=True, turnover_minutes=turnover_minutes
             )
             held = None
@@ -527,3 +540,202 @@ def reference_load(doc: dict, allow_partial: bool = False, turnover_minutes: int
         reference_weights(cluster, forecasts[cluster.cluster_id]) for cluster in skeleton.clusters
     ]
     return ("ok", models, dumps_json(reference_document(skeleton, forecasts)) + "\n")
+
+
+# the loader before it read each block's fields through typed fast paths and
+# parsed each distinct showtime list once: every field through the checking
+# helpers, every time through parse_hhmm
+
+def reference_parse_document(
+    obj, allow_partial: bool = False, turnover_minutes: int = 0
+) -> MultiClusterInstance:
+    """What ``parse_document`` returns or raises for ``obj``, field by field."""
+    if not isinstance(obj, dict):
+        raise InstanceFormatError("instance document must be a JSON object")
+
+    stagger = _require_int(
+        _require(obj, "stagger_interval_minutes", "document"),
+        "stagger_interval_minutes",
+    )
+
+    locations = []
+    for entry in _as_list(_require(obj, "locations", "document"), "locations"):
+        loc_id = _require_int(_require(entry, "id", "location"), "location id")
+        locations.append(
+            Location(
+                location_id=loc_id,
+                name=_require_str(_require(entry, "name", f"location {loc_id}"), f"location {loc_id} name"),
+                cluster_id=_cluster_key(_require(entry, "cluster_id", f"location {loc_id}"), f"location {loc_id}"),
+                open_time=parse_hhmm(_require(entry, "open_time", f"location {loc_id}")),
+                last_showtime=parse_hhmm(_require(entry, "last_showtime", f"location {loc_id}")),
+            )
+        )
+    if not locations:
+        raise InstanceDataError([Violation("no_locations", "document defines no locations")])
+    location_by_id = {}
+    for loc in locations:
+        if loc.location_id in location_by_id:
+            raise InstanceDataError(
+                [Violation("duplicate_location_id", f"location id {loc.location_id} appears more than once")]
+            )
+        location_by_id[loc.location_id] = loc
+
+    parts = {cluster_id: _ClusterParts() for cluster_id in sorted({loc.cluster_id for loc in locations})}
+    for loc in locations:
+        parts[loc.cluster_id].locations.append(loc)
+    every_cluster = tuple(parts.values())
+
+    seen_screens = set()
+    for position, entry in enumerate(_as_list(_require(obj, "screens", "document"), "screens"), start=1):
+        ext_id = _require_int(_require(entry, "id", "screen"), "screen id")
+        loc_id = _require_int(_require(entry, "location_id", f"screen {ext_id}"), f"screen {ext_id} location_id")
+        if ext_id in seen_screens:
+            raise InstanceDataError(
+                [Violation("duplicate_screen_id", f"screen id {ext_id} appears more than once")]
+            )
+        if loc_id not in location_by_id:
+            raise InstanceDataError(
+                [Violation("unknown_location", f"screen {ext_id} references unknown location {loc_id}")]
+            )
+        part = parts[location_by_id[loc_id].cluster_id]
+        part.screens.append(Screen(screen_id=position, location_id=loc_id, external_id=ext_id))
+        seen_screens.add(ext_id)
+
+    film_owners = {}
+    for entry in _as_list(_require(obj, "films", "document"), "films"):
+        film_id = _require_int(_require(entry, "id", "film"), "film id")
+        if film_id in film_owners:
+            raise InstanceDataError(
+                [Violation("duplicate_film_id", f"film id {film_id} appears more than once")]
+            )
+        film = Film(
+            film_id=film_id,
+            title=_require_str(_require(entry, "title", f"film {film_id}"), f"film {film_id} title"),
+            runtime_minutes=_require_int(
+                _require(entry, "runtime_minutes", f"film {film_id}"), f"film {film_id} runtime"
+            ),
+        )
+        if "cluster_id" in entry:
+            scope = _cluster_key(entry["cluster_id"], f"film {film_id}")
+            if scope not in parts:
+                raise InstanceDataError(
+                    [Violation("unknown_cluster", f"film {film_id} references unknown cluster {scope!r}")]
+                )
+            owners = (parts[scope],)
+        else:
+            owners = every_cluster
+        film_owners[film_id] = owners
+        for part in owners:
+            part.films.append(film)
+
+    config_rows = _as_list(obj.get("configurations", []), "configurations")
+    for entry in config_rows:
+        film_id = _require_int(_require(entry, "film_id", "configuration"), "configuration film_id")
+        config_index = _require_int(
+            _require(entry, "config_index", f"film {film_id} configuration"), "config_index"
+        )
+        if film_id not in film_owners:
+            raise InstanceDataError(
+                [Violation("unknown_film", f"configuration {config_index} references unknown film {film_id}")]
+            )
+        raw_times = _require(entry, "showtimes", f"film {film_id} config {config_index}")
+        if not isinstance(raw_times, list):
+            raise InstanceFormatError(
+                f"film {film_id} config {config_index} showtimes:"
+                f" expected a list, got {type(raw_times).__name__}"
+            )
+        config = ShowtimeConfiguration(
+            film_id=film_id,
+            config_index=config_index,
+            showtimes=tuple(parse_hhmm(t) for t in raw_times),
+        )
+        for part in film_owners[film_id]:
+            part.configurations.append(config)
+
+    clusters = []
+    generation_error = None
+    for cluster_id, part in parts.items():
+        cluster = ClusterInstance(
+            cluster_id=cluster_id,
+            locations=tuple(part.locations),
+            screens=tuple(part.screens),
+            films=tuple(part.films),
+            configurations=tuple(part.configurations),
+            stagger_interval_minutes=stagger,
+            forecast=ForecastMatrix((), (), []),
+        )
+        if not config_rows:
+            try:
+                cluster.configurations = default_configurations(cluster, turnover_minutes)
+            except (InstanceDataError, ValueError) as exc:
+                generation_error = generation_error or exc
+        part.columns = tuple(sorted({config.key() for config in cluster.configurations}))
+        part.columns_of = {film.film_id: {} for film in part.films}
+        for column, (film_id, config_index) in enumerate(part.columns):
+            part.columns_of[film_id][config_index] = column
+        part.rows = [[None] * len(part.columns) for _ in part.screens]
+        clusters.append(cluster)
+    row_route = {
+        screen.external_id: (screen.screen_id, row, part.columns_of, part.flagged)
+        for part in every_cluster
+        for screen, row in zip(part.screens, part.rows)
+    }
+
+    forecast_raw = obj.get("forecast")
+    if forecast_raw is None:
+        if not allow_partial:
+            raise InstanceFormatError("document: missing key 'forecast'")
+        forecast_raw = []
+    outside = None
+    stray = set()
+    for entry in _as_list(forecast_raw, "forecast"):
+        ext_sid = entry.get("screen_id")
+        film_id = entry.get("film_id")
+        config_index = entry.get("config_index")
+        if type(ext_sid) is not int or type(film_id) is not int or type(config_index) is not int:
+            ext_sid, film_id, config_index = _forecast_ids(entry)
+        try:
+            sid, row, columns_of, flagged = row_route[ext_sid]
+            column = columns_of[film_id][config_index]
+        except KeyError:
+            column = None
+        if column is not None:
+            if row[column] is not None:
+                label = _row_label(ext_sid, film_id, config_index)
+                raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
+            attendance = entry.get("attendance")
+            if type(attendance) is int and 0 <= attendance < ATTENDANCE_LIMIT:
+                row[column] = attendance * MILLI
+                continue
+        else:
+            route = row_route.get(ext_sid)
+            if route is None:
+                label = _row_label(ext_sid, film_id, config_index)
+                raise InstanceDataError([Violation("unknown_screen", f"{label} references an unknown screen")])
+            sid, row, columns_of, flagged = route
+            if film_id not in columns_of:
+                if film_id not in film_owners:
+                    label = _row_label(ext_sid, film_id, config_index)
+                    raise InstanceDataError([Violation("unknown_film", f"{label} references an unknown film")])
+                if outside is None:
+                    outside = (ext_sid, film_id, config_index)
+            if (sid, film_id, config_index) in stray:
+                label = _row_label(ext_sid, film_id, config_index)
+                raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
+            stray.add((sid, film_id, config_index))
+        milli = parse_attendance(_require(entry, "attendance", _row_label(ext_sid, film_id, config_index)))
+        if column is not None:
+            row[column] = milli
+        if column is None or milli < 0:
+            flagged.append((sid, film_id, config_index, milli))
+
+    for cluster, part in zip(clusters, every_cluster):
+        screen_ids = tuple(screen.screen_id for screen in part.screens)
+        cluster.forecast = ForecastMatrix(screen_ids, part.columns, part.rows, tuple(part.flagged))
+    if generation_error is not None:
+        raise generation_error
+    if outside is not None:
+        label = _row_label(*outside)
+        raise InstanceDataError([Violation("unknown_film", f"{label} pairs a screen with a film outside its cluster")])
+
+    return MultiClusterInstance(clusters=tuple(clusters))

@@ -885,6 +885,26 @@ def test_an_instance_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert captured.err.startswith(f"error: {path}: not valid UTF-8 (")
 
 
+@pytest.mark.parametrize("output", ["table", "csv", "json"])
+def test_a_stdout_that_cannot_encode_a_name_exits_2(example_document, tmp_path, output):
+    doc = copy.deepcopy(example_document)
+    doc["locations"][0]["name"] = "Cinéma"
+    path = write_doc(tmp_path, doc)
+    done = subprocess.run(
+        [sys.executable, "-m", "cinestagger", "solve", path, "--format", output],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    if output == "json":    # its text escapes every non-ASCII character
+        assert done.returncode == 0
+        assert b'"location": "Cin\\u00e9ma"' in done.stdout
+        return
+    assert done.returncode == 2
+    assert done.stdout == b""
+    [line] = done.stderr.decode("ascii").splitlines()
+    assert line.startswith("error: cannot write standard output: 'ascii' codec can't encode character '\\xe9'")
+    assert line.endswith(": ordinal not in range(128)")
+
+
 def test_solving_and_writing_leave_the_forecast_untouched(tmp_path, capsys):
     doc = generate_document(screens=5, films=3, clusters=3, seed=4)
     multi = load_instance(doc)

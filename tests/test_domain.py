@@ -942,3 +942,74 @@ def test_matrix_loader_matches_the_dict_reference(doc, partial, turnover):
         doc.pop("forecast")
     expected = support.reference_load(doc, partial, turnover)
     assert matrix_load(copy.deepcopy(doc), partial, turnover) == expected
+
+
+# values a typed fast path must send back to the checking code
+_BAD_IDS = ["7", True, False, 1.0, Decimal("1"), None]
+_BAD_TIMES = [720, None, True, " 12:00", "12:00 ", "1200", "28:00", "12:60", "１２:00"]
+
+
+@st.composite
+def mutated_block_documents(draw):
+    """``synth`` documents of 1-6 clusters with 1-3 edits to the locations,
+    screens, films and configurations blocks: a mistyped id, an int cluster
+    id, a missing key, a bad time or showtimes entry, a bad time in a list
+    several configurations share, or a duplicated configuration."""
+    clusters = draw(st.integers(1, 6))
+    doc = generate_document(
+        draw(st.integers(1, 4)), draw(st.integers(1, 3)), clusters=clusters, seed=draw(st.integers(0, 10**6)),
+    )
+    configs = doc["configurations"]
+
+    def pick(block):
+        return draw(st.sampled_from(doc[block]))
+
+    kinds = draw(st.lists(st.sampled_from(
+        ["id", "cluster", "missing", "location time", "showtime", "entry", "shared", "duplicate"]
+    ), min_size=1, max_size=3))
+    # keys are deleted last, so every other edit finds its block
+    for kind in sorted(kinds, key=lambda kind: kind == "missing"):
+        if kind == "id":
+            block, key = draw(st.sampled_from([
+                ("locations", "id"), ("screens", "id"), ("screens", "location_id"), ("films", "id"),
+                ("films", "runtime_minutes"), ("configurations", "film_id"), ("configurations", "config_index"),
+            ]))
+            pick(block)[key] = draw(st.sampled_from(_BAD_IDS))
+        elif kind == "cluster":
+            block = draw(st.sampled_from(["locations", "films"]))
+            pick(block)["cluster_id"] = draw(st.sampled_from([0, 1, 2, True]))
+        elif kind == "missing":
+            block = draw(st.sampled_from(["document", "locations", "screens", "films", "configurations"]))
+            entry = doc if block == "document" else pick(block)
+            if entry:
+                del entry[draw(st.sampled_from(sorted(entry)))]
+        elif kind == "location time":
+            pick("locations")[draw(st.sampled_from(["open_time", "last_showtime"]))] = draw(st.sampled_from(_BAD_TIMES))
+        elif kind == "showtime":
+            times = pick("configurations")["showtimes"]
+            times[draw(st.integers(0, len(times) - 1))] = draw(st.sampled_from(_BAD_TIMES))
+        elif kind == "entry":
+            times = pick("configurations")["showtimes"]
+            times[draw(st.integers(0, len(times) - 1))] = draw(st.sampled_from([["12:00"], {}, {"at": "12:00"}]))
+        elif kind == "shared":
+            times = list(pick("configurations")["showtimes"])
+            times[draw(st.integers(0, len(times) - 1))] = draw(st.sampled_from(_BAD_TIMES))
+            for index in draw(st.lists(st.integers(0, len(configs) - 1), min_size=1, max_size=4)):
+                configs[index]["showtimes"] = times if draw(st.booleans()) else list(times)
+        else:
+            configs.insert(draw(st.integers(0, len(configs))), copy.deepcopy(pick("configurations")))
+    return doc
+
+
+def _parsed(parse, doc, partial, turnover):
+    try:
+        return parse(copy.deepcopy(doc), allow_partial=partial, turnover_minutes=turnover)
+    except (InstanceError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=250, deadline=None)
+@given(doc=mutated_block_documents(), partial=st.booleans(), turnover=st.sampled_from([0, 20]))
+def test_parse_document_matches_the_field_by_field_reference(doc, partial, turnover):
+    expected = _parsed(support.reference_parse_document, doc, partial, turnover)
+    assert _parsed(parse_document, doc, partial, turnover) == expected
