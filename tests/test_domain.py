@@ -980,7 +980,8 @@ def mutated_block_documents(draw):
             pick(block)["cluster_id"] = draw(st.sampled_from([0, 1, 2, True]))
         elif kind == "missing":
             block = draw(st.sampled_from(["document", "locations", "screens", "films", "configurations"]))
-            entry = doc if block == "document" else pick(block)
+            # an earlier "missing" edit may have deleted the whole block
+            entry = doc if block == "document" else (pick(block) if doc.get(block) else None)
             if entry:
                 del entry[draw(st.sampled_from(sorted(entry)))]
         elif kind == "location time":
