@@ -23,7 +23,6 @@ import re
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -284,7 +283,10 @@ def cmd_generate_configs(args) -> int:
         for cluster in multi.clusters:
             configs = default_configurations(cluster, args.turnover)
             forecast = cluster.forecast.with_columns(c.key() for c in configs)
-            rebuilt.append(replace(cluster, configurations=configs, forecast=forecast))
+            rebuilt.append(ClusterInstance(
+                cluster.cluster_id, cluster.locations, cluster.screens, cluster.films,
+                configs, cluster.stagger_interval_minutes, forecast,
+            ))
         multi = MultiClusterInstance(clusters=tuple(rebuilt))
 
     _write_stdout(dumps_instance(multi))

@@ -10,23 +10,35 @@ certifies each cluster model once; ``verify_decomposition`` is its report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import dist
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .domain import Instance, as_multi
 from .formulation import BilpModel, build_model
 from .solver import SolveReport, certify
 
 
-@dataclass
 class ClusterSolveReport:
-    per_cluster: Dict[str, SolveReport]
-    overall_status: str                       # "Optimal" or "Infeasible"
-    combined_objective: Optional[Fraction]    # sum when overall Optimal
-    # (cluster id, model) per cluster, in cluster id order: the models certified
-    models: Tuple[Tuple[str, BilpModel], ...] = field(compare=False, repr=False)
+    """Every cluster's report, merged; equality ignores ``models``."""
+
+    def __init__(
+        self,
+        per_cluster: Dict[str, SolveReport],
+        overall_status: str,                      # "Optimal" or "Infeasible"
+        combined_objective: Optional[Fraction],   # sum when overall Optimal
+        # (cluster id, model) per cluster, in cluster id order: the models certified
+        models: Tuple[Tuple[str, BilpModel], ...],
+    ) -> None:
+        self.per_cluster = per_cluster
+        self.overall_status = overall_status
+        self.combined_objective = combined_objective
+        self.models = models
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return {**vars(self), "models": None} == {**vars(other), "models": None}
 
 
 def solve_all(instance: Instance) -> ClusterSolveReport:
@@ -60,8 +72,7 @@ def solve_all(instance: Instance) -> ClusterSolveReport:
     )
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """:func:`solve_all`'s report read as the joint result, which it is."""
 
     per_cluster: ClusterSolveReport

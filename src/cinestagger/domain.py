@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 MILLI = 1000          # fixed scaling denominator for attendance coefficients
 MAX_MINUTES = 1679    # 27:59 -- latest representable time of day
@@ -67,8 +66,7 @@ class InstanceDataError(InstanceError):
         super().__init__("\n".join(str(v) for v in self.violations))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed invariant, with the offending entity named in the message."""
 
     code: str
@@ -170,15 +168,13 @@ def milli_to_json(milli: int):
     return Decimal(format_attendance(milli))
 
 
-@dataclass(frozen=True)
-class Film:
+class Film(NamedTuple):
     film_id: int
     title: str
     runtime_minutes: int
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
     location_id: int
     name: str
     cluster_id: str
@@ -186,8 +182,7 @@ class Location:
     last_showtime: int    # latest allowed start time
 
 
-@dataclass(frozen=True)
-class Screen:
+class Screen(NamedTuple):
     screen_id: int                      # 1..S after loader re-indexing
     location_id: int
     external_id: Optional[int] = None   # id in the source document
@@ -197,8 +192,7 @@ class Screen:
         return self.screen_id if self.external_id is None else self.external_id
 
 
-@dataclass(frozen=True)
-class ShowtimeConfiguration:
+class ShowtimeConfiguration(NamedTuple):
     film_id: int
     config_index: int
     showtimes: Tuple[int, ...]
@@ -211,7 +205,6 @@ class ShowtimeConfiguration:
 ForecastRow = Tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
 class ForecastMatrix:
     """Predicted attendance, in milliunits, as a screens x columns matrix.
 
@@ -222,13 +215,28 @@ class ForecastMatrix:
     reports on, as (screen, film, config, milli) in the order they were
     read: every negative cell, and every row outside the matrix, which is
     kept only there.  A model built from the matrix shares its rows, so
-    nothing mutates them.
+    nothing mutates them, and no attribute can be assigned.
     """
 
-    screen_ids: Tuple[int, ...]
-    column_keys: Tuple[Tuple[int, int], ...]
-    rows: List[List[Optional[int]]]
-    flagged: Tuple[ForecastRow, ...] = ()
+    def __init__(
+        self,
+        screen_ids: Tuple[int, ...],
+        column_keys: Tuple[Tuple[int, int], ...],
+        rows: List[List[Optional[int]]],
+        flagged: Tuple[ForecastRow, ...] = (),
+    ) -> None:
+        # __setattr__ refuses every assignment, so the fields go straight into
+        # __dict__, where cached_property also writes
+        self.__dict__.update(screen_ids=screen_ids, column_keys=column_keys, rows=rows, flagged=flagged)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to ForecastMatrix.{name}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.screen_ids, self.column_keys, self.rows, self.flagged) == (
+            other.screen_ids, other.column_keys, other.rows, other.flagged)
 
     @cached_property
     def _index(self) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int]]:
@@ -275,17 +283,35 @@ class ForecastMatrix:
         return ForecastMatrix(self.screen_ids, column_keys, rows, flagged)
 
 
-@dataclass
 class ClusterInstance:
     """One cluster of neighbouring locations: the unit the optimizer solves."""
 
-    cluster_id: str
-    locations: Tuple[Location, ...]
-    screens: Tuple[Screen, ...]
-    films: Tuple[Film, ...]
-    configurations: Tuple[ShowtimeConfiguration, ...]
-    stagger_interval_minutes: int
-    forecast: ForecastMatrix
+    def __init__(
+        self,
+        cluster_id: str,
+        locations: Tuple[Location, ...],
+        screens: Tuple[Screen, ...],
+        films: Tuple[Film, ...],
+        configurations: Tuple[ShowtimeConfiguration, ...],
+        stagger_interval_minutes: int,
+        forecast: ForecastMatrix,
+    ) -> None:
+        self.cluster_id = cluster_id
+        self.locations = locations
+        self.screens = screens
+        self.films = films
+        self.configurations = configurations
+        self.stagger_interval_minutes = stagger_interval_minutes
+        self.forecast = forecast
+
+    def _values(self) -> tuple:
+        return (self.cluster_id, self.locations, self.screens, self.films, self.configurations,
+                self.stagger_interval_minutes, self.forecast)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
 
     @property
     def screen_count(self) -> int:
@@ -319,8 +345,7 @@ class ClusterInstance:
         )
 
 
-@dataclass
-class MultiClusterInstance:
+class MultiClusterInstance(NamedTuple):
     clusters: Tuple[ClusterInstance, ...]
 
     @property
@@ -350,8 +375,14 @@ def _require_int(value, context: str) -> int:
 
 
 def _require_str(value, context: str) -> str:
+    """``value`` if it is text that UTF-8 can carry: a JSON ``"\\ud800"`` loads as a lone surrogate."""
     if not isinstance(value, str):
         raise InstanceFormatError(f"{context}: expected a string, got {value!r}")
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InstanceFormatError(f"{context}: not valid Unicode text") from None
     return value
 
 
@@ -360,24 +391,25 @@ def _cluster_key(value, context: str) -> str:
         raise InstanceFormatError(f"{context}: bad cluster_id {value!r}")
     if isinstance(value, int):
         return str(value)
-    return _require_str(value, context)
+    # a string's text errors name the cluster_id; its type errors keep the bare context
+    return _require_str(value, f"{context} cluster_id" if isinstance(value, str) else context)
 
 
-@dataclass
 class _ClusterParts:
-    """One cluster's share of a document while it is being parsed."""
+    """One cluster's share of a document while it is being parsed; starts empty."""
 
-    locations: List[Location] = field(default_factory=list)
-    screens: List[Screen] = field(default_factory=list)
-    films: List[Film] = field(default_factory=list)
-    configurations: List[ShowtimeConfiguration] = field(default_factory=list)
-    # the forecast matrix being filled: its (film, config) columns, film ->
-    # config index -> column for every film of the cluster, the rows, and the
-    # flagged rows in document order
-    columns: Tuple[Tuple[int, int], ...] = ()
-    columns_of: Dict[int, Dict[int, int]] = field(default_factory=dict)
-    rows: List[List[Optional[int]]] = field(default_factory=list)
-    flagged: List[ForecastRow] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.locations: List[Location] = []
+        self.screens: List[Screen] = []
+        self.films: List[Film] = []
+        self.configurations: List[ShowtimeConfiguration] = []
+        # the forecast matrix being filled: its (film, config) columns, film ->
+        # config index -> column for every film of the cluster, the rows, and the
+        # flagged rows in document order
+        self.columns: Tuple[Tuple[int, int], ...] = ()
+        self.columns_of: Dict[int, Dict[int, int]] = {}
+        self.rows: List[List[Optional[int]]] = []
+        self.flagged: List[ForecastRow] = []
 
 
 def _forecast_ids(entry: dict) -> Tuple[int, int, int]:
@@ -421,7 +453,8 @@ def parse_document(
         loc_id, name, cluster_id = entry.get("id"), entry.get("name"), entry.get("cluster_id")
         open_time, last_showtime = entry.get("open_time"), entry.get("last_showtime")
         if (type(loc_id) is int and type(name) is str and type(cluster_id) is str
-                and type(open_time) is str and type(last_showtime) is str):
+                and type(open_time) is str and type(last_showtime) is str
+                and name.isascii() and cluster_id.isascii()):
             locations.append(Location(loc_id, name, cluster_id, parse_hhmm(open_time), parse_hhmm(last_showtime)))
             continue
         loc_id = _require_int(_require(entry, "id", "location"), "location id")
@@ -480,14 +513,14 @@ def parse_document(
                 [Violation("duplicate_film_id", f"film id {film_id} appears more than once")]
             )
         title, runtime = entry.get("title"), entry.get("runtime_minutes")
-        if type(title) is not str or type(runtime) is not int:
+        if type(title) is not str or type(runtime) is not int or not title.isascii():
             title = _require_str(_require(entry, "title", f"film {film_id}"), f"film {film_id} title")
             runtime = _require_int(_require(entry, "runtime_minutes", f"film {film_id}"), f"film {film_id} runtime")
         film = Film(film_id, title, runtime)
         # films may be scoped to one cluster; unscoped films play in every cluster
         if "cluster_id" in entry:
             scope = entry["cluster_id"]
-            if type(scope) is not str:
+            if type(scope) is not str or not scope.isascii():
                 scope = _cluster_key(scope, f"film {film_id}")
             if scope not in parts:
                 raise InstanceDataError(

@@ -22,7 +22,6 @@ everything else handles both kinds of model.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -36,6 +35,7 @@ ColumnKey = Tuple
 Weights = List[List[Optional[int]]]
 
 _VIEWS = ("variables", "objective", "equality_rows", "inequality_rows")
+_FIELDS = ("screen_ids", "column_keys", "weights") + _VIEWS
 
 
 class VariableRef(NamedTuple):
@@ -48,7 +48,6 @@ class VariableRef(NamedTuple):
         return f"X_s{self.screen_id}_f{self.film_id}_c{self.config_index}"
 
 
-@dataclass(init=False)
 class BilpModel:
     """The program as a weight matrix; immutable once built.
 
@@ -62,15 +61,15 @@ class BilpModel:
     are views of the matrix, built on first access and then cached.
 
     ``BilpModel(variables=..., objective=..., equality_rows=...,
-    inequality_rows=...)``, which ``dataclasses.replace`` also calls,
-    builds a model from those four instead and derives its matrix from
-    them: row i holds the variables of the i-th equality row, each in the
-    column of the staggering row that lists it.
+    inequality_rows=...)`` builds a model from those four instead and
+    derives its matrix from them: row i holds the variables of the i-th
+    equality row, each in the column of the staggering row that lists it.
+    Two models are equal when the matrix and all four views are.
     """
 
-    screen_ids: Tuple[int, ...] = field(init=False)
-    column_keys: Tuple[ColumnKey, ...] = field(init=False)
-    weights: Weights = field(init=False)
+    screen_ids: Tuple[int, ...]
+    column_keys: Tuple[ColumnKey, ...]
+    weights: Weights
     variables: Tuple[VariableRef, ...]
     objective: Dict[VariableRef, int]                         # milliunits
     equality_rows: Tuple[Tuple[int, Tuple[VariableRef, ...]], ...]
@@ -97,6 +96,11 @@ class BilpModel:
         model = cls.__new__(cls)
         model.screen_ids, model.column_keys, model.weights = screen_ids, column_keys, weights
         return model
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in _FIELDS)
 
     def __getattr__(self, name: str):
         # reached only for attributes not set yet: a matrix-built model's views
@@ -246,8 +250,7 @@ def evaluate(model: BilpModel, assignment: Iterable[VariableRef]) -> Fraction:
     return Fraction(milli, MILLI)
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     kind: str         # "equality" or "inequality"
     key: object       # screen id, or configuration column key
     chosen: int
@@ -265,8 +268,7 @@ class RowCheck:
         return f"{self.kind} row {where}: {self.chosen} chosen, {verdict}"
 
 
-@dataclass
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     feasible: bool
     rows: Tuple[RowCheck, ...]
 

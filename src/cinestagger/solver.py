@@ -49,9 +49,8 @@ optimum its search order finds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .domain import MILLI
 # check_feasible is unused here, but perfbench/tracing.py patches it on this module by getattr
@@ -71,8 +70,7 @@ class CertificationError(Exception):
     """A solver's report failed its proof check; a bug, not a bad instance."""
 
 
-@dataclass
-class Schedule:
+class Schedule(NamedTuple):
     """Per-screen choice of (film_id, config_index)."""
 
     choices: Dict[int, Tuple[int, int]]
@@ -84,8 +82,7 @@ class Schedule:
         return [VariableRef(sid, fid, cidx) for sid, (fid, cidx) in self.items()]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Proof of a report's status; indices follow the model's screen and column order."""
 
     kind: str                              # "lp-dual", "pigeonhole" or "hall-set"
@@ -95,21 +92,43 @@ class Certificate:
     columns: Tuple[int, ...] = ()          # hall-set: every column those screens allow
 
 
-@dataclass
 class SolveStats:
-    nodes: int = 0            # search nodes, enumerated assignments, or augmentations
+    def __init__(self, nodes: int = 0) -> None:
+        self.nodes = nodes    # search nodes, enumerated assignments, or augmentations
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.nodes == other.nodes
 
 
-@dataclass
 class SolveReport:
-    status: str               # "Optimal" or "Infeasible"
-    method: str
-    schedule: Optional[Schedule] = None
-    objective: Optional[Fraction] = None
-    stats: SolveStats = field(default_factory=SolveStats, compare=False)
-    certified: bool = False
-    diagnostic: Optional[str] = None
-    certificate: Optional[Certificate] = None
+    """A solver's result; equality ignores ``stats``, which count effort, not results."""
+
+    def __init__(
+        self,
+        status: str,          # "Optimal" or "Infeasible"
+        method: str,
+        schedule: Optional[Schedule] = None,
+        objective: Optional[Fraction] = None,
+        stats: Optional[SolveStats] = None,     # a fresh SolveStats when None
+        certified: bool = False,
+        diagnostic: Optional[str] = None,
+        certificate: Optional[Certificate] = None,
+    ) -> None:
+        self.status = status
+        self.method = method
+        self.schedule = schedule
+        self.objective = objective
+        self.stats = SolveStats() if stats is None else stats
+        self.certified = certified
+        self.diagnostic = diagnostic
+        self.certificate = certificate
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return {**vars(self), "stats": None} == {**vars(other), "stats": None}
 
 
 def _pigeonhole_message(screens: int, columns: int) -> str:
@@ -508,4 +527,5 @@ def certify(model: BilpModel) -> SolveReport:
     """
     report = solve_assignment(model)
     check_certificate(model, report)
-    return replace(report, certified=True)
+    report.certified = True
+    return report

@@ -5,6 +5,7 @@ every test also exercises the parsing and validation path.
 """
 
 import copy
+import inspect
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,6 +60,18 @@ KNOWN_BEST_SCHEDULE = {
     9: (4, 4),
 }
 KNOWN_BEST_VALUE = 2615
+
+
+def replace(record, **changes):
+    """A copy of a package record with ``changes``, as ``dataclasses.replace`` made one.
+
+    A NamedTuple record is copied by its ``_replace``; any other record by
+    its constructor, called with its current value for every parameter.
+    """
+    if hasattr(record, "_replace"):
+        return record._replace(**changes)
+    current = {name: getattr(record, name) for name in inspect.signature(type(record)).parameters}
+    return type(record)(**{**current, **changes})
 
 
 def _hhmm(minutes: int) -> str:

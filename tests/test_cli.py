@@ -8,7 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stdout
-from dataclasses import replace
+from support import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -999,3 +999,44 @@ def test_synth_output_matches_the_pinned_bytes(capsysbinary):
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == (PINNED / "synth" / "input.json").read_bytes()
     assert _text_stream_output(argv).encode("utf-8") == (PINNED / "synth" / "input.json").read_bytes()
+
+
+# json.loads turns a "\ud800" escape into a lone surrogate, which no UTF-8 output can carry
+_LONE_SURROGATES = {
+    "location-name": (("locations", "name", "Bad\ud800"), "location 1 name"),
+    "location-cluster-id": (("locations", "cluster_id", "c\ud800"), "location 1 cluster_id"),
+    "film-title": (("films", "title", "T\udfff"), "film 1 title"),
+    "film-cluster-id": (("films", "cluster_id", "c\udfff"), "film 1 cluster_id"),
+}
+_DOCUMENT_COMMANDS = [
+    ["validate"], ["solve"], ["solve", "--format", "csv"], ["solve", "--format", "json"], ["build"],
+    ["generate-configs"], ["generate-configs", "--turnover", "20"], ["verify-decomposition"],
+]
+
+
+@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("field", list(_LONE_SURROGATES))
+def test_text_that_is_not_valid_unicode_exits_2(example_document, tmp_path, capsys, field, command):
+    (block, key, value), context = _LONE_SURROGATES[field]
+    doc = copy.deepcopy(example_document)
+    doc[block][0][key] = value
+    path = write_doc(tmp_path, doc)
+    assert "\\ud" in Path(path).read_text(encoding="utf-8")
+    assert main([command[0], path, *command[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {context}: not valid Unicode text\n")
+
+
+def test_valid_non_ascii_text_still_loads(example_document, tmp_path, capsys):
+    doc = copy.deepcopy(example_document)
+    for location in doc["locations"]:
+        location["cluster_id"] = "ç1"
+    doc["locations"][0]["name"] = "Cinéma \U0001F3AC"
+    doc["films"][0]["title"] = "Amélie"
+    doc["films"][1]["cluster_id"] = "ç1"
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    assert main(["generate-configs", path]) == 0
+    written = json.loads(capsys.readouterr().out)
+    assert written["locations"][0]["name"] == "Cinéma \U0001F3AC"
+    assert written["films"][0]["title"] == "Amélie"

@@ -1,7 +1,7 @@
 import copy
 import json
 import random
-from dataclasses import replace
+from support import replace
 
 import pytest
 

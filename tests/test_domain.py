@@ -2,7 +2,7 @@ import copy
 import json
 import random
 import time
-from dataclasses import replace
+from support import replace
 from decimal import Decimal
 
 import pytest
@@ -272,7 +272,7 @@ def test_violation_no_films():
 
 
 def test_violation_screen_outside_cluster(example_instance):
-    from dataclasses import replace
+    from support import replace
 
     from cinestagger import Screen
 

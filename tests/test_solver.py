@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import replace
+from support import replace
 from fractions import Fraction
 
 import numpy as np
