@@ -22,11 +22,11 @@ import os
 import re
 import sys
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cluster import ClusterSolveReport, solve_all
 # generate_configurations is unused here, but perfbench/tracing.py patches it on this module by getattr
@@ -48,7 +48,7 @@ from .domain import (
     read_document,
 )
 # build_joint_model is unused here, but perfbench/tracing.py patches it on this module by getattr
-from .formulation import build_joint_model, build_model, direct_sum, export_lp_text  # noqa: F401
+from .formulation import build_joint_model, build_model, export_lp_text  # noqa: F401
 from .solver import CERTIFICATE_KINDS, CertificationError, SolveReport
 
 
@@ -56,18 +56,15 @@ def _fmt_objective(objective) -> str:
     return format_attendance(int(objective * MILLI))
 
 
-class ScheduleRow(NamedTuple):
+class ScheduleRow(namedtuple("ScheduleRow", "screen_id location film_id film_title config_index showtimes")):
     """One screen's line of a solved schedule, as every output format reads it.
 
-    The field names are the csv header.
+    The field names are the csv header.  ``screen_id`` is the document's id;
+    ``showtimes`` holds format_hhmm texts, shared by the rows of one showtime
+    list.
     """
 
-    screen_id: int          # the document's id
-    location: str
-    film_id: int
-    film_title: str
-    config_index: int
-    showtimes: Tuple[str, ...]     # format_hhmm texts, shared by the rows of one showtime list
+    __slots__ = ()
 
 
 def _schedule_rows(
@@ -190,11 +187,11 @@ def _write_stdout(text: str) -> None:
 
 
 def _write_lp(models, path: str) -> bool:
-    """Write the LP text of the one ``(cluster id, model)`` pair or of their direct sum.
+    """Write the LP text of the one ``(cluster id, model)`` pair, or of their direct sum block by block.
 
     False, after one stderr line, on failure.
     """
-    model = models[0][1] if len(models) == 1 else direct_sum(models)
+    model = models[0][1] if len(models) == 1 else models
     try:
         Path(path).write_text(export_lp_text(model), encoding="utf-8")
     except OSError as exc:

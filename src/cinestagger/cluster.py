@@ -10,9 +10,10 @@ certifies each cluster model once; ``verify_decomposition`` is its report.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import dist
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .domain import Instance, as_multi
 from .formulation import BilpModel, build_model
@@ -72,10 +73,10 @@ def solve_all(instance: Instance) -> ClusterSolveReport:
     )
 
 
-class DecompositionReport(NamedTuple):
+class DecompositionReport(namedtuple("DecompositionReport", "per_cluster")):
     """:func:`solve_all`'s report read as the joint result, which it is."""
 
-    per_cluster: ClusterSolveReport
+    __slots__ = ()    # per_cluster: ClusterSolveReport
     equal = True    # not a field: solve_all's premises make the split exact
 
     @property

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 MILLI = 1000          # fixed scaling denominator for attendance coefficients
 MAX_MINUTES = 1679    # 27:59 -- latest representable time of day
@@ -66,11 +67,11 @@ class InstanceDataError(InstanceError):
         super().__init__("\n".join(str(v) for v in self.violations))
 
 
-class Violation(NamedTuple):
+# records subclass collections.namedtuple: a typing.NamedTuple compiles each field's annotation on import
+class Violation(namedtuple("Violation", "code message")):
     """One failed invariant, with the offending entity named in the message."""
 
-    code: str
-    message: str
+    __slots__ = ()    # code: str, message: str
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
@@ -168,34 +169,27 @@ def milli_to_json(milli: int):
     return Decimal(format_attendance(milli))
 
 
-class Film(NamedTuple):
-    film_id: int
-    title: str
-    runtime_minutes: int
+class Film(namedtuple("Film", "film_id title runtime_minutes")):
+    __slots__ = ()    # film_id: int, title: str, runtime_minutes: int
 
 
-class Location(NamedTuple):
-    location_id: int
-    name: str
-    cluster_id: str
-    open_time: int        # first possible showtime, minutes since midnight
-    last_showtime: int    # latest allowed start time
+class Location(namedtuple("Location", "location_id name cluster_id open_time last_showtime")):
+    # location_id: int, name: str, cluster_id: str; open_time (first possible showtime)
+    # and last_showtime (latest allowed start time): int minutes since midnight
+    __slots__ = ()
 
 
-class Screen(NamedTuple):
-    screen_id: int                      # 1..S after loader re-indexing
-    location_id: int
-    external_id: Optional[int] = None   # id in the source document
+class Screen(namedtuple("Screen", "screen_id location_id external_id", defaults=(None,))):
+    # screen_id: int, 1..S after re-indexing; location_id: int; external_id: Optional[int], the document's id
+    __slots__ = ()
 
     @property
     def source_id(self) -> int:
         return self.screen_id if self.external_id is None else self.external_id
 
 
-class ShowtimeConfiguration(NamedTuple):
-    film_id: int
-    config_index: int
-    showtimes: Tuple[int, ...]
+class ShowtimeConfiguration(namedtuple("ShowtimeConfiguration", "film_id config_index showtimes")):
+    __slots__ = ()    # film_id: int, config_index: int, showtimes: Tuple[int, ...]
 
     def key(self) -> Tuple[int, int]:
         return (self.film_id, self.config_index)
@@ -345,8 +339,8 @@ class ClusterInstance:
         )
 
 
-class MultiClusterInstance(NamedTuple):
-    clusters: Tuple[ClusterInstance, ...]
+class MultiClusterInstance(namedtuple("MultiClusterInstance", "clusters")):
+    __slots__ = ()    # clusters: Tuple[ClusterInstance, ...]
 
     @property
     def cluster_ids(self) -> Tuple[str, ...]:
@@ -996,11 +990,14 @@ def dumps_instance(instance: Instance) -> str:
                     f" in clusters {seen[1]!r} and {cluster.cluster_id!r};"
                     " a document lists each configuration once"
                 )
-    # written as dumps_json would write each configuration's dict
+    # written as dumps_json would write each configuration's dict; one array text per showtime list
+    arrays = {
+        showtimes: json_array([f'\n        "{format_hhmm(t)}"' for t in showtimes], "\n      ")
+        for showtimes in {config.showtimes for config, _ in first_seen.values()}
+    }
     configurations = [
         f'\n    {{\n      "film_id": {config.film_id},\n      "config_index": {config.config_index},'
-        '\n      "showtimes": ' + json_array([f'\n        "{format_hhmm(t)}"' for t in config.showtimes], "\n      ")
-        + "\n    }"
+        '\n      "showtimes": ' + arrays[config.showtimes] + "\n    }"
         for config, _ in sorted(first_seen.values(), key=lambda seen: seen[0].key())
     ]
 
@@ -1028,17 +1025,18 @@ def dumps_instance(instance: Instance) -> str:
     values = set().union(*(row for _, row, _ in matrix_rows))
     values.discard(None)
     literal = {milli: format_attendance(milli) + "\n    }" for milli in values}
-    pieces = []
+    forecast = []   # per screen: a comma and the screen's prefix, then its cells joined by both
     for sid, row, heads in matrix_rows:
-        prefix = f'\n    {{\n      "screen_id": {external[sid]},\n'
-        pieces.extend([prefix + head + literal[milli] for head, milli in zip(heads, row) if milli is not None])
+        separator = f',\n    {{\n      "screen_id": {external[sid]},\n'
+        cells = [head + literal[milli] for head, milli in zip(heads, row) if milli is not None]
+        if cells:
+            forecast += (separator, separator.join(cells))
     # doc holds every block before the configurations; a non-empty object, its text ends "\n}"
-    return (
-        dumps_json(doc)[:-2]
-        + ',\n  "configurations": ' + json_array(configurations, "\n  ")
-        + ',\n  "forecast": ' + json_array(pieces, "\n  ")
-        + "\n}\n"
-    )
+    front = dumps_json(doc)[:-2] + ',\n  "configurations": ' + json_array(configurations, "\n  ")
+    if not forecast:
+        return front + ',\n  "forecast": []\n}\n'
+    forecast[0] = ',\n  "forecast": [' + forecast[0][1:]    # the first row opens the array, with no comma
+    return "".join([front, *forecast, "\n  ]\n}\n"])
 
 
 # exact scalar types and their JSON text; bool is its own type, so never read as int

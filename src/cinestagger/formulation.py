@@ -15,16 +15,19 @@ A cluster's model is dense (every screen pairs with every configuration).
 The joint model of several clusters is the direct sum of the cluster
 models: its columns are keyed by (cluster, film, config) and each screen
 pairs only with its own cluster's columns, so it is block-diagonal and
-sparse.  ``direct_sum`` is the one place that lays those blocks out;
+sparse.  ``direct_sum`` lays those blocks out as one model, and
+``export_lp_text`` writes the blocks one by one, without that model;
 everything else handles both kinds of model.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from operator import add, itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .domain import MILLI, ClusterInstance, MultiClusterInstance, format_attendance
 
@@ -38,10 +41,8 @@ _VIEWS = ("variables", "objective", "equality_rows", "inequality_rows")
 _FIELDS = ("screen_ids", "column_keys", "weights") + _VIEWS
 
 
-class VariableRef(NamedTuple):
-    screen_id: int
-    film_id: int
-    config_index: int
+class VariableRef(namedtuple("VariableRef", "screen_id film_id config_index")):
+    __slots__ = ()    # screen_id: int, film_id: int, config_index: int
 
     @property
     def name(self) -> str:
@@ -205,38 +206,61 @@ def _row_name(key: ColumnKey) -> str:
     return f"stagger_{_lp_name(key[0])}_f{key[1]}_c{key[2]}"
 
 
-def export_lp_text(model: BilpModel) -> str:
+def export_lp_text(model: Union[BilpModel, Sequence[Tuple[str, BilpModel]]]) -> str:
     """Model as LP-format text, byte-identical for equal models.
 
     Written straight from the matrix.  Terms follow the variable order:
     ascending screen id, then film id, then configuration index.  Zero
     coefficients are kept so the objective always lists every variable.
+
+    ``model`` may also be a sequence of ``(cluster id, model)`` blocks.  The
+    text is then ``export_lp_text(direct_sum(blocks))``, written block by
+    block without building the sum and its empty off-diagonal blocks:
+    screen rows ascend across all blocks, staggering rows follow the blocks.
     """
-    suffixes = [f"f{key[-2]}_c{key[-1]}" for key in model.column_keys]
-    # each variable's name, in its cell; None where the matrix has no variable
-    cells = [
-        [None if milli is None else prefix + suffix for milli, suffix in zip(row, suffixes)]
-        for prefix, row in zip([f"X_s{sid}_" for sid in model.screen_ids], model.weights)
-    ]
-    names = [name for row in cells for name in row if name is not None]
-    coefficients = [milli for row in model.weights for milli in row if milli is not None]
-    literal = {milli: format_attendance(milli) for milli in set(coefficients)}
-    columns = list(zip(*cells)) or [()] * len(model.column_keys)
+    summed = not isinstance(model, BilpModel)
+    blocks = [((cluster_id,), block) for cluster_id, block in model] if summed else [((), model)]
+    rows = []          # (screen id, its variables' names, their coefficients)
+    stagger_lines = []
+    for prefix, block in blocks:
+        suffixes = [f"f{key[-2]}_c{key[-1]}" for key in block.column_keys]
+        pairs = zip(block.screen_ids, block.weights)
+        if summed:      # the sum's rows ascend, and so do its columns' terms
+            pairs = sorted(pairs, key=itemgetter(0))
+        cells = []      # per screen, each cell's variable name; None where it has no variable
+        for sid, weights in pairs:
+            head = f"X_s{sid}_"
+            if None in weights:     # a sparse model: a variable only where a weight is
+                named = [None if milli is None else head + suffix for milli, suffix in zip(weights, suffixes)]
+                rows.append((sid, [n for n in named if n is not None], [m for m in weights if m is not None]))
+            else:
+                named = list(map(head.__add__, suffixes))
+                rows.append((sid, named, weights))
+            cells.append(named)
+        stagger_lines += [
+            f" {_row_name(prefix + key)}: " + " + ".join(filter(None, column)) + " <= 1"
+            for key, column in zip(block.column_keys, list(zip(*cells)) or [()] * len(suffixes))
+        ]
+    if summed:
+        rows.sort(key=itemgetter(0))
+    names = list(chain.from_iterable(row for _, row, _ in rows))
+    coefficients = list(chain.from_iterable(weights for _, _, weights in rows))
+    # each coefficient's text, with the space before its variable's name
+    literal = {milli: format_attendance(milli) + " " for milli in set(coefficients)}
     lines = [
         "\\ Screen scheduling model: maximize forecast attendance",
         "\\ Terms ordered by ascending (screen, film, configuration)",
         "Maximize",
-        " obj: " + " + ".join([literal[milli] + " " + name for milli, name in zip(coefficients, names)]),
+        " obj: " + " + ".join(map(add, map(literal.__getitem__, coefficients), names)),
         "Subject To",
     ]
-    for sid, row in zip(model.screen_ids, cells):
-        lines.append(f" screen_{sid}: " + " + ".join(filter(None, row)) + " = 1")
-    for key, column in zip(model.column_keys, columns):
-        lines.append(f" {_row_name(key)}: " + " + ".join(filter(None, column)) + " <= 1")
+    lines += [f" screen_{sid}: " + " + ".join(row) + " = 1" for sid, row, _ in rows]
+    lines += stagger_lines
     lines.append("Binary")
-    lines.extend(" " + name for name in names)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    if names:
+        lines.append(" " + "\n ".join(names))
+    lines.append("End\n")
+    return "\n".join(lines)
 
 
 def evaluate(model: BilpModel, assignment: Iterable[VariableRef]) -> Fraction:
@@ -250,11 +274,8 @@ def evaluate(model: BilpModel, assignment: Iterable[VariableRef]) -> Fraction:
     return Fraction(milli, MILLI)
 
 
-class RowCheck(NamedTuple):
-    kind: str         # "equality" or "inequality"
-    key: object       # screen id, or configuration column key
-    chosen: int
-    ok: bool
+class RowCheck(namedtuple("RowCheck", "kind key chosen ok")):
+    __slots__ = ()    # kind: "equality" or "inequality"; key: screen id or column key; chosen: int; ok: bool
 
     def __str__(self) -> str:
         if self.kind == "equality":
@@ -268,9 +289,8 @@ class RowCheck(NamedTuple):
         return f"{self.kind} row {where}: {self.chosen} chosen, {verdict}"
 
 
-class FeasibilityReport(NamedTuple):
-    feasible: bool
-    rows: Tuple[RowCheck, ...]
+class FeasibilityReport(namedtuple("FeasibilityReport", "feasible rows")):
+    __slots__ = ()    # feasible: bool, rows: Tuple[RowCheck, ...]
 
     def failures(self) -> List[RowCheck]:
         return [r for r in self.rows if not r.ok]

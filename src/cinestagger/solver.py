@@ -49,8 +49,9 @@ optimum its search order finds.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .domain import MILLI
 # check_feasible is unused here, but perfbench/tracing.py patches it on this module by getattr
@@ -70,10 +71,10 @@ class CertificationError(Exception):
     """A solver's report failed its proof check; a bug, not a bad instance."""
 
 
-class Schedule(NamedTuple):
+class Schedule(namedtuple("Schedule", "choices")):
     """Per-screen choice of (film_id, config_index)."""
 
-    choices: Dict[int, Tuple[int, int]]
+    __slots__ = ()    # choices: Dict[int, Tuple[int, int]]
 
     def items(self) -> List[Tuple[int, Tuple[int, int]]]:
         return sorted(self.choices.items())
@@ -82,14 +83,15 @@ class Schedule(NamedTuple):
         return [VariableRef(sid, fid, cidx) for sid, (fid, cidx) in self.items()]
 
 
-class Certificate(NamedTuple):
-    """Proof of a report's status; indices follow the model's screen and column order."""
+class Certificate(namedtuple("Certificate", "kind screen_duals column_duals screens columns", defaults=((),) * 4)):
+    """Proof of a report's status; indices follow the model's screen and column order.
 
-    kind: str                              # "lp-dual", "pigeonhole" or "hall-set"
-    screen_duals: Tuple[int, ...] = ()     # lp-dual: U per screen, perturbed weights
-    column_duals: Tuple[int, ...] = ()     # lp-dual: V per column
-    screens: Tuple[int, ...] = ()          # hall-set: screen indices
-    columns: Tuple[int, ...] = ()          # hall-set: every column those screens allow
+    ``kind`` is "lp-dual", "pigeonhole" or "hall-set".  The rest are int tuples: lp-dual's
+    ``screen_duals`` (U per screen, perturbed weights) and ``column_duals`` (V per column),
+    hall-set's ``screens`` (screen indices) and ``columns`` (every column those screens allow).
+    """
+
+    __slots__ = ()
 
 
 class SolveStats:

@@ -7,6 +7,7 @@ every test also exercises the parsing and validation path.
 import copy
 import inspect
 import random
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from cinestagger import (
@@ -39,10 +40,12 @@ from cinestagger.domain import (
     default_configurations,
     format_attendance,
     format_hhmm,
+    json_array,
     milli_to_json,
     parse_attendance,
     parse_hhmm,
 )
+from cinestagger.formulation import _row_name
 
 WINDOW_OPEN = 720
 WINDOW_LAST = 1380
@@ -752,3 +755,153 @@ def reference_parse_document(
         raise InstanceDataError([Violation("unknown_film", f"{label} pairs a screen with a film outside its cluster")])
 
     return MultiClusterInstance(clusters=tuple(clusters))
+
+
+# the writers the block-by-block LP text and the joined document text replaced
+
+def reference_export_lp_text(model: BilpModel) -> str:
+    """The LP writer that walked one model's whole matrix; a sum of
+    cluster models is passed as one model, with its empty blocks.
+
+    Written straight from the matrix.  Terms follow the variable order:
+    ascending screen id, then film id, then configuration index.  Zero
+    coefficients are kept so the objective always lists every variable.
+    """
+    suffixes = [f"f{key[-2]}_c{key[-1]}" for key in model.column_keys]
+    # each variable's name, in its cell; None where the matrix has no variable
+    cells = [
+        [None if milli is None else prefix + suffix for milli, suffix in zip(row, suffixes)]
+        for prefix, row in zip([f"X_s{sid}_" for sid in model.screen_ids], model.weights)
+    ]
+    names = [name for row in cells for name in row if name is not None]
+    coefficients = [milli for row in model.weights for milli in row if milli is not None]
+    literal = {milli: format_attendance(milli) for milli in set(coefficients)}
+    columns = list(zip(*cells)) or [()] * len(model.column_keys)
+    lines = [
+        "\\ Screen scheduling model: maximize forecast attendance",
+        "\\ Terms ordered by ascending (screen, film, configuration)",
+        "Maximize",
+        " obj: " + " + ".join([literal[milli] + " " + name for milli, name in zip(coefficients, names)]),
+        "Subject To",
+    ]
+    for sid, row in zip(model.screen_ids, cells):
+        lines.append(f" screen_{sid}: " + " + ".join(filter(None, row)) + " = 1")
+    for key, column in zip(model.column_keys, columns):
+        lines.append(f" {_row_name(key)}: " + " + ".join(filter(None, column)) + " <= 1")
+    lines.append("Binary")
+    lines.extend(" " + name for name in names)
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dumps_instance(instance) -> str:
+    """The document writer that built every showtime array and forecast row
+    text on its own and chained the blocks with ``+``.
+
+    Byte-deterministic for equal instances, laid out as :func:`dumps_json`
+    lays out the document.  Raises ``ValueError`` when the clusters cannot
+    share one document: different stagger intervals, a film playing in some
+    but not all of several clusters, or a (film, config) key with different
+    showtimes in two clusters.
+    """
+    clusters = instance.clusters if isinstance(instance, MultiClusterInstance) else (instance,)
+
+    staggers = {c.stagger_interval_minutes for c in clusters}
+    if len(staggers) != 1:
+        raise ValueError("cannot serialize clusters with different stagger intervals into one document")
+
+    doc: dict = {"stagger_interval_minutes": staggers.pop()}
+    doc["locations"] = [
+        {
+            "id": loc.location_id,
+            "name": loc.name,
+            "cluster_id": loc.cluster_id,
+            "open_time": format_hhmm(loc.open_time),
+            "last_showtime": format_hhmm(loc.last_showtime),
+        }
+        for cluster in clusters
+        for loc in cluster.locations
+    ]
+
+    screens = sorted(
+        (s for cluster in clusters for s in cluster.screens), key=lambda s: s.screen_id
+    )
+    doc["screens"] = [{"id": s.source_id, "location_id": s.location_id} for s in screens]
+
+    # films playing in every cluster are written once unscoped; films seen in
+    # exactly one cluster carry that cluster's id
+    film_clusters: Dict[int, List[str]] = {}
+    film_objects: Dict[int, Film] = {}
+    for cluster in clusters:
+        for film in cluster.films:
+            film_clusters.setdefault(film.film_id, []).append(cluster.cluster_id)
+            film_objects[film.film_id] = film
+    doc["films"] = []
+    for film_id in sorted(film_clusters):
+        film = film_objects[film_id]
+        entry = {"id": film.film_id, "title": film.title, "runtime_minutes": film.runtime_minutes}
+        owners = film_clusters[film_id]
+        if len(owners) == 1 and len(clusters) > 1:
+            entry["cluster_id"] = owners[0]
+        elif len(owners) != len(clusters):
+            raise ValueError(
+                f"film {film_id} plays in {len(owners)} of {len(clusters)} clusters;"
+                " only global or single-cluster films serialize"
+            )
+        doc["films"].append(entry)
+
+    # a configuration shared by several clusters is written once, so it must
+    # have the same showtimes in each
+    first_seen: Dict[Tuple[int, int], Tuple[ShowtimeConfiguration, str]] = {}
+    for cluster in clusters:
+        for config in cluster.configurations:
+            seen = first_seen.setdefault(config.key(), (config, cluster.cluster_id))
+            if seen[0].showtimes != config.showtimes:
+                raise ValueError(
+                    f"film {config.film_id} config {config.config_index} has different showtimes"
+                    f" in clusters {seen[1]!r} and {cluster.cluster_id!r};"
+                    " a document lists each configuration once"
+                )
+    # written as dumps_json would write each configuration's dict
+    configurations = [
+        f'\n    {{\n      "film_id": {config.film_id},\n      "config_index": {config.config_index},'
+        '\n      "showtimes": ' + json_array([f'\n        "{format_hhmm(t)}"' for t in config.showtimes], "\n      ")
+        + "\n    }"
+        for config, _ in sorted(first_seen.values(), key=lambda seen: seen[0].key())
+    ]
+
+    # the forecast is most of the document's bytes, so its rows are written
+    # as dumps_json would write each row's dict, from one text per screen, per
+    # column and per distinct value; the matrices' cells are already in
+    # (film, config) order within each screen
+    external = {s.screen_id: s.source_id for s in screens}
+    matrix_rows = []     # (screen id, its row, the row's column texts), one per screen
+    for cluster in clusters:
+        matrix = cluster.forecast
+        if matrix.stray_rows:
+            sid, film_id, config_index, _ = matrix.stray_rows[0]
+            raise ValueError(
+                f"{_row_label(external.get(sid, sid), film_id, config_index)} is outside"
+                f" cluster {cluster.cluster_id!r}'s screens and configurations;"
+                " only rows of its forecast matrix serialize"
+            )
+        heads = [
+            f'      "film_id": {film_id},\n      "config_index": {config_index},\n      "attendance": '
+            for film_id, config_index in matrix.column_keys
+        ]
+        matrix_rows.extend((sid, row, heads) for sid, row in zip(matrix.screen_ids, matrix.rows))
+    matrix_rows.sort(key=itemgetter(0))
+    values = set().union(*(row for _, row, _ in matrix_rows))
+    values.discard(None)
+    literal = {milli: format_attendance(milli) + "\n    }" for milli in values}
+    pieces = []
+    for sid, row, heads in matrix_rows:
+        prefix = f'\n    {{\n      "screen_id": {external[sid]},\n'
+        pieces.extend([prefix + head + literal[milli] for head, milli in zip(heads, row) if milli is not None])
+    # doc holds every block before the configurations; a non-empty object, its text ends "\n}"
+    return (
+        dumps_json(doc)[:-2]
+        + ',\n  "configurations": ' + json_array(configurations, "\n  ")
+        + ',\n  "forecast": ' + json_array(pieces, "\n  ")
+        + "\n}\n"
+    )

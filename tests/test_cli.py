@@ -1040,3 +1040,97 @@ def test_valid_non_ascii_text_still_loads(example_document, tmp_path, capsys):
     written = json.loads(capsys.readouterr().out)
     assert written["locations"][0]["name"] == "Cinéma \U0001F3AC"
     assert written["films"][0]["title"] == "Amélie"
+
+
+def _interleaved(example_document):
+    # three clusters whose screens alternate in the file, so their screen ids interleave
+    doc = generate_document(screens=6, films=3, clusters=3, seed=8)
+    doc["screens"] = doc["screens"][0::3] + doc["screens"][1::3] + doc["screens"][2::3]
+    return doc
+
+
+LP_DOCUMENTS = {
+    "example": lambda example_document: example_document,
+    "one-cluster-synth": lambda _: generate_document(screens=7, films=3, clusters=1, seed=3),
+    "three-clusters": lambda _: generate_document(screens=6, films=3, clusters=3, seed=1),
+    "twelve-clusters": lambda _: generate_document(screens=5, films=3, clusters=12, seed=2),
+    "interleaved": _interleaved,
+    "empty-cluster": _empty_cluster,
+    "fractional": _fractional,
+    "infeasible-beside-optimal": _infeasible_beside_optimal,
+}
+
+
+@pytest.mark.parametrize("name", list(LP_DOCUMENTS))
+def test_build_and_solve_write_the_same_lp_without_a_direct_sum(
+    example_document, tmp_path, capsys, monkeypatch, name
+):
+    import cinestagger.formulation as formulation_module
+
+    def refused(blocks):
+        raise AssertionError("a command built the direct sum")
+
+    path = write_doc(tmp_path, LP_DOCUMENTS[name](example_document))
+    multi = as_multi(load_instance(path))
+    if len(multi.clusters) == 1:
+        expected = support.reference_export_lp_text(build_model(multi.clusters[0]))
+    else:
+        expected = support.reference_export_lp_text(build_joint_model(multi))
+    monkeypatch.setattr(formulation_module, "direct_sum", refused)
+    built, solved = tmp_path / "build.lp", tmp_path / "solve.lp"
+    assert main(["build", path, "--export-lp", str(built)]) == 0
+    assert main(["solve", path, "--format", "json", "--export-lp", str(solved)]) in (0, 3)
+    capsys.readouterr()
+    assert built.read_bytes() == solved.read_bytes() == expected.encode("utf-8")
+
+
+def _partial(example_document):
+    # forecast rows missing, so some cells are None and one screen has none at all
+    doc = generate_document(screens=5, films=3, clusters=2, seed=6)
+    first = doc["screens"][0]["id"]
+    doc["forecast"] = [row for i, row in enumerate(doc["forecast"]) if i % 3 and row["screen_id"] != first]
+    return doc
+
+
+def _no_forecast(example_document):
+    doc = copy.deepcopy(example_document)
+    doc["forecast"] = []
+    return doc
+
+
+DUMPS_DOCUMENTS = {
+    "example": lambda example_document: example_document,
+    "interleaved": _interleaved,
+    "empty-cluster": _empty_cluster,
+    "fractional": _fractional,
+    "awkward-names": _awkward_names,
+    "infeasible-beside-optimal": _infeasible_beside_optimal,
+    "partial": _partial,
+    "no-forecast": _no_forecast,
+    **{
+        f"synth-{k}": lambda _, k=k: generate_document(screens=6, films=3, clusters=k, seed=k)
+        for k in (1, 2, 5, 16)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(DUMPS_DOCUMENTS))
+def test_dumps_instance_writes_the_reference_text(example_document, name):
+    instance = load_instance(copy.deepcopy(DUMPS_DOCUMENTS[name](example_document)), allow_partial=True)
+    text = dumps_instance(instance)
+    assert text == support.reference_dumps_instance(instance)
+    assert text == dumps_json(json.loads(text, parse_float=Decimal)) + "\n"
+
+
+def test_generate_configs_writes_the_reference_text_and_is_a_fixed_point(example_document, tmp_path, capsys):
+    # the documents' configurations are replaced, so new columns have no forecast cells
+    for doc in (example_document, _interleaved(example_document), _empty_cluster(example_document)):
+        path = write_doc(tmp_path, doc)
+        for turnover in ("0", "20"):
+            assert main(["generate-configs", path, "--turnover", turnover]) == 0
+            first = capsys.readouterr().out
+            again = tmp_path / "again.json"
+            again.write_text(first, encoding="utf-8")
+            assert first == support.reference_dumps_instance(load_instance(again, allow_partial=True))
+            assert main(["generate-configs", str(again), "--turnover", turnover]) == 0
+            assert capsys.readouterr().out == first

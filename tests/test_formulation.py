@@ -351,3 +351,61 @@ def test_direct_sum_keeps_a_repeated_cluster_id_as_two_blocks(example_model):
         cells = example_model.weights[i // 2]
         assert row == (cells + [None] * width if i % 2 == 0 else [None] * width + cells)
     assert twice.variable_count == 2 * example_model.variable_count
+
+
+@st.composite
+def block_documents(draw):
+    """A document of 1-6 clusters, its screens listed in a drawn order so that
+    screen ids interleave across clusters, maybe with one cluster's screens
+    (and their forecast rows) removed; and an order for the cluster blocks."""
+    doc = support.random_multi_document(draw(st.randoms(use_true_random=False)), draw(st.integers(1, 6)))
+    doc["screens"] = draw(st.permutations(doc["screens"]))
+    clusters = sorted({location["cluster_id"] for location in doc["locations"]})
+    if len(clusters) > 1 and draw(st.booleans()):
+        emptied = draw(st.sampled_from(clusters))
+        locations = {location["id"] for location in doc["locations"] if location["cluster_id"] == emptied}
+        gone = {screen["id"] for screen in doc["screens"] if screen["location_id"] in locations}
+        doc["screens"] = [screen for screen in doc["screens"] if screen["id"] not in gone]
+        doc["forecast"] = [row for row in doc["forecast"] if row["screen_id"] not in gone]
+    return doc, draw(st.permutations(clusters))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=block_documents())
+@example(drawn=(support.random_multi_document(random.Random(1), 3), ["c1", "c2", "c3"]))
+def test_the_block_writer_writes_the_direct_sum(drawn):
+    doc, order = drawn
+    multi = as_multi(load_instance(doc))
+    blocks = [(cluster_id, build_model(multi.cluster(cluster_id))) for cluster_id in order]
+    joint = direct_sum(blocks)
+    text = export_lp_text(blocks)
+    assert text == export_lp_text(joint) == support.reference_export_lp_text(joint)
+    # a cluster without screens keeps its staggering rows, with no terms
+    for cluster_id, model in blocks:
+        if not model.screen_ids:
+            assert f" stagger_{cluster_id}_f{model.column_keys[0][0]}_c{model.column_keys[0][1]}:  <= 1\n" in text
+
+
+@st.composite
+def matrix_blocks(draw):
+    """1-4 blocks of hand-built matrices: repeated and unsorted screen ids, cells
+    without a variable, zero and fractional weights, awkward cluster ids."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        screens = draw(st.lists(st.integers(1, 9), max_size=4))
+        keys = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4, unique=True))
+        cell = st.one_of(st.none(), st.integers(0, 2500))
+        weights = [[draw(cell) for _ in keys] for _ in screens]
+        cluster_id = draw(st.sampled_from(["c1", "c2", "a-b", "a_b", ""]))
+        blocks.append((cluster_id, BilpModel.from_matrix(tuple(screens), tuple(sorted(keys)), weights)))
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=matrix_blocks())
+def test_the_block_writer_matches_the_dense_writer_on_any_blocks(blocks):
+    joint = direct_sum(blocks)
+    assert export_lp_text(blocks) == support.reference_export_lp_text(joint) == export_lp_text(joint)
+    # a lone model keeps its own row order and its unprefixed names
+    for _, model in blocks:
+        assert export_lp_text(model) == support.reference_export_lp_text(model)

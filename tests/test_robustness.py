@@ -152,3 +152,35 @@ def test_the_console_module_exits_without_a_traceback(tmp_path, document, comman
     assert result.returncode == code
     assert "Traceback" not in result.stderr
     _check(command, result.returncode, result.stdout, result.stderr.splitlines(), None)
+
+
+# plants the lowered-dual solve_assignment of test_cli's certification-error test
+# in a child interpreter, then runs the command there as the console script does
+LYING_SOLVER = """
+import sys
+import cinestagger.cli
+import cinestagger.solver as solver
+
+honest = solver.solve_assignment
+
+def lying(model):
+    report = honest(model)
+    duals = report.certificate.screen_duals
+    report.certificate = report.certificate._replace(screen_duals=(duals[0] - 1,) + duals[1:])
+    return report
+
+solver.solve_assignment = lying
+sys.exit(cinestagger.cli.main(["solve", sys.argv[1]]))
+"""
+
+
+def test_a_failed_certificate_exits_4_without_a_traceback():
+    result = subprocess.run(
+        [sys.executable, "-c", LYING_SOLVER, str(example_instance_path())],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: internal: ")
