@@ -37,7 +37,6 @@ from .domain import (
     InstanceDataError,
     InstanceFormatError,
     MultiClusterInstance,
-    as_multi,
     default_configurations,
     dumps_instance,
     dumps_json,
@@ -76,21 +75,20 @@ def _schedule_rows(
     caller passes one dict for all its clusters, so each distinct tuple is
     formatted once and its rows share the texts.
     """
+    screens = {s.screen_id: s for s in cluster.screens}
+    names = {loc.location_id: loc.name for loc in cluster.locations}
+    titles = {f.film_id: f.title for f in cluster.films}
+    showtimes_of = {c.key(): c.showtimes for c in cluster.configurations}
     rows = []
     for screen_id, (film_id, config_index) in report.schedule.items():
-        screen = cluster.screen_by_id[screen_id]
-        showtimes = cluster.configuration_by_key[(film_id, config_index)].showtimes
+        screen = screens[screen_id]
+        showtimes = showtimes_of[(film_id, config_index)]
         formatted = texts.get(showtimes)
         if formatted is None:
             formatted = texts[showtimes] = tuple(map(format_hhmm, showtimes))
         rows.append(
             ScheduleRow(
-                screen.source_id,
-                cluster.location_by_id[screen.location_id].name,
-                film_id,
-                cluster.film_by_id[film_id].title,
-                config_index,
-                formatted,
+                screen.source_id, names[screen.location_id], film_id, titles[film_id], config_index, formatted
             )
         )
     return rows
@@ -219,16 +217,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    multi = as_multi(load_instance(args.instance))
+    instance = load_instance(args.instance)
 
     started = time.perf_counter()
-    report = solve_all(multi)
+    report = solve_all(instance)
     elapsed = time.perf_counter() - started
 
     if args.export_lp and not _write_lp(report.models, args.export_lp):
         return 2
 
-    clusters = {c.cluster_id: c for c in multi.clusters}
+    clusters = {c.cluster_id: c for c in instance.clusters}
     if args.format == "json":
         text = _solve_json(report, clusters)
     else:
@@ -250,7 +248,7 @@ def cmd_solve(args) -> int:
 
     kinds = Counter(r.certificate.kind for r in report.per_cluster.values())
     print(
-        f"solved {len(multi.clusters)} cluster(s) in {elapsed * 1000:.1f} ms"
+        f"solved {len(instance.clusters)} cluster(s) in {elapsed * 1000:.1f} ms"
         f" (certificates: {', '.join(f'{kinds[k]} {k}' for k in CERTIFICATE_KINDS)})",
         file=sys.stderr,
     )
@@ -265,28 +263,25 @@ def _load_partial(path: str, turnover_minutes: int):
     on return, before any output is built.
     """
     document = read_document(path)
-    multi = as_multi(load_instance(document, allow_partial=True, turnover_minutes=turnover_minutes))
-    return multi, bool(document.get("configurations"))
+    instance = load_instance(document, allow_partial=True, turnover_minutes=turnover_minutes)
+    return instance, bool(document.get("configurations"))
 
 
 def cmd_generate_configs(args) -> int:
     if args.turnover < 0:
         print(f"error: turnover must be >= 0, got {args.turnover}", file=sys.stderr)
         return 2
-    multi, listed = _load_partial(args.instance, args.turnover)
+    instance, listed = _load_partial(args.instance, args.turnover)
 
     if listed:   # the document's configurations are replaced, and their forecast rows dropped
         rebuilt = []
-        for cluster in multi.clusters:
+        for cluster in instance.clusters:
             configs = default_configurations(cluster, args.turnover)
             forecast = cluster.forecast.with_columns(c.key() for c in configs)
-            rebuilt.append(ClusterInstance(
-                cluster.cluster_id, cluster.locations, cluster.screens, cluster.films,
-                configs, cluster.stagger_interval_minutes, forecast,
-            ))
-        multi = MultiClusterInstance(clusters=tuple(rebuilt))
+            rebuilt.append(cluster._replace(configurations=configs, forecast=forecast))
+        instance = MultiClusterInstance(clusters=tuple(rebuilt))
 
-    _write_stdout(dumps_instance(multi))
+    _write_stdout(dumps_instance(instance))
     return 0
 
 
@@ -299,8 +294,8 @@ def _model_counts(models) -> str:
 
 
 def cmd_build(args) -> int:
-    clusters = sorted(as_multi(load_instance(args.instance)).clusters, key=lambda c: c.cluster_id)
-    models = [(c.cluster_id, build_model(c)) for c in clusters]
+    # the loader gives the clusters in id order
+    models = [(c.cluster_id, build_model(c)) for c in load_instance(args.instance).clusters]
 
     lines = [f"cluster {cluster_id}: {_model_counts([model])}" for cluster_id, model in models]
     lines.append(f"total: {_model_counts([model for _, model in models])}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import dist
 from typing import Dict, Optional, Tuple
 
-from .domain import Instance, as_multi
+from .domain import Instance
 from .formulation import BilpModel, build_model
 from .solver import SolveReport, certify
 
@@ -50,7 +50,7 @@ def solve_all(instance: Instance) -> ClusterSolveReport:
     ``ValueError`` if two clusters share an id, or else if a screen belongs
     to two clusters; the loader refuses both.
     """
-    clusters = sorted(as_multi(instance).clusters, key=lambda c: c.cluster_id)
+    clusters = sorted(instance.clusters, key=lambda c: c.cluster_id)
     for first, second in zip(clusters, clusters[1:]):
         if first.cluster_id == second.cluster_id:
             raise ValueError(f"cluster id {first.cluster_id!r} appears more than once")

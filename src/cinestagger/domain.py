@@ -87,7 +87,8 @@ def parse_hhmm(text: str) -> int:
     return _parse_hhmm_text(text)
 
 
-# a document repeats a few distinct times thousands of times; errors are not cached
+# parse_document parses each distinct showtime list once, so this serves the times
+# shared between lists, between locations and between documents; errors are not cached
 @lru_cache(maxsize=4096)
 def _parse_hhmm_text(text: str) -> int:
     match = _TIME_RE.match(text.strip())
@@ -155,18 +156,6 @@ def format_attendance(milli: int) -> str:
     if rem == 0:
         return f"{sign}{units}"
     return f"{sign}{units}." + f"{rem:03d}".rstrip("0")
-
-
-def milli_to_json(milli: int):
-    """Milliunits as an exact JSON number: an int when whole, else a Decimal.
-
-    The Decimal is built from :func:`format_attendance`, so it never prints
-    in exponent notation; :func:`dumps_json` writes it as that text, the
-    text :func:`dumps_instance` writes for the value.
-    """
-    if milli % MILLI == 0:
-        return milli // MILLI
-    return Decimal(format_attendance(milli))
 
 
 class Film(namedtuple("Film", "film_id title runtime_minutes")):
@@ -277,35 +266,19 @@ class ForecastMatrix:
         return ForecastMatrix(self.screen_ids, column_keys, rows, flagged)
 
 
-class ClusterInstance:
+class ClusterInstance(namedtuple(
+    "ClusterInstance", "cluster_id locations screens films configurations stagger_interval_minutes forecast",
+)):
     """One cluster of neighbouring locations: the unit the optimizer solves."""
 
-    def __init__(
-        self,
-        cluster_id: str,
-        locations: Tuple[Location, ...],
-        screens: Tuple[Screen, ...],
-        films: Tuple[Film, ...],
-        configurations: Tuple[ShowtimeConfiguration, ...],
-        stagger_interval_minutes: int,
-        forecast: ForecastMatrix,
-    ) -> None:
-        self.cluster_id = cluster_id
-        self.locations = locations
-        self.screens = screens
-        self.films = films
-        self.configurations = configurations
-        self.stagger_interval_minutes = stagger_interval_minutes
-        self.forecast = forecast
+    # cluster_id: str; locations, screens, films, configurations: tuples of those
+    # records; stagger_interval_minutes: int; forecast: ForecastMatrix
+    __slots__ = ()
 
-    def _values(self) -> tuple:
-        return (self.cluster_id, self.locations, self.screens, self.films, self.configurations,
-                self.stagger_interval_minutes, self.forecast)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
+    @property
+    def clusters(self) -> Tuple[ClusterInstance]:
+        """The cluster alone, as a :class:`MultiClusterInstance` gives its clusters."""
+        return (self,)
 
     @property
     def screen_count(self) -> int:
@@ -314,22 +287,6 @@ class ClusterInstance:
     @property
     def configuration_count(self) -> int:
         return len(self.configurations)
-
-    @cached_property
-    def film_by_id(self) -> Dict[int, Film]:
-        return {f.film_id: f for f in self.films}
-
-    @cached_property
-    def location_by_id(self) -> Dict[int, Location]:
-        return {l.location_id: l for l in self.locations}
-
-    @cached_property
-    def screen_by_id(self) -> Dict[int, Screen]:
-        return {s.screen_id: s for s in self.screens}
-
-    @cached_property
-    def configuration_by_key(self) -> Dict[Tuple[int, int], ShowtimeConfiguration]:
-        return {c.key(): c for c in self.configurations}
 
     def window(self) -> Tuple[int, int]:
         """Widest operating window over the cluster's locations."""
@@ -566,18 +523,14 @@ def parse_document(
     clusters: List[ClusterInstance] = []
     generation_error: Optional[Exception] = None
     for cluster_id, part in parts.items():
+        # the forecast is read below, into the matrix these configurations fix
         cluster = ClusterInstance(
-            cluster_id=cluster_id,
-            locations=tuple(part.locations),
-            screens=tuple(part.screens),
-            films=tuple(part.films),
-            configurations=tuple(part.configurations),
-            stagger_interval_minutes=stagger,
-            forecast=ForecastMatrix((), (), []),
+            cluster_id, tuple(part.locations), tuple(part.screens), tuple(part.films),
+            tuple(part.configurations), stagger, ForecastMatrix((), (), []),
         )
         if not config_rows:
             try:
-                cluster.configurations = default_configurations(cluster, turnover_minutes)
+                cluster = cluster._replace(configurations=default_configurations(cluster, turnover_minutes))
             except (InstanceDataError, ValueError) as exc:
                 generation_error = generation_error or exc
         part.columns = tuple(sorted({config.key() for config in cluster.configurations}))
@@ -644,16 +597,18 @@ def parse_document(
         if column is None or milli < 0:
             flagged.append((sid, film_id, config_index, milli))
 
-    for cluster, part in zip(clusters, every_cluster):
-        screen_ids = tuple(screen.screen_id for screen in part.screens)
-        cluster.forecast = ForecastMatrix(screen_ids, part.columns, part.rows, tuple(part.flagged))
     if generation_error is not None:
         raise generation_error
     if outside is not None:
         label = _row_label(*outside)
         raise InstanceDataError([Violation("unknown_film", f"{label} pairs a screen with a film outside its cluster")])
 
-    return MultiClusterInstance(clusters=tuple(clusters))
+    return MultiClusterInstance(clusters=tuple(
+        cluster._replace(forecast=ForecastMatrix(
+            tuple(screen.screen_id for screen in part.screens), part.columns, part.rows, tuple(part.flagged)
+        ))
+        for cluster, part in zip(clusters, every_cluster)
+    ))
 
 
 def _as_list(value, context: str) -> list:
@@ -752,7 +707,7 @@ def validate_instance(instance: Instance, check_forecast: bool = True) -> List[V
     violations: List[Violation] = []
     seen_cluster_ids = set()
     screen_ids: List[int] = []     # each cluster's distinct screen ids
-    for cluster in as_multi(instance).clusters:
+    for cluster in instance.clusters:
         if cluster.cluster_id in seen_cluster_ids:
             violations.append(
                 Violation("duplicate_cluster_id", f"cluster id {cluster.cluster_id!r} appears more than once")
@@ -819,8 +774,10 @@ def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Vi
                     f" outside cluster {cluster.cluster_id!r}",
                 )
             )
-        if screen.screen_id < 1:
-            v.append(Violation("bad_screen_id", f"screen id {screen.screen_id} must be positive"))
+        # a loaded screen's own id is its position; the document's id is the one to check
+        bad = screen.source_id if screen.source_id < 1 else screen.screen_id
+        if bad < 1:
+            v.append(Violation("bad_screen_id", f"screen id {bad} must be positive"))
 
     if not cluster.films:
         v.append(Violation("no_films", f"cluster {cluster.cluster_id!r} has no films"))
@@ -932,7 +889,7 @@ def dumps_instance(instance: Instance) -> str:
     but not all of several clusters, or a (film, config) key with different
     showtimes in two clusters.
     """
-    clusters = instance.clusters if isinstance(instance, MultiClusterInstance) else (instance,)
+    clusters = instance.clusters
 
     staggers = {c.stagger_interval_minutes for c in clusters}
     if len(staggers) != 1:
@@ -1088,8 +1045,3 @@ def json_array(items: List[str], indent: str) -> str:
     """
     return "[" + ",".join(items) + indent + "]" if items else "[]"
 
-
-def as_multi(instance: Instance) -> MultiClusterInstance:
-    if isinstance(instance, MultiClusterInstance):
-        return instance
-    return MultiClusterInstance(clusters=(instance,))

@@ -29,7 +29,7 @@ from itertools import chain
 from operator import add, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .domain import MILLI, ClusterInstance, MultiClusterInstance, format_attendance
+from .domain import MILLI, ClusterInstance, Instance, format_attendance
 
 # column key: (film_id, config_index), with a leading cluster id in joint models
 ColumnKey = Tuple
@@ -184,8 +184,8 @@ def direct_sum(blocks: Sequence[Tuple[str, BilpModel]]) -> BilpModel:
     return BilpModel.from_matrix(tuple(sid for sid, _, _ in placed), tuple(column_keys), weights)
 
 
-def build_joint_model(instance: MultiClusterInstance) -> BilpModel:
-    """One model over all clusters at once: the direct sum of the cluster models."""
+def build_joint_model(instance: Instance) -> BilpModel:
+    """One model over all the instance's clusters at once: the direct sum of the cluster models."""
     clusters = sorted(instance.clusters, key=lambda c: c.cluster_id)
     return direct_sum([(c.cluster_id, build_model(c)) for c in clusters])
 
@@ -218,17 +218,14 @@ def export_lp_text(model: Union[BilpModel, Sequence[Tuple[str, BilpModel]]]) -> 
     block without building the sum and its empty off-diagonal blocks:
     screen rows ascend across all blocks, staggering rows follow the blocks.
     """
-    summed = not isinstance(model, BilpModel)
-    blocks = [((cluster_id,), block) for cluster_id, block in model] if summed else [((), model)]
+    blocks = [((), model)] if isinstance(model, BilpModel) else [((cluster_id,), block) for cluster_id, block in model]
     rows = []          # (screen id, its variables' names, their coefficients)
     stagger_lines = []
     for prefix, block in blocks:
         suffixes = [f"f{key[-2]}_c{key[-1]}" for key in block.column_keys]
-        pairs = zip(block.screen_ids, block.weights)
-        if summed:      # the sum's rows ascend, and so do its columns' terms
-            pairs = sorted(pairs, key=itemgetter(0))
         cells = []      # per screen, each cell's variable name; None where it has no variable
-        for sid, weights in pairs:
+        # rows ascend, and so do the terms of each column's staggering row
+        for sid, weights in sorted(zip(block.screen_ids, block.weights), key=itemgetter(0)):
             head = f"X_s{sid}_"
             if None in weights:     # a sparse model: a variable only where a weight is
                 named = [None if milli is None else head + suffix for milli, suffix in zip(weights, suffixes)]
@@ -241,8 +238,7 @@ def export_lp_text(model: Union[BilpModel, Sequence[Tuple[str, BilpModel]]]) -> 
             f" {_row_name(prefix + key)}: " + " + ".join(filter(None, column)) + " <= 1"
             for key, column in zip(block.column_keys, list(zip(*cells)) or [()] * len(suffixes))
         ]
-    if summed:
-        rows.sort(key=itemgetter(0))
+    rows.sort(key=itemgetter(0))
     names = list(chain.from_iterable(row for _, row, _ in rows))
     coefficients = list(chain.from_iterable(weights for _, _, weights in rows))
     # each coefficient's text, with the space before its variable's name

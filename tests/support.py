@@ -7,6 +7,7 @@ every test also exercises the parsing and validation path.
 import copy
 import inspect
 import random
+from decimal import Decimal
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +42,6 @@ from cinestagger.domain import (
     format_attendance,
     format_hhmm,
     json_array,
-    milli_to_json,
     parse_attendance,
     parse_hhmm,
 )
@@ -282,6 +282,18 @@ def forecast_matrix(screen_ids, column_keys, entries: dict) -> ForecastMatrix:
     return ForecastMatrix(screen_ids, column_keys, rows, tuple(flagged))
 
 
+def milli_to_json(milli: int):
+    """Milliunits as an exact JSON number: an int when whole, else a Decimal.
+
+    The Decimal is built from ``format_attendance``, so it never prints in
+    exponent notation; ``dumps_json`` writes it as that text, the text
+    ``dumps_instance`` writes for the value.
+    """
+    if milli % MILLI == 0:
+        return milli // MILLI
+    return Decimal(format_attendance(milli))
+
+
 def reference_document(instance, forecasts: Optional[Dict[str, dict]] = None) -> dict:
     """The instance as a document dict, built entry by entry.
 
@@ -290,7 +302,7 @@ def reference_document(instance, forecasts: Optional[Dict[str, dict]] = None) ->
     ``forecasts``, each cluster's forecast rows are taken from that
     cluster id's dict keyed by (screen, film, config).
     """
-    clusters = instance.clusters if isinstance(instance, MultiClusterInstance) else (instance,)
+    clusters = instance.clusters
 
     staggers = {c.stagger_interval_minutes for c in clusters}
     if len(staggers) != 1:
@@ -376,7 +388,7 @@ def reference_schedule_rows(instance, report) -> Dict[str, List[tuple]]:
     One row per screen, in screen order: (the document's screen id, location
     name, film id, film title, config index, tuple of "HH:MM" showtimes).
     """
-    clusters = instance.clusters if isinstance(instance, MultiClusterInstance) else (instance,)
+    clusters = instance.clusters
     schedules = {}
     for cluster in clusters:
         cluster_report = report.per_cluster[cluster.cluster_id]
@@ -682,7 +694,7 @@ def reference_parse_document(
         )
         if not config_rows:
             try:
-                cluster.configurations = default_configurations(cluster, turnover_minutes)
+                cluster = cluster._replace(configurations=default_configurations(cluster, turnover_minutes))
             except (InstanceDataError, ValueError) as exc:
                 generation_error = generation_error or exc
         part.columns = tuple(sorted({config.key() for config in cluster.configurations}))
@@ -745,9 +757,10 @@ def reference_parse_document(
         if column is None or milli < 0:
             flagged.append((sid, film_id, config_index, milli))
 
-    for cluster, part in zip(clusters, every_cluster):
+    for i, (cluster, part) in enumerate(zip(clusters, every_cluster)):
         screen_ids = tuple(screen.screen_id for screen in part.screens)
-        cluster.forecast = ForecastMatrix(screen_ids, part.columns, part.rows, tuple(part.flagged))
+        forecast = ForecastMatrix(screen_ids, part.columns, part.rows, tuple(part.flagged))
+        clusters[i] = cluster._replace(forecast=forecast)
     if generation_error is not None:
         raise generation_error
     if outside is not None:
@@ -804,7 +817,7 @@ def reference_dumps_instance(instance) -> str:
     but not all of several clusters, or a (film, config) key with different
     showtimes in two clusters.
     """
-    clusters = instance.clusters if isinstance(instance, MultiClusterInstance) else (instance,)
+    clusters = instance.clusters
 
     staggers = {c.stagger_interval_minutes for c in clusters}
     if len(staggers) != 1:

@@ -24,7 +24,7 @@ from cinestagger import (
     solve_all,
 )
 from cinestagger.cli import build_parser, main
-from cinestagger.domain import as_multi, dumps_json
+from cinestagger.domain import dumps_json
 from cinestagger.formulation import direct_sum
 from cinestagger.synth import generate_document
 
@@ -120,13 +120,15 @@ def test_validate_deeply_nested_json(tmp_path, capsys):
 
 
 def _renumber(doc, key, old, new):
-    """Each ``key`` ("film_id" or "config_index") equal to ``old`` set to ``new``,
-    in the configurations and the forecast, and in the films for a film id."""
-    if key == "film_id":
-        for film in doc["films"]:
-            film["id"] = new if film["id"] == old else film["id"]
+    """Each ``key`` ("screen_id", "film_id" or "config_index") equal to ``old``
+    set to ``new``, in the configurations and the forecast, and in the screens
+    or films for their own id."""
+    owners = {"screen_id": "screens", "film_id": "films"}
+    for entry in doc.get(owners.get(key), ()):
+        entry["id"] = new if entry["id"] == old else entry["id"]
     for entry in doc["configurations"] + doc["forecast"]:
-        entry[key] = new if entry[key] == old else entry[key]
+        if key in entry:
+            entry[key] = new if entry[key] == old else entry[key]
 
 
 def _set_first(block, key, value):
@@ -138,6 +140,15 @@ def _set_first(block, key, value):
     [
         pytest.param(
             lambda d: _renumber(d, "film_id", 1, 0), ["bad_film_id: film id 0 must be positive"], id="film-0",
+        ),
+        # a loaded screen's own id is its position in the document, so the document's id is checked
+        pytest.param(
+            lambda d: _renumber(d, "screen_id", 1, 0), ["bad_screen_id: screen id 0 must be positive"],
+            id="screen-0",
+        ),
+        pytest.param(
+            lambda d: _renumber(d, "screen_id", 1, -3), ["bad_screen_id: screen id -3 must be positive"],
+            id="screen-minus-3",
         ),
         pytest.param(
             lambda d: d["configurations"].append(dict(d["configurations"][1])),
@@ -508,7 +519,7 @@ def test_generate_configs_generates_each_film_once_per_cluster(tmp_path, capsys,
     path = write_doc(tmp_path, doc)
     assert main(["generate-configs", path, "--turnover", "15"]) == 0
     expected = capsys.readouterr().out
-    clusters = as_multi(load_instance(path, allow_partial=True)).clusters
+    clusters = load_instance(path, allow_partial=True).clusters
 
     calls = []
     honest = confgen_module.generate_configurations
@@ -606,8 +617,8 @@ def test_solve_export_lp_builds_each_cluster_model_once(example_path, tmp_path, 
     three = write_doc(tmp_path, generate_document(4, 2, clusters=3, seed=8))
     reference = {}
     for path in (str(example_path), three):
-        multi = as_multi(load_instance(path))
-        model = build_model(multi.clusters[0]) if len(multi.clusters) == 1 else build_joint_model(multi)
+        instance = load_instance(path)
+        model = build_model(instance) if len(instance.clusters) == 1 else build_joint_model(instance)
         reference[path] = export_lp_text(model)
     calls = _count_model_builds(monkeypatch)
     target = tmp_path / "model.lp"
@@ -624,7 +635,7 @@ def test_solve_export_lp_builds_each_cluster_model_once(example_path, tmp_path, 
 
 def test_build_export_lp_builds_each_cluster_model_once(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, generate_document(5, 3, clusters=3, seed=9))
-    joint = build_joint_model(as_multi(load_instance(path)))
+    joint = build_joint_model(load_instance(path))
     expected = export_lp_text(joint)
     calls = _count_model_builds(monkeypatch)
     target = tmp_path / "joint.lp"
@@ -654,7 +665,7 @@ def test_build_counts_match_build_model(tmp_path, capsys, clusters):
     lines = capsys.readouterr().out.splitlines()
     totals = [0, 0, 0]
     expected = []
-    for cluster in as_multi(load_instance(path)).clusters:
+    for cluster in load_instance(path).clusters:
         model = build_model(cluster)
         counts = [model.variable_count, len(model.equality_rows), len(model.inequality_rows)]
         totals = [t + c for t, c in zip(totals, counts)]
@@ -791,7 +802,7 @@ def _two_windows(open_time):
     del doc["configurations"]
     doc["forecast"] = [
         {"screen_id": screen.source_id, "film_id": film_id, "config_index": config_index, "attendance": 5}
-        for cluster in as_multi(load_instance(doc, allow_partial=True)).clusters
+        for cluster in load_instance(doc, allow_partial=True).clusters
         for screen in cluster.screens
         for film_id, config_index in (c.key() for c in cluster.configurations)
     ]
@@ -1071,11 +1082,11 @@ def test_build_and_solve_write_the_same_lp_without_a_direct_sum(
         raise AssertionError("a command built the direct sum")
 
     path = write_doc(tmp_path, LP_DOCUMENTS[name](example_document))
-    multi = as_multi(load_instance(path))
-    if len(multi.clusters) == 1:
-        expected = support.reference_export_lp_text(build_model(multi.clusters[0]))
+    instance = load_instance(path)
+    if len(instance.clusters) == 1:
+        expected = support.reference_export_lp_text(build_model(instance))
     else:
-        expected = support.reference_export_lp_text(build_joint_model(multi))
+        expected = support.reference_export_lp_text(build_joint_model(instance))
     monkeypatch.setattr(formulation_module, "direct_sum", refused)
     built, solved = tmp_path / "build.lp", tmp_path / "solve.lp"
     assert main(["build", path, "--export-lp", str(built)]) == 0

@@ -16,10 +16,13 @@ from cinestagger import (
     InstanceError,
     InstanceFormatError,
     MultiClusterInstance,
+    build_joint_model,
     build_model,
     dumps_instance,
     load_instance,
+    solve_all,
     validate_instance,
+    verify_decomposition,
 )
 from cinestagger.domain import (
     ATTENDANCE_LIMIT,
@@ -29,7 +32,6 @@ from cinestagger.domain import (
     Location,
     Screen,
     ShowtimeConfiguration,
-    as_multi,
     dumps_json,
     format_attendance,
     format_hhmm,
@@ -185,8 +187,9 @@ def test_multi_cluster_loading():
     assert isinstance(instance, MultiClusterInstance)
     assert instance.cluster_ids == ("c1", "c2")
     for cluster in instance.clusters:
+        locations = {loc.location_id: loc for loc in cluster.locations}
         for screen in cluster.screens:
-            assert cluster.location_by_id[screen.location_id].cluster_id == cluster.cluster_id
+            assert locations[screen.location_id].cluster_id == cluster.cluster_id
     assert validate_instance(instance) == []
 
 
@@ -204,11 +207,41 @@ def test_global_films_play_in_every_cluster():
     assert instance.cluster("a").films == instance.cluster("b").films
 
 
-def test_as_multi(example_instance):
-    multi = as_multi(example_instance)
-    assert isinstance(multi, MultiClusterInstance)
+def test_every_instance_answers_clusters(example_instance):
+    assert example_instance.clusters == (example_instance,)
+    assert example_instance.clusters[0] is example_instance
+    multi = MultiClusterInstance(example_instance.clusters)
     assert multi.clusters == (example_instance,)
-    assert as_multi(multi) is multi
+    assert multi.cluster_ids == (example_instance.cluster_id,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [validate_instance, dumps_instance, serialize_instance, solve_all, verify_decomposition, build_joint_model],
+    ids=lambda call: call.__name__,
+)
+@pytest.mark.parametrize(
+    "document",
+    [
+        lambda example: example,
+        lambda example: support.matrix_document([[5, 6], [7, 8], [9, 4]]),     # infeasible
+        lambda example: support.matrix_document([[5, 6], [7, 8]], configs_per_film=[1, 1], cluster_id="x"),
+    ],
+    ids=["example", "infeasible", "two-films"],
+)
+def test_a_cluster_and_its_one_cluster_multi_instance_give_equal_results(example_document, call, document):
+    cluster = load_instance(copy.deepcopy(document(example_document)))
+    assert isinstance(cluster, ClusterInstance)
+    assert call(cluster) == call(MultiClusterInstance(cluster.clusters))
+
+
+def test_a_parsed_cluster_refuses_assignment(example_document):
+    cluster = parse_document(copy.deepcopy(example_document)).clusters[0]
+    assert isinstance(cluster, tuple)
+    for name, value in [("stagger_interval_minutes", 20), ("configurations", ()), ("film_by_id", {})]:
+        with pytest.raises(AttributeError):
+            setattr(cluster, name, value)
+    assert cluster == load_instance(copy.deepcopy(example_document))
 
 
 def violation_codes(doc):
@@ -378,7 +411,9 @@ def _matrix_of(cluster, entries, screens=None):
     )
 
 
-@pytest.mark.parametrize("wrap", [lambda cluster: cluster, as_multi], ids=["cluster", "multi"])
+@pytest.mark.parametrize(
+    "wrap", [lambda cluster: cluster, lambda cluster: MultiClusterInstance(cluster.clusters)], ids=["cluster", "multi"]
+)
 @pytest.mark.parametrize(
     "spoil, line",
     [

@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from cinestagger import (
     export_lp_text,
     load_instance,
 )
-from cinestagger.domain import as_multi, format_attendance
+from cinestagger.domain import format_attendance
 from cinestagger.formulation import _row_name, direct_sum
 
 VIEWS = ("variables", "objective", "equality_rows", "inequality_rows")
@@ -332,7 +333,7 @@ def test_row_names_tell_cluster_ids_apart(first, second):
 
 
 def test_direct_sum_of_one_cluster_is_its_joint_model(example_instance, example_model):
-    joint = build_joint_model(as_multi(example_instance))
+    joint = build_joint_model(example_instance)
     single = direct_sum([("c1", example_model)])
     assert single.screen_ids == joint.screen_ids == example_model.screen_ids
     assert single.column_keys == joint.column_keys
@@ -375,8 +376,8 @@ def block_documents(draw):
 @example(drawn=(support.random_multi_document(random.Random(1), 3), ["c1", "c2", "c3"]))
 def test_the_block_writer_writes_the_direct_sum(drawn):
     doc, order = drawn
-    multi = as_multi(load_instance(doc))
-    blocks = [(cluster_id, build_model(multi.cluster(cluster_id))) for cluster_id in order]
+    clusters = {cluster.cluster_id: cluster for cluster in load_instance(doc).clusters}
+    blocks = [(cluster_id, build_model(clusters[cluster_id])) for cluster_id in order]
     joint = direct_sum(blocks)
     text = export_lp_text(blocks)
     assert text == export_lp_text(joint) == support.reference_export_lp_text(joint)
@@ -406,6 +407,26 @@ def matrix_blocks(draw):
 def test_the_block_writer_matches_the_dense_writer_on_any_blocks(blocks):
     joint = direct_sum(blocks)
     assert export_lp_text(blocks) == support.reference_export_lp_text(joint) == export_lp_text(joint)
-    # a lone model keeps its own row order and its unprefixed names
+    # a lone model keeps its unprefixed names, its rows written in ascending screen id
     for _, model in blocks:
-        assert export_lp_text(model) == support.reference_export_lp_text(model)
+        rows = sorted(zip(model.screen_ids, model.weights), key=itemgetter(0))
+        ascending = BilpModel.from_matrix(tuple(sid for sid, _ in rows), model.column_keys, [w for _, w in rows])
+        assert export_lp_text(model) == support.reference_export_lp_text(ascending)
+
+
+def test_a_lone_model_is_written_in_ascending_screen_order():
+    text = export_lp_text(BilpModel.from_matrix((2, 1), ((1, 1),), [[5000], [7000]]))
+    assert text == (
+        "\\ Screen scheduling model: maximize forecast attendance\n"
+        "\\ Terms ordered by ascending (screen, film, configuration)\n"
+        "Maximize\n"
+        " obj: 7 X_s1_f1_c1 + 5 X_s2_f1_c1\n"
+        "Subject To\n"
+        " screen_1: X_s1_f1_c1 = 1\n"
+        " screen_2: X_s2_f1_c1 = 1\n"
+        " stagger_f1_c1: X_s1_f1_c1 + X_s2_f1_c1 <= 1\n"
+        "Binary\n"
+        " X_s1_f1_c1\n"
+        " X_s2_f1_c1\n"
+        "End\n"
+    )
