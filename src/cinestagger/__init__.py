@@ -10,7 +10,6 @@ dual for an optimum, a pigeonhole count or Hall set for infeasibility.
 from .cluster import (
     ClusterSolveReport,
     DecompositionReport,
-    derive_clusters,
     solve_all,
     verify_decomposition,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "certify",
     "check_feasible",
     "cycle_length",
-    "derive_clusters",
     "dumps_instance",
     "dumps_json",
     "evaluate",

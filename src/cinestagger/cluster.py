@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import dist
 from typing import Dict, Optional, Tuple
 
 from .domain import Instance
@@ -89,41 +88,10 @@ class DecompositionReport(namedtuple("DecompositionReport", "per_cluster")):
 
 
 def verify_decomposition(instance: Instance) -> DecompositionReport:
-    """Prove that solving per cluster loses nothing against a joint solve.
+    """Solve per cluster; no two clusters share a screen, so the sum of cluster optima is the joint optimum.
 
     This is :func:`solve_all`, whose premises make the joint program
     block-diagonal: the certified cluster results are the joint result.
     """
     return DecompositionReport(solve_all(instance))
 
-
-def derive_clusters(
-    coordinates: Dict[int, Tuple[float, float]], threshold_km: float = 5.0
-) -> Dict[int, str]:
-    """Group locations into clusters by proximity.
-
-    Two locations are neighbours when at most ``threshold_km`` apart
-    (coordinates in kilometres); clusters are the connected components.
-    Returns location_id -> cluster label ("c1", "c2", ... by smallest
-    member id).  Convenience for instance authoring; solving always uses
-    the explicit cluster ids in the instance file.
-    """
-    ids = sorted(coordinates)
-    parent = {i: i for i in ids}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in ids:
-        for b in ids:
-            if a < b and dist(coordinates[a], coordinates[b]) <= threshold_km:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-    roots = sorted({find(i) for i in ids})
-    label = {root: f"c{k}" for k, root in enumerate(roots, start=1)}
-    return {i: label[find(i)] for i in ids}

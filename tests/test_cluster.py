@@ -12,7 +12,6 @@ from cinestagger import (
     build_joint_model,
     build_model,
     certify,
-    derive_clusters,
     load_instance,
     solve_all,
     solve_assignment,
@@ -234,16 +233,3 @@ def test_solve_all_keeps_the_models_it_certified(example_document):
         assert model.weights == build_model(cluster).weights
         assert certify(model) == report.per_cluster[cluster_id]
 
-
-def test_derive_clusters_by_distance():
-    coordinates = {
-        1: (0.0, 0.0),
-        2: (1.0, 0.0),
-        3: (2.0, 0.5),
-        7: (40.0, 40.0),
-        9: (41.0, 40.5),
-    }
-    labels = derive_clusters(coordinates, threshold_km=2.0)
-    assert labels == {1: "c1", 2: "c1", 3: "c1", 7: "c2", 9: "c2"}
-    # one giant threshold collapses everything
-    assert set(derive_clusters(coordinates, threshold_km=100.0).values()) == {"c1"}
