@@ -315,7 +315,11 @@ def cmd_synth(args) -> int:
     if match is None:
         print(f"error: bad --coeff-range {args.coeff_range!r}, expected LO..HI", file=sys.stderr)
         return 2
-    lo, hi = int(match.group(1)), int(match.group(2))
+    try:
+        lo, hi = int(match.group(1)), int(match.group(2))
+    except ValueError:  # past the interpreter's limit on digits read as an int
+        print("error: bad --coeff-range, a bound has too many digits", file=sys.stderr)
+        return 2
     try:
         doc = generate_document(screens=args.screens, films=args.films, clusters=args.clusters,
                                 seed=args.seed, coeff_range=(lo, hi))

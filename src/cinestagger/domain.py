@@ -557,24 +557,34 @@ def parse_document(
     outside: Optional[Tuple[int, int, int]] = None
     stray: Set[Tuple[int, int, int]] = set()    # (screen, film, config) of rows outside the matrix
     for entry in _as_list(forecast_raw, "forecast"):
-        ext_sid = entry.get("screen_id")
-        film_id = entry.get("film_id")
-        config_index = entry.get("config_index")
-        if type(ext_sid) is not int or type(film_id) is not int or type(config_index) is not int:
-            ext_sid, film_id, config_index = _forecast_ids(entry)
+        # a clean row (int ids naming an empty cell, an int attendance in
+        # range) is filled by subscript; every other row takes the checks
+        # below, which find its error. The types are tested after the
+        # lookups, since True, 1.0 and Decimal("1") hash like 1
         try:
+            ext_sid = entry["screen_id"]
+            film_id = entry["film_id"]
+            config_index = entry["config_index"]
+            attendance = entry["attendance"]
             sid, row, columns_of, flagged = row_route[ext_sid]
             column: Optional[int] = columns_of[film_id][config_index]
+        except (KeyError, TypeError):   # a missing key or cell, or an unhashable id
+            pass
+        else:
+            if (type(ext_sid) is int and type(film_id) is int and type(config_index) is int
+                    and type(attendance) is int and row[column] is None and 0 <= attendance < ATTENDANCE_LIMIT):
+                row[column] = attendance * MILLI
+                continue
+        ext_sid, film_id, config_index = _forecast_ids(entry)
+        try:
+            sid, row, columns_of, flagged = row_route[ext_sid]
+            column = columns_of[film_id][config_index]
         except KeyError:    # an unknown screen or film, or a row outside the matrix
             column = None
         if column is not None:
             if row[column] is not None:
                 label = _row_label(ext_sid, film_id, config_index)
                 raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
-            attendance = entry.get("attendance")
-            if type(attendance) is int and 0 <= attendance < ATTENDANCE_LIMIT:
-                row[column] = attendance * MILLI
-                continue
         else:
             route = row_route.get(ext_sid)
             if route is None:
@@ -614,9 +624,12 @@ def parse_document(
 def _as_list(value, context: str) -> list:
     if not isinstance(value, list):
         raise InstanceFormatError(f"{context}: expected a list, got {type(value).__name__}")
-    for item in value:
-        if not isinstance(item, dict):
-            raise InstanceFormatError(f"{context}: entries must be objects")
+    # the types are read in C; only a list holding some other type, perhaps a
+    # dict subclass, is walked item by item
+    if not set(map(type, value)) <= {dict}:
+        for item in value:
+            if not isinstance(item, dict):
+                raise InstanceFormatError(f"{context}: entries must be objects")
     return value
 
 
@@ -722,6 +735,14 @@ def validate_instance(instance: Instance, check_forecast: bool = True) -> List[V
     return violations
 
 
+def _showtimes_fine(times, window: Tuple[int, int]) -> bool:
+    """Whether ``times`` is non-empty, strictly increasing and inside ``window``."""
+    # strictly increasing times lie in the window when the first and last do
+    return bool(times) and window[0] <= times[0] and times[-1] <= window[1] and all(
+        a < b for a, b in zip(times, times[1:])
+    )
+
+
 def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Violation]:
     v: List[Violation] = []
 
@@ -796,15 +817,21 @@ def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Vi
     window = cluster.window() if cluster.locations else (0, MAX_MINUTES)
     films_with_configs = set()
     seen_config_keys = set()
+    # showtimes -> whether they are fine in this cluster's window; films of
+    # one cycle length share their lists, so each distinct list is checked once
+    fine_times: Dict[Tuple[int, ...], bool] = {}
     for config in cluster.configurations:
         key, times = config.key(), config.showtimes
         duplicate = key in seen_config_keys
         seen_config_keys.add(key)
         films_with_configs.add(config.film_id)
-        # strictly increasing times lie in the window when the first and last do
-        if (not duplicate and config.film_id in seen_films and config.config_index >= 1 and times
-                and window[0] <= times[0] and times[-1] <= window[1]
-                and all(a < b for a, b in zip(times, times[1:]))):
+        try:
+            fine = fine_times.get(times)
+        except TypeError:   # a hand-built list of showtimes keys no dict
+            fine = _showtimes_fine(times, window)
+        if fine is None:
+            fine = fine_times[times] = _showtimes_fine(times, window)
+        if not duplicate and config.film_id in seen_films and config.config_index >= 1 and fine:
             continue    # nothing to report, so no label
         label = f"film {config.film_id} config {config.config_index}"
         if duplicate:

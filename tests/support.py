@@ -477,7 +477,9 @@ def reference_forecast_pass(doc: dict, allow_partial: bool = False):
         forecast_raw = []
     outside = None
     for entry in forecast_raw:
-        ext_sid, film_id, config_index = entry["screen_id"], entry["film_id"], entry["config_index"]
+        ext_sid = _require_int(_require(entry, "screen_id", "forecast entry"), "forecast screen_id")
+        film_id = _require_int(_require(entry, "film_id", "forecast entry"), "forecast film_id")
+        config_index = _require_int(_require(entry, "config_index", "forecast entry"), "forecast config_index")
         label = _row_label(ext_sid, film_id, config_index)
         if ext_sid not in screen_route:
             raise InstanceDataError([Violation("unknown_screen", f"{label} references an unknown screen")])

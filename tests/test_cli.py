@@ -721,6 +721,9 @@ def test_synth_bad_range(capsys):
     capsys.readouterr()
     assert main(["synth", "--screens", "0", "--films", "1"]) == 2
     assert capsys.readouterr() == ("", "error: screens, films and clusters must all be >= 1\n")
+    # a bound past the interpreter's 4300-digit limit on reading an int
+    assert main(["synth", "--screens", "2", "--films", "1", "--coeff-range", "1.." + "9" * 5000]) == 2
+    assert capsys.readouterr() == ("", "error: bad --coeff-range, a bound has too many digits\n")
 
 
 def test_synth_range_digits_are_ascii(capsys):

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import time
+from collections import OrderedDict
 from support import replace
 from decimal import Decimal
 
@@ -579,6 +580,15 @@ def test_dumps_instance_refuses_clusters_that_share_no_document(spoil, message):
     assert str(err.value) == message
 
 
+def test_entries_may_be_dict_subclasses(example_document):
+    # a block's entry types are compared in one pass first; a subclass takes the item-by-item check
+    doc = {
+        key: list(map(OrderedDict, value)) if type(value) is list else value
+        for key, value in example_document.items()
+    }
+    assert load_instance(doc) == load_instance(example_document)
+
+
 def test_load_instance_refuses_a_negative_turnover():
     doc = support.matrix_document([[5]])
     del doc["configurations"]
@@ -594,6 +604,52 @@ def test_parse_document_without_validation():
     multi = parse_document(doc)
     codes = {v.code for v in validate_instance(multi)}
     assert codes == {"non_increasing_showtimes"}
+
+
+def one_screen_cluster(cluster_id, screen_id, window, showtimes):
+    """A cluster of one screen, open over ``window`` (HH:MM pair), whose film 1
+    plays each of ``showtimes`` as configurations 1, 2, ..., every cell forecast."""
+    configs = tuple(ShowtimeConfiguration(1, index, times) for index, times in enumerate(showtimes, start=1))
+    return ClusterInstance(
+        cluster_id=cluster_id,
+        locations=(Location(screen_id, "Hall", cluster_id, *map(parse_hhmm, window)),),
+        screens=(Screen(screen_id, screen_id),),
+        films=(Film(1, "Shared", 90),),
+        configurations=configs,
+        stagger_interval_minutes=30,
+        forecast=support.forecast_matrix(
+            [screen_id], [c.key() for c in configs], {(screen_id, *c.key()): 5 * MILLI for c in configs}
+        ),
+    )
+
+
+def test_a_shared_showtime_list_is_checked_against_each_clusters_window():
+    times = (parse_hhmm("12:00"), parse_hhmm("15:00"))
+    inside = one_screen_cluster("a", 1, ("10:00", "22:00"), [times, times])
+    outside = one_screen_cluster("b", 2, ("13:00", "22:00"), [times, times])
+    assert validate_instance(inside) == []
+    assert [str(v) for v in validate_instance(MultiClusterInstance((inside, outside)))] == [
+        f"showtime_outside_window: film 1 config {index}: showtime 12:00 is outside the cluster window 13:00..22:00"
+        for index in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "times, codes",
+    [
+        (["12:00", "15:00"], []),
+        ([], ["empty_configuration"]),
+        (["15:00", "12:00"], ["non_increasing_showtimes"]),
+        (["09:00", "12:00"], ["showtime_outside_window"]),
+    ],
+    ids=["fine", "empty", "non-increasing", "outside"],
+)
+def test_a_showtime_list_validates_as_its_tuple(times, codes):
+    as_list, as_tuple = (
+        one_screen_cluster("a", 1, ("10:00", "22:00"), [kind(map(parse_hhmm, times))]) for kind in (list, tuple)
+    )
+    assert [v.code for v in validate_instance(as_tuple)] == codes
+    assert validate_instance(as_list) == validate_instance(as_tuple)
 
 
 def two_cluster_document():
@@ -915,11 +971,16 @@ def test_dumps_instance_writes_the_reference_document(instance):
     assert repr(serialize_instance(instance)) == repr(reference)
 
 
+# values a typed fast path must send back to the checking code
+_BAD_IDS = ["7", True, False, 1.0, Decimal("1"), None]
+
+
 @st.composite
 def mutated_synth_documents(draw):
     """``synth`` documents of 1-6 clusters, valid or spoiled: shuffled rows,
     fractional attendance, omitted configurations, and negative, duplicate,
-    missing, unknown-configuration and other-cluster-film rows, alone or together."""
+    missing, unknown-configuration and other-cluster-film rows, rows with a
+    mistyped id or attendance and rows missing a key, alone or together."""
     clusters = draw(st.integers(1, 6))
     doc = generate_document(
         draw(st.integers(1, 4)), draw(st.integers(1, 3)), clusters=clusters,
@@ -948,6 +1009,13 @@ def mutated_synth_documents(draw):
     if clusters > 1:
         for i in some_rows(2):
             rows.append({**rows[i], "film_id": draw(st.sampled_from(doc["films"]))["id"]})
+    # rows the subscript path must hand to the checking code
+    for i in some_rows(2):
+        rows[i][draw(st.sampled_from(["screen_id", "film_id", "config_index"]))] = draw(st.sampled_from(_BAD_IDS))
+    for i in some_rows(2):
+        rows[i]["attendance"] = draw(st.sampled_from([True, "5", Decimal("5"), None, [5], 10**18]))
+    for i in some_rows(2):
+        rows[i].pop(draw(st.sampled_from(["screen_id", "film_id", "config_index", "attendance"])), None)
     for i in sorted(set(some_rows(3)), reverse=True):
         del rows[i]                                     # missing
     if draw(st.booleans()):
@@ -979,8 +1047,6 @@ def test_matrix_loader_matches_the_dict_reference(doc, partial, turnover):
     assert matrix_load(copy.deepcopy(doc), partial, turnover) == expected
 
 
-# values a typed fast path must send back to the checking code
-_BAD_IDS = ["7", True, False, 1.0, Decimal("1"), None]
 _BAD_TIMES = [720, None, True, " 12:00", "12:00 ", "1200", "28:00", "12:60", "１２:00"]
 
 
