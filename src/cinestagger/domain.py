@@ -310,7 +310,8 @@ class MultiClusterInstance(namedtuple("MultiClusterInstance", "clusters")):
         raise KeyError(cluster_id)
 
 
-Instance = Union[ClusterInstance, MultiClusterInstance]
+# X | Y, not typing.Union: typing caches a subscription, so it would keep this copy alive after a re-import
+Instance = ClusterInstance | MultiClusterInstance
 
 
 def _require(obj: dict, key: str, context: str):

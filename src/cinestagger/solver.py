@@ -50,8 +50,9 @@ optimum its search order finds.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .domain import MILLI
 # check_feasible is unused here, but perfbench/tracing.py patches it on this module by getattr
@@ -250,10 +251,8 @@ def _tie_broken(model: BilpModel) -> Weights:
 # A search gets the model and the stats to count its effort in; it returns
 # the chosen column index per screen, or None when no complete schedule
 # exists, and a certificate of that result if it has one.
-Search = Callable[
-    [BilpModel, SolveStats],
-    Tuple[Optional[List[int]], Optional[Certificate]],
-]
+# builtin generics and X | None: typing caches a subscription, so it would keep this copy alive after a re-import
+Search = Callable[[BilpModel, SolveStats], tuple[list[int] | None, Certificate | None]]
 
 
 def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:

@@ -9,11 +9,15 @@ import inspect
 import os
 import subprocess
 import sys
+import typing
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+import cinestagger
+from cinestagger import domain, solver
 from cinestagger import (
     BilpModel,
     ClusterInstance,
@@ -31,6 +35,7 @@ from cinestagger import (
     VariableRef,
     Violation,
     build_model,
+    validate_instance,
 )
 from cinestagger.domain import _ClusterParts
 from cinestagger.formulation import RowCheck
@@ -173,6 +178,72 @@ def test_importing_the_cli_loads_no_dataclasses():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+# Three re-imports of the package, then the names of the earlier copies' classes that are still alive
+# (a module-level typing subscription such as Union[ClusterInstance, ...] caches its arguments).
+# The popped module is deleted before collecting: a leftover local would keep its copy alive.
+REIMPORT = """
+import gc, sys, weakref
+import cinestagger.cli
+refs = []
+for _ in range(3):
+    for name in [n for n in sys.modules if n.split('.')[0] == 'cinestagger']:
+        module = sys.modules.pop(name)
+        refs += [weakref.ref(v) for v in vars(module).values()
+                 if isinstance(v, type) and v.__module__.split('.')[0] == 'cinestagger']
+    del name, module
+    import cinestagger.cli
+gc.collect()
+print(sorted({r().__qualname__ for r in refs if r() is not None}))
+"""
+
+
+def test_a_reimport_leaves_no_class_of_the_earlier_copy_alive():
+    done = subprocess.run(
+        [sys.executable, "-c", REIMPORT],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def _exported_functions():
+    for name in cinestagger.__all__:
+        obj = getattr(cinestagger, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+            continue
+        for cls in obj.__mro__:   # a record's namedtuple base is the package's too
+            if cls.__module__.split(".")[0] != "cinestagger":
+                continue
+            for attr, value in vars(cls).items():
+                if isinstance(value, (staticmethod, classmethod)):
+                    value = value.__func__
+                elif isinstance(value, property):
+                    value = value.fget
+                elif isinstance(value, cached_property):
+                    value = value.func
+                if inspect.isfunction(value):
+                    yield f"{name}.{attr}", value
+
+
+def test_every_public_annotation_resolves():
+    functions = list(_exported_functions())
+    assert len(functions) > 100
+    failed = []
+    for name, function in functions:
+        try:
+            typing.get_type_hints(function)
+        except Exception as exc:
+            failed.append(f"{name}: {exc!r}")
+    assert failed == []
+
+
+def test_the_instance_and_search_aliases_resolve_to_types():
+    assert domain.Instance == ClusterInstance | MultiClusterInstance
+    assert typing.get_type_hints(validate_instance)["instance"] == domain.Instance
+    assert typing.get_type_hints(solver._solve)["search"] == solver.Search
 
 
 @pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda cls: cls.__name__)
