@@ -106,6 +106,11 @@ def format_hhmm(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
+def _shown(value) -> str:
+    """``value`` as an error message quotes it: a JSON number (a Decimal) as a number, anything else by repr."""
+    return str(value) if isinstance(value, Decimal) else repr(value)
+
+
 def parse_attendance(value) -> int:
     """Parse an attendance coefficient to exact integer milliunits.
 
@@ -116,7 +121,7 @@ def parse_attendance(value) -> int:
     integer conversion would take time super-linear in its digit count.
     """
     if isinstance(value, bool):
-        raise InstanceFormatError(f"bad attendance value {value!r}")
+        raise InstanceFormatError(f"bad attendance value {_shown(value)}")
     if isinstance(value, int):
         if not -ATTENDANCE_LIMIT < value < ATTENDANCE_LIMIT:
             # not printed: past 4300 digits CPython refuses to convert it to text
@@ -127,15 +132,15 @@ def parse_attendance(value) -> int:
     if isinstance(value, (str, Decimal)):
         # Decimal() also reads other scripts' digits and underscores as digits
         if isinstance(value, str) and (not value.isascii() or "_" in value):
-            raise InstanceFormatError(f"bad attendance value {value!r}")
+            raise InstanceFormatError(f"bad attendance value {_shown(value)}")
         try:
             number = Decimal(value)
         except InvalidOperation:
-            raise InstanceFormatError(f"bad attendance value {value!r}") from None
+            raise InstanceFormatError(f"bad attendance value {_shown(value)}") from None
         # copy_abs, not abs: abs rounds to the context, which traps an
         # exponent past Emax as Overflow and rounds a 29th digit up to the limit
         if not number.is_finite() or number.copy_abs() >= ATTENDANCE_LIMIT:
-            raise InstanceFormatError(f"bad attendance value {value!r}")
+            raise InstanceFormatError(f"bad attendance value {_shown(value)}")
         # quantize rather than multiply: a product is rounded to the context's
         # 28 digits (to 0 for a tiny exponent) and could then look whole; below
         # the limit the quantized value has at most 21 digits, so it is exact,
@@ -146,7 +151,7 @@ def parse_attendance(value) -> int:
                 f"attendance {value} has more than 3 decimal places"
             )
         return int(milli * MILLI)
-    raise InstanceFormatError(f"bad attendance value {value!r}")
+    raise InstanceFormatError(f"bad attendance value {_shown(value)}")
 
 
 def format_attendance(milli: int) -> str:
@@ -322,14 +327,14 @@ def _require(obj: dict, key: str, context: str):
 
 def _require_int(value, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InstanceFormatError(f"{context}: expected an integer, got {value!r}")
+        raise InstanceFormatError(f"{context}: expected an integer, got {_shown(value)}")
     return value
 
 
 def _require_str(value, context: str) -> str:
     """``value`` if it is text that UTF-8 can carry: a JSON ``"\\ud800"`` loads as a lone surrogate."""
     if not isinstance(value, str):
-        raise InstanceFormatError(f"{context}: expected a string, got {value!r}")
+        raise InstanceFormatError(f"{context}: expected a string, got {_shown(value)}")
     if not value.isascii():
         try:
             value.encode("utf-8")
@@ -340,7 +345,7 @@ def _require_str(value, context: str) -> str:
 
 def _cluster_key(value, context: str) -> str:
     if isinstance(value, bool):
-        raise InstanceFormatError(f"{context}: bad cluster_id {value!r}")
+        raise InstanceFormatError(f"{context}: bad cluster_id {_shown(value)}")
     if isinstance(value, int):
         return str(value)
     # a string's text errors name the cluster_id; its type errors keep the bare context
@@ -602,7 +607,12 @@ def parse_document(
                 label = _row_label(ext_sid, film_id, config_index)
                 raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
             stray.add((sid, film_id, config_index))
-        milli = parse_attendance(_require(entry, "attendance", _row_label(ext_sid, film_id, config_index)))
+        label = _row_label(ext_sid, film_id, config_index)
+        attendance = _require(entry, "attendance", label)
+        try:
+            milli = parse_attendance(attendance)
+        except InstanceFormatError as exc:
+            raise InstanceFormatError(f"{exc} in {label}") from None
         if column is not None:
             row[column] = milli
         if column is None or milli < 0:

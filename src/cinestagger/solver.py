@@ -4,9 +4,13 @@ Three independent methods over the same model:
 
 * ``solve_assignment`` exploits the structure directly: screens are left
   nodes, film configurations right nodes, and the program is a rectangular
-  max-weight assignment, solved by shortest augmenting paths in exact
-  integer arithmetic on the weights themselves, so the matcher's final
-  duals are its ``lp-dual`` certificate as they stand.
+  max-weight assignment.  It is solved by shortest augmenting paths in
+  exact integer arithmetic on the weights themselves: one Dijkstra search
+  per screen over the columns it has not reached yet, with the duals
+  settled once per augmentation rather than at every step (Jonker &
+  Volgenant 1987; Crouse 2016, the method behind scipy's
+  ``linear_sum_assignment``).  The matcher's final duals are its
+  ``lp-dual`` certificate as they stand.
 * ``solve_branch_and_bound`` is a depth-first search over screens with an
   additive upper bound, knowing nothing about assignment structure.
 * ``solve_brute_force`` enumerates every injective screen-to-configuration
@@ -32,7 +36,8 @@ Problems*, SIAM 2009, ch. 4).  The certificates are:
   each of them its own column.
 
 The check reads only the model's screen ids, column keys and weight
-matrix, and costs O(screens x configurations).  Branch and bound and brute
+matrix, and the tie-broken weights derived from those three, and costs
+O(screens x configurations).  Branch and bound and brute
 force never run on this path; they stay as the oracles the tests compare
 against, and disagreement with them is a bug, never settled by fiat.
 
@@ -147,6 +152,9 @@ _SPARSE_PIGEONHOLE = (
 )
 
 
+_UNREACHED = float("inf")   # slack of a column no reached row allows; compared with ints, never added to one
+
+
 def _augment_max_weight(
     weights: Weights, m: int, stats: SolveStats
 ) -> Tuple[Optional[List[int]], List[int], List[int]]:
@@ -162,59 +170,81 @@ def _augment_max_weight(
     with no allowed cell outside a smaller set of columns.  Each completed
     augmentation counts one node in ``stats``.  Duals stay integral
     throughout, so the optimum is exact.
+
+    Rows join the matching one at a time.  Each join is a Dijkstra search
+    from the new row over the reduced costs ``u[i] + v[j] - weights[i][j]``,
+    which are nonnegative on every matched row, and the duals stay fixed
+    while it runs (Jonker & Volgenant 1987; Crouse 2016, the method of
+    scipy's ``linear_sum_assignment``).  ``slack[j]`` is the shortest path
+    found so far to column j.  Each step scans only the columns not yet
+    reached: it relaxes them through the row just reached and picks the
+    nearest in the same pass, the lowest column index on a tie.  When the
+    search reaches a free column at distance ``dist``, the new row's dual
+    falls by ``dist`` and each reached column j and its row move by
+    ``dist - slack[j]``, once.  That is the sum of the per-step shifts of
+    the Hungarian method, which moves every reached dual at every step
+    (Kuhn 1955), so both give the same duals.  The slack, path and
+    matching lists live across augmentations; slack is reset in place
+    after each one.
     """
     n = len(weights)
-    u = [0] * (n + 1)
-    v = [0] * (m + 1)
-    p = [0] * (m + 1)            # p[j]: row matched to column j, 1-based
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv: List[Optional[int]] = [None] * (m + 1)   # None: not reached yet
-        used = [False] * (m + 1)
+    u = [0] * n
+    v = [0] * m
+    row_of = [-1] * m            # row matched to each column, -1 while free
+    col_of = [-1] * n            # column matched to each row
+    unreached = [_UNREACHED] * m
+    slack = unreached[:]
+    via = [0] * m                # the row through which slack[j] was last lowered
+    for root in range(n):
+        free = list(range(m))    # columns not reached yet, ascending
+        reached = []             # matched columns reached so far
+        i, dist = root, 0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta: Optional[int] = None
-            j1 = 0
-            row = weights[i0 - 1]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                if row[j - 1] is not None:
-                    cur = u[i0] + v[j] - row[j - 1]
-                    if minv[j] is None or cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                if minv[j] is not None and (delta is None or minv[j] < delta):
-                    delta = minv[j]
-                    j1 = j
-            if delta is None:
+            row = weights[i]
+            base = dist + u[i]
+            low = _UNREACHED
+            for j in free:
+                w = row[j]
+                if w is not None:
+                    s = base + v[j] - w
+                    if s < slack[j]:
+                        slack[j] = s
+                        via[j] = i
+                        if s < low:
+                            low = s
+                            nearest = j
+                        continue         # s is slack[j] now, already compared
+                s = slack[j]
+                if s < low:
+                    low = s
+                    nearest = j
+            if low == _UNREACHED:
                 # every reached row has been expanded and no unreached
                 # column is next to one: the reached rows outnumber the
-                # reached columns by one (the free row i), a Hall violator
-                rows = sorted(p[j] - 1 for j in range(m + 1) if used[j])
-                return None, rows, [j - 1 for j in range(1, m + 1) if used[j]]
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] -= delta
-                    v[j] += delta
-                elif minv[j] is not None:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+                # reached columns by one (the new row), a Hall violator
+                return None, sorted([root] + [row_of[j] for j in reached]), sorted(reached)
+            dist = low
+            free.remove(nearest)
+            i = row_of[nearest]
+            if i < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
+            reached.append(nearest)
+        u[root] -= dist
+        for j in reached:
+            delta = dist - slack[j]
+            u[row_of[j]] -= delta
+            v[j] += delta
+        # a dense row touches every column, so one slice write beats a per-entry reset
+        slack[:] = unreached
+        j = nearest
+        while True:              # flip the path, from the free column back to the new row
+            i = via[j]
+            row_of[j] = i
+            j, col_of[i] = col_of[i], j
+            if i == root:
+                break
         stats.nodes += 1
-    row_to_col = [-1] * n
-    for j in range(1, m + 1):
-        if p[j]:
-            row_to_col[p[j] - 1] = j - 1
-    return row_to_col, u[1:], v[1:]
+    return col_of, u, v
 
 
 def _column_order(model: BilpModel) -> List[int]:
@@ -494,7 +524,9 @@ def check_certificate(model: BilpModel, report: SolveReport) -> None:
     """Prove ``report``'s status on ``model`` or raise :class:`CertificationError`.
 
     Reads only the report and the model's ``screen_ids``, ``column_keys``
-    and ``weights``, in exact integers.  Optimal needs a schedule giving
+    and ``weights``, in exact integers, and the tie-broken weights that
+    ``_tie_broken`` builds from those three and caches on the model, shared
+    with the search that made the report.  Optimal needs a schedule giving
     each of the model's screens, and no other, one of its own allowed cells
     and no column twice, scoring the reported objective on the matrix, and
     an ``lp-dual`` certificate that holds on the perturbed weights, which

@@ -453,6 +453,14 @@ def _row_label(ext_sid: int, film_id: int, config_index: int) -> str:
     return f"forecast entry (screen {ext_sid}, film {film_id}, config {config_index})"
 
 
+def _labelled_attendance(value, label: str) -> int:
+    """``parse_attendance(value)``, its format errors naming the forecast row."""
+    try:
+        return parse_attendance(value)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{exc} in {label}") from None
+
+
 def reference_forecast_pass(doc: dict, allow_partial: bool = False):
     """Each cluster's forecast rows as a dict keyed by (screen, film, config),
     from ``doc``, whose other blocks parse; raises what the loop raised, and
@@ -494,7 +502,7 @@ def reference_forecast_pass(doc: dict, allow_partial: bool = False):
             raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
         if "attendance" not in entry:
             raise InstanceFormatError(f"{label}: missing key 'attendance'")
-        entries[key] = parse_attendance(entry["attendance"])
+        entries[key] = _labelled_attendance(entry["attendance"], label)
     return forecasts, outside
 
 
@@ -753,7 +761,8 @@ def reference_parse_document(
                 label = _row_label(ext_sid, film_id, config_index)
                 raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
             stray.add((sid, film_id, config_index))
-        milli = parse_attendance(_require(entry, "attendance", _row_label(ext_sid, film_id, config_index)))
+        label = _row_label(ext_sid, film_id, config_index)
+        milli = _labelled_attendance(_require(entry, "attendance", label), label)
         if column is not None:
             row[column] = milli
         if column is None or milli < 0:

@@ -84,7 +84,7 @@ def test_validate_huge_attendance(tmp_path, capsys):
     doc["forecast"][1]["attendance"] = "1e999990"
     assert main(["validate", write_doc(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: bad attendance value '1e999990'\n"
+    assert err == "error: bad attendance value '1e999990' in forecast entry (screen 1, film 1, config 2)\n"
 
 
 @pytest.mark.parametrize("attendance", ["1e1000000", '"1e1000000"', "-1e999999999"])
@@ -217,6 +217,23 @@ def test_validate_lists_each_violation(tmp_path, capsys, mutate, lines):
         pytest.param(
             lambda d: d["forecast"][0].pop("config_index"), "forecast entry: missing key 'config_index'",
             id="missing-config-index",
+        ),
+        # a JSON number that is not an integer loads as a Decimal and is printed as a number
+        pytest.param(
+            _set_first("forecast", "screen_id", 1.5), "forecast screen_id: expected an integer, got 1.5",
+            id="fractional-screen-id",
+        ),
+        pytest.param(
+            _set_first("films", "title", 2.5), "film 1 title: expected a string, got 2.5", id="number-title",
+        ),
+        pytest.param(
+            _set_first("locations", "cluster_id", 30.0), "location 1: expected a string, got 30.0",
+            id="fractional-cluster-id",
+        ),
+        pytest.param(
+            lambda d: d["forecast"][1].__setitem__("attendance", 1e18),
+            "bad attendance value 1E+18 in forecast entry (screen 1, film 1, config 2)",
+            id="attendance-past-limit",
         ),
     ],
 )

@@ -732,7 +732,8 @@ def append_rows(*rows):
         ),
         pytest.param(
             append_rows(row(104, 1), row(101, 1, 3, attendance="many")), InstanceFormatError,
-            "bad attendance value 'many'", id="bad-attendance-after-outside-cluster",
+            "bad attendance value 'many' in forecast entry (screen 101, film 1, config 3)",
+            id="bad-attendance-after-outside-cluster",
         ),
     ],
 )
@@ -790,7 +791,10 @@ def test_parse_document_bounds_integer_attendance():
     doc["forecast"][1]["attendance"] = ATTENDANCE_LIMIT
     with pytest.raises(InstanceFormatError) as err:
         parse_document(doc)
-    assert str(err.value) == "bad attendance value (an integer of magnitude 10**18 or more)"
+    assert str(err.value) == (
+        "bad attendance value (an integer of magnitude 10**18 or more)"
+        " in forecast entry (screen 1, film 1, config 2)"
+    )
     doc["forecast"][1]["attendance"] = ATTENDANCE_LIMIT - 1
     assert parse_document(doc).clusters[0].forecast.get(1, 1, 2) == (ATTENDANCE_LIMIT - 1) * MILLI
 

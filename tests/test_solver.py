@@ -14,6 +14,7 @@ from cinestagger import (
     BilpModel,
     CertificationError,
     OracleGuardError,
+    build_joint_model,
     build_model,
     certify,
     check_feasible,
@@ -40,10 +41,12 @@ def small_model(weights, configs_per_film=None):
 
 
 def scipy_optimum(model):
-    """Independent reference optimum for dense models, in milliunits."""
-    weights = np.array(
-        [[model.objective[v] for v in row] for _, row in model.equality_rows]
-    )
+    """Independent reference optimum, in milliunits; a cell without a variable is unusable."""
+    column_of = {v: ci for ci, (_, row) in enumerate(model.inequality_rows) for v in row}
+    weights = np.full((len(model.screen_ids), len(model.column_keys)), -np.inf)
+    for si, (_, row) in enumerate(model.equality_rows):
+        for v in row:
+            weights[si, column_of[v]] = model.objective[v]
     rows, cols = linear_sum_assignment(weights, maximize=True)
     return int(weights[rows, cols].sum())
 
@@ -276,6 +279,50 @@ def test_schedule_variables_sorted(example_model):
 def test_assignment_one_augmentation_per_screen(example_model):
     # the lexicographic tie-break costs no extra matching solves
     assert solve_assignment(example_model).stats.nodes == 9
+
+
+# past sparse_models' 6 x 8, where augmenting paths get long: tie-heavy
+# single clusters, a wide attendance range, and a block-diagonal joint model
+@pytest.mark.parametrize(
+    "screens, films, clusters, coeff_range",
+    [
+        pytest.param(30, 12, 1, (200, 299), id="30x12"),
+        pytest.param(60, 25, 1, (200, 299), id="60x25"),
+        pytest.param(120, 50, 1, (0, 100000), id="120x50"),
+        pytest.param(8, 4, 3, (200, 299), id="joint-3x8x4"),
+    ],
+)
+def test_certify_matches_scipy_on_large_models(screens, films, clusters, coeff_range):
+    instance = load_instance(
+        generate_document(screens=screens, films=films, clusters=clusters, seed=3, coeff_range=coeff_range)
+    )
+    model = build_model(instance) if clusters == 1 else build_joint_model(instance)
+    report = certify(model)
+    assert report.status == "Optimal"
+    assert report.objective == Fraction(scipy_optimum(model), 1000)
+    check_certificate(model, report)
+    duals = report.certificate.screen_duals + report.certificate.column_duals
+    assert all(type(dual) is int for dual in duals)
+    assert report.stats.nodes == len(model.screen_ids)
+
+
+def test_certify_finds_a_hall_set_among_twenty_screens():
+    rng = random.Random(5)
+    model = small_model(
+        [[rng.randint(200, 299) for _ in range(22)] for _ in range(20)], [2] * 11
+    )
+    # every screen allows some of the first 19 columns only
+    first = model.column_keys[:19]
+    allowed = {sid: set(rng.sample(first, rng.randint(3, 19))) for sid in model.screen_ids}
+    model = support.without_variables(model, {
+        v for v in model.variables if (v.film_id, v.config_index) not in allowed[v.screen_id]
+    })
+    report = certify(model)
+    assert report.status == "Infeasible"
+    assert report.certificate.kind == "hall-set"
+    check_certificate(model, report)
+    assert len(report.certificate.columns) < len(report.certificate.screens)
+    assert report.stats.nodes == 19     # the 20th screen is the one left out
 
 
 @st.composite
