@@ -37,6 +37,7 @@ from .domain import (
     InstanceDataError,
     InstanceFormatError,
     MultiClusterInstance,
+    ShowtimeConfiguration,
     default_configurations,
     dumps_instance,
     dumps_json,
@@ -273,11 +274,19 @@ def cmd_generate_configs(args) -> int:
         return 2
     instance, listed = _load_partial(args.instance, args.turnover)
 
-    if listed:   # the document's configurations are replaced, and their forecast rows dropped
+    # the document's configurations are replaced; each generated one takes the
+    # forecast of the listed configuration of its film with its showtimes, the
+    # lowest config index where several share them, and none where none does
+    if listed:
         rebuilt = []
         for cluster in instance.clusters:
+            source: Dict[tuple, Tuple[int, int]] = {}
+            for config in sorted(cluster.configurations, key=ShowtimeConfiguration.key):
+                source.setdefault((config.film_id, config.showtimes), config.key())
             configs = default_configurations(cluster, args.turnover)
-            forecast = cluster.forecast.with_columns(c.key() for c in configs)
+            forecast = cluster.forecast.with_columns(
+                {c.key(): source.get((c.film_id, c.showtimes)) for c in configs}
+            )
             rebuilt.append(cluster._replace(configurations=configs, forecast=forecast))
         instance = MultiClusterInstance(clusters=tuple(rebuilt))
 

@@ -33,7 +33,7 @@ import json
 import re
 from collections import namedtuple
 from decimal import Decimal, InvalidOperation
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -193,7 +193,7 @@ class ShowtimeConfiguration(namedtuple("ShowtimeConfiguration", "film_id config_
 ForecastRow = Tuple[int, int, int, int]
 
 
-class ForecastMatrix:
+class ForecastMatrix(namedtuple("ForecastMatrix", "screen_ids column_keys rows flagged", defaults=((),))):
     """Predicted attendance, in milliunits, as a screens x columns matrix.
 
     ``rows[i][j]`` is the attendance of screen ``screen_ids[i]`` playing
@@ -203,30 +203,13 @@ class ForecastMatrix:
     reports on, as (screen, film, config, milli) in the order they were
     read: every negative cell, and every row outside the matrix, which is
     kept only there.  A model built from the matrix shares its rows, so
-    nothing mutates them, and no attribute can be assigned.
+    nothing mutates them.
     """
 
-    def __init__(
-        self,
-        screen_ids: Tuple[int, ...],
-        column_keys: Tuple[Tuple[int, int], ...],
-        rows: List[List[Optional[int]]],
-        flagged: Tuple[ForecastRow, ...] = (),
-    ) -> None:
-        # __setattr__ refuses every assignment, so the fields go straight into
-        # __dict__, where cached_property also writes
-        self.__dict__.update(screen_ids=screen_ids, column_keys=column_keys, rows=rows, flagged=flagged)
+    # screen_ids: Tuple[int, ...], column_keys: Tuple[Tuple[int, int], ...],
+    # rows: List[List[Optional[int]]], flagged: Tuple[ForecastRow, ...]
+    __slots__ = ()
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to ForecastMatrix.{name}")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.screen_ids, self.column_keys, self.rows, self.flagged) == (
-            other.screen_ids, other.column_keys, other.rows, other.flagged)
-
-    @cached_property
     def _index(self) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int]]:
         """(screen id -> row, (film, config) -> column)."""
         return (
@@ -237,12 +220,12 @@ class ForecastMatrix:
     @property
     def stray_rows(self) -> Tuple[ForecastRow, ...]:
         """The flagged rows outside the matrix, in the order they were read."""
-        row_of, column_of = self._index
+        row_of, column_of = self._index()
         return tuple(row for row in self.flagged if row[0] not in row_of or row[1:3] not in column_of)
 
     def get(self, screen_id: int, film_id: int, config_index: int) -> int:
         """The attendance of one cell; KeyError where the matrix holds none."""
-        row_of, column_of = self._index
+        row_of, column_of = self._index()
         i, j = row_of.get(screen_id), column_of.get((film_id, config_index))
         if i is None or j is None or self.rows[i][j] is None:
             raise KeyError((screen_id, film_id, config_index))
@@ -258,17 +241,17 @@ class ForecastMatrix:
             if milli is not None
         })
 
-    def with_columns(self, column_keys: Iterable[Tuple[int, int]]) -> ForecastMatrix:
-        """The matrix over ``column_keys``: a kept column keeps its cells, a new one is all None."""
-        column_keys = tuple(sorted(set(column_keys)))
-        if column_keys == self.column_keys:
-            return self
-        column_of = self._index[1]
-        picks = [column_of.get(key) for key in column_keys]
+    def with_columns(self, sources: Mapping[Tuple[int, int], Optional[Tuple[int, int]]]) -> ForecastMatrix:
+        """The matrix over the keys of ``sources``, each a new column with the cells of
+        the column its value names, or with None cells where that is None or no column.
+        A flagged row moves to the new column of its (film, config), or is dropped."""
+        sources = sorted(dict(sources).items(), key=itemgetter(0))
+        column_of = self._index()[1]
+        picks = [column_of.get(source) for _, source in sources]
         rows = [[None if j is None else row[j] for j in picks] for row in self.rows]
-        kept = set(column_keys)
-        flagged = tuple(row for row in self.flagged if row[1:3] in kept)
-        return ForecastMatrix(self.screen_ids, column_keys, rows, flagged)
+        moved = {source: key for key, source in sources}
+        flagged = tuple((row[0], *moved[row[1:3]], row[3]) for row in self.flagged if row[1:3] in moved)
+        return ForecastMatrix(self.screen_ids, tuple(key for key, _ in sources), rows, flagged)
 
 
 class ClusterInstance(namedtuple(
@@ -889,7 +872,7 @@ def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Vi
             v.append(Violation("unknown_screen", f"{label} references an unknown screen"))
     if check_forecast:
         # a missing entry is a None cell: only a row holding one is probed cell by cell
-        row_of, column_of = forecast._index
+        row_of, column_of = forecast._index()
         columns = [column_of.get(config.key()) for config in cluster.configurations]
         covered = None not in columns
         for screen in cluster.screens:
@@ -1004,8 +987,9 @@ def dumps_instance(instance: Instance) -> str:
     matrix_rows = []     # (screen id, its row, the row's column texts), one per screen
     for cluster in clusters:
         matrix = cluster.forecast
-        if matrix.stray_rows:
-            sid, film_id, config_index, _ = matrix.stray_rows[0]
+        stray_rows = matrix.stray_rows
+        if stray_rows:
+            sid, film_id, config_index, _ = stray_rows[0]
             raise ValueError(
                 f"{_row_label(external.get(sid, sid), film_id, config_index)} is outside"
                 f" cluster {cluster.cluster_id!r}'s screens and configurations;"

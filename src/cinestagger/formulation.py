@@ -7,9 +7,9 @@ showtimes staggered across the cluster.  The objective sums the forecast
 attendance of the chosen variables.
 
 That makes the program an assignment problem, so a screens x columns
-weight matrix describes all of it, and the matrix is what a model stores.
-The variables, the objective and both kinds of row are views derived from
-the matrix on first access.
+weight matrix describes all of it, and the matrix, rows in ascending
+screen id, is all a model stores.  The variables, the objective and both
+kinds of row are views derived from the matrix on first access.
 
 A cluster's model is dense (every screen pairs with every configuration).
 The joint model of several clusters is the direct sum of the cluster
@@ -38,7 +38,6 @@ ColumnKey = Tuple
 Weights = List[List[Optional[int]]]
 
 _VIEWS = ("variables", "objective", "equality_rows", "inequality_rows")
-_FIELDS = ("screen_ids", "column_keys", "weights") + _VIEWS
 
 
 class VariableRef(namedtuple("VariableRef", "screen_id film_id config_index")):
@@ -55,17 +54,19 @@ class BilpModel:
     The data are ``screen_ids`` (one matrix row each), ``column_keys``
     (one staggering row each) and ``weights``, the coefficient in
     milliunits per (screen index, column index), None where no variable
-    pairs the screen with the column.  Every solver and the certificate
-    check read only these three.
+    pairs the screen with the column.  Rows ascend by screen id, so ties
+    break by screen id however the model was built.  Every solver and the
+    certificate check read only these three, and two models are equal
+    when they are.
 
     ``variables``, ``objective``, ``equality_rows`` and ``inequality_rows``
     are views of the matrix, built on first access and then cached.
 
     ``BilpModel(variables=..., objective=..., equality_rows=...,
-    inequality_rows=...)`` builds a model from those four instead and
-    derives its matrix from them: row i holds the variables of the i-th
-    equality row, each in the column of the staggering row that lists it.
-    Two models are equal when the matrix and all four views are.
+    inequality_rows=...)`` builds the matrix from those four and keeps
+    only the matrix: the screen of each equality row gets a matrix row
+    holding its variables, each in the column of the staggering row that
+    lists it.
     """
 
     screen_ids: Tuple[int, ...]
@@ -77,17 +78,14 @@ class BilpModel:
     inequality_rows: Tuple[Tuple[ColumnKey, Tuple[VariableRef, ...]], ...]
 
     def __init__(self, variables, objective, equality_rows, inequality_rows) -> None:
-        self.variables = variables
-        self.objective = objective
-        self.equality_rows = equality_rows
-        self.inequality_rows = inequality_rows
-        self.screen_ids = tuple(sid for sid, _ in equality_rows)
-        self.column_keys = tuple(key for key, _ in inequality_rows)
         row_of = {var: si for si, (_, row) in enumerate(equality_rows) for var in row}
-        self.weights = [[None] * len(inequality_rows) for _ in equality_rows]
+        weights = [[None] * len(inequality_rows) for _ in equality_rows]
         for ci, (_, row) in enumerate(inequality_rows):
             for var in row:
-                self.weights[row_of[var]][ci] = objective[var]
+                weights[row_of[var]][ci] = objective[var]
+        self._set_matrix(
+            tuple(sid for sid, _ in equality_rows), tuple(key for key, _ in inequality_rows), weights
+        )
 
     @classmethod
     def from_matrix(
@@ -95,16 +93,26 @@ class BilpModel:
     ) -> BilpModel:
         """A model of the matrix alone; its views are derived when first read."""
         model = cls.__new__(cls)
-        model.screen_ids, model.column_keys, model.weights = screen_ids, column_keys, weights
+        model._set_matrix(screen_ids, column_keys, weights)
         return model
+
+    def _set_matrix(
+        self, screen_ids: Tuple[int, ...], column_keys: Tuple[ColumnKey, ...], weights: Weights
+    ) -> None:
+        """Store the matrix, its rows stably sorted by screen id."""
+        if list(screen_ids) != sorted(screen_ids):
+            screen_ids, weights = zip(*sorted(zip(screen_ids, weights), key=itemgetter(0)))
+            weights = list(weights)
+        self.screen_ids, self.column_keys, self.weights = screen_ids, column_keys, weights
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in _FIELDS)
+        return (self.screen_ids, self.column_keys, self.weights) == (
+            other.screen_ids, other.column_keys, other.weights)
 
     def __getattr__(self, name: str):
-        # reached only for attributes not set yet: a matrix-built model's views
+        # reached only for attributes not set yet: the views, until first read
         if name not in _VIEWS:
             raise AttributeError(name)
         self._derive_views()
@@ -165,23 +173,22 @@ def direct_sum(blocks: Sequence[Tuple[str, BilpModel]]) -> BilpModel:
     """The block-diagonal model of ``(cluster id, model)`` pairs, in order.
 
     Each block's column keys gain its cluster id as a prefix, so the same
-    film configuration in two clusters stays two columns.  Rows follow
-    ascending screen id; each screen's row holds its own block's weights
-    in that block's columns and None everywhere else.  Pairs, not a dict,
-    so a repeated cluster id is kept as two blocks.
+    film configuration in two clusters stays two columns.  Each screen's
+    row holds its own block's weights in that block's columns and None
+    everywhere else.  Pairs, not a dict, so a repeated cluster id is kept
+    as two blocks.
     """
+    screen_ids: List[int] = []
     column_keys: List[ColumnKey] = []
     placed = []
     for cluster_id, model in blocks:
         start = len(column_keys)
         column_keys.extend((cluster_id,) + key for key in model.column_keys)
-        placed.extend((sid, start, cells) for sid, cells in zip(model.screen_ids, model.weights))
-    placed.sort(key=itemgetter(0))
+        screen_ids.extend(model.screen_ids)
+        placed.extend((start, cells) for cells in model.weights)
     width = len(column_keys)
-    weights = [
-        [None] * start + cells + [None] * (width - start - len(cells)) for _, start, cells in placed
-    ]
-    return BilpModel.from_matrix(tuple(sid for sid, _, _ in placed), tuple(column_keys), weights)
+    weights = [[None] * start + cells + [None] * (width - start - len(cells)) for start, cells in placed]
+    return BilpModel.from_matrix(tuple(screen_ids), tuple(column_keys), weights)
 
 
 def build_joint_model(instance: Instance) -> BilpModel:
@@ -224,8 +231,8 @@ def export_lp_text(model: Union[BilpModel, Sequence[Tuple[str, BilpModel]]]) -> 
     for prefix, block in blocks:
         suffixes = [f"f{key[-2]}_c{key[-1]}" for key in block.column_keys]
         cells = []      # per screen, each cell's variable name; None where it has no variable
-        # rows ascend, and so do the terms of each column's staggering row
-        for sid, weights in sorted(zip(block.screen_ids, block.weights), key=itemgetter(0)):
+        # a model's rows ascend, and so do the terms of each column's staggering row
+        for sid, weights in zip(block.screen_ids, block.weights):
             head = f"X_s{sid}_"
             if None in weights:     # a sparse model: a variable only where a weight is
                 named = [None if milli is None else head + suffix for milli, suffix in zip(weights, suffixes)]

@@ -497,6 +497,22 @@ def test_generate_configs_drops_stale_forecast_rows(tmp_path, capsys):
     assert kept <= valid
 
 
+def test_generate_configs_keeps_each_forecast_with_its_showtimes(example_document, tmp_path, capsys):
+    # the example lists film 1's 12:30 showtimes as config 1 and its 12:00 ones as
+    # config 2; generation numbers them the other way and adds a 13:00 config 3
+    doc = copy.deepcopy(example_document)
+    # a later listed copy of the 12:00 showtimes: the lower index keeps its forecast
+    doc["configurations"].append({**doc["configurations"][1], "config_index": 9})
+    doc["forecast"].append({"screen_id": 1, "film_id": 1, "config_index": 9, "attendance": 7})
+    for document in (example_document, doc):
+        assert main(["generate-configs", write_doc(tmp_path, document)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        firsts = {c["config_index"]: c["showtimes"][0] for c in out["configurations"] if c["film_id"] == 1}
+        assert firsts == {1: "12:00", 2: "12:30", 3: "13:00"}
+        cells = {r["config_index"]: r["attendance"] for r in out["forecast"] if r["screen_id"] == 1 and r["film_id"] == 1}
+        assert cells == {1: 245, 2: 226}
+
+
 def test_generate_configs_checks_the_forecast_against_the_turnover(example_document, tmp_path, capsys):
     # film 1 runs 90 minutes: 3 configurations at turnover 0, 4 at turnover 30
     doc = copy.deepcopy(example_document)

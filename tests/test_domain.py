@@ -404,6 +404,12 @@ def _stray_row(cluster):
     return replace(cluster, forecast=_matrix_of(cluster, {**cluster.forecast.entries, (7, 1, 1): 3000}))
 
 
+def _unknown_film_config(cluster):
+    """``cluster`` with a configuration, and its forecast, of a film the cluster does not have."""
+    cluster = replace(cluster, configurations=cluster.configurations + (ShowtimeConfiguration(9, 1, (720,)),))
+    return replace(cluster, forecast=_matrix_of(cluster, {**cluster.forecast.entries, (1, 9, 1): 3000}))
+
+
 def _matrix_of(cluster, entries, screens=None):
     """``entries`` as a forecast matrix over the cluster's (or ``screens``') screens and configurations."""
     screens = cluster.screens if screens is None else screens
@@ -421,8 +427,14 @@ def _matrix_of(cluster, entries, screens=None):
         (lambda cluster: _shift_screens(cluster, -1), "bad_screen_id: screen id 0 must be positive"),
         # a screen the cluster does not have is named by the id the row holds
         (_stray_row, "unknown_screen: forecast entry (screen 7, film 1, config 1) references an unknown screen"),
+        (
+            lambda cluster: replace(cluster, locations=cluster.locations * 2),
+            "duplicate_location_id: location id 1 appears more than once",
+        ),
+        (lambda cluster: replace(cluster, films=cluster.films * 2), "duplicate_film_id: film id 1 appears more than once"),
+        (_unknown_film_config, "unknown_film: film 9 config 1 references an unknown film"),
     ],
-    ids=["zero-screen", "stray-row"],
+    ids=["zero-screen", "stray-row", "duplicate-location", "duplicate-film", "unknown-film-config"],
 )
 def test_hand_built_cluster_violations(wrap, spoil, line):
     cluster = spoil(support.matrix_instance([[5]]))

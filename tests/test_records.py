@@ -128,8 +128,8 @@ CASES = {
 }
 
 NAMED_TUPLES = [
-    Violation, Film, Location, Screen, ShowtimeConfiguration, ClusterInstance, MultiClusterInstance,
-    RowCheck, FeasibilityReport, Schedule, Certificate, DecompositionReport,
+    Violation, Film, Location, Screen, ShowtimeConfiguration, ForecastMatrix, ClusterInstance,
+    MultiClusterInstance, RowCheck, FeasibilityReport, Schedule, Certificate, DecompositionReport,
 ]
 
 # record -> its constructor's parameters in order, and their defaults
@@ -274,8 +274,8 @@ def test_keyword_construction_and_equality(cls):
 def test_named_tuples_hash_as_their_fields_and_refuse_assignment(cls):
     arguments, (field, other) = CASES[cls]
     record = cls(**arguments())
-    if cls in (ClusterInstance, MultiClusterInstance, Schedule, DecompositionReport):
-        # a tuple hashes its items, and these hold a mutable record, a forecast matrix or a dict
+    if cls in (ForecastMatrix, ClusterInstance, MultiClusterInstance, Schedule, DecompositionReport):
+        # a tuple hashes its items, and these hold a list of rows, a mutable record or a dict
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -293,7 +293,6 @@ def test_a_forecast_matrix_refuses_assignment_but_caches_its_index():
     with pytest.raises(AttributeError):
         matrix.rows = [[1]]
     assert matrix.get(1, 1, 1) == 5000
-    assert "_index" in vars(matrix)
     assert matrix == _matrix()
     with pytest.raises(TypeError):
         hash(matrix)

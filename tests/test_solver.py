@@ -14,17 +14,21 @@ from cinestagger import (
     BilpModel,
     CertificationError,
     OracleGuardError,
+    VariableRef,
     build_joint_model,
     build_model,
     certify,
     check_feasible,
     evaluate,
+    export_lp_text,
     load_instance,
     solve_assignment,
     solve_branch_and_bound,
     solve_brute_force,
 )
 from cinestagger.solver import (
+    ORACLE_MAX_COLUMNS,
+    ORACLE_MAX_SCREENS,
     Certificate,
     Schedule,
     _column_order,
@@ -80,6 +84,44 @@ def test_all_equal_coefficients_lexicographic_tie_break(solve):
     assert report.objective == 6
     # smallest choices in (screen, film, config) order
     assert report.schedule.choices == {1: (1, 1), 2: (2, 1)}
+
+
+def _rows_reversed(model):
+    """``model`` built through the rows constructor, its equality rows given in reverse."""
+    return BilpModel(
+        variables=model.variables,
+        objective=model.objective,
+        equality_rows=model.equality_rows[::-1],
+        inequality_rows=model.inequality_rows,
+    )
+
+
+def test_ties_break_by_screen_id_whatever_the_row_order(example_model):
+    models = [example_model, small_model([[3, 3], [3, 3]])]
+    for seed in range(3):   # attendance 0..2: many ties
+        document = generate_document(screens=4, films=2, clusters=2, seed=seed, coeff_range=(0, 2))
+        models.extend(build_model(cluster) for cluster in load_instance(document).clusters)
+    for model in models:
+        given = _rows_reversed(model)
+        assert set(vars(given)) == {"screen_ids", "column_keys", "weights"}
+        assert given.screen_ids == model.screen_ids == tuple(sorted(model.screen_ids))
+        assert given == model
+        assert BilpModel.from_matrix(model.screen_ids[::-1], model.column_keys, model.weights[::-1]) == model
+        report = certify(given)
+        assert report == certify(model)
+        check_certificate(given, report)
+        if len(model.screen_ids) <= ORACLE_MAX_SCREENS and len(model.column_keys) <= ORACLE_MAX_COLUMNS:
+            assert solve_brute_force(given).schedule == report.schedule
+        assert export_lp_text(given) == export_lp_text(model)
+    assert certify(_rows_reversed(models[1])).schedule.choices == {1: (1, 1), 2: (1, 2)}
+
+
+def test_branch_and_bound_prunes_a_later_screen_left_without_a_column():
+    # screen 2's only column is screen 1's best one
+    model = support.without_variables(small_model([[5, 1], [3, 3]]), {VariableRef(2, 1, 2)})
+    report, oracle = solve_branch_and_bound(model), solve_brute_force(model)
+    assert (report.schedule, report.objective) == (oracle.schedule, oracle.objective)
+    assert report.schedule.choices == {1: (1, 2), 2: (1, 1)}
 
 
 def test_example_model_agreement(example_model):
