@@ -29,7 +29,6 @@ from .domain import (
     dumps_instance,
     dumps_json,
     load_instance,
-    serialize_instance,
     validate_instance,
 )
 from .formulation import (
@@ -87,7 +86,6 @@ __all__ = [
     "export_lp_text",
     "generate_configurations",
     "load_instance",
-    "serialize_instance",
     "solve_all",
     "solve_assignment",
     "solve_branch_and_bound",

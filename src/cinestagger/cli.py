@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from .cluster import ClusterSolveReport, solve_all
+from .cluster import ClusterSolveReport, solve_all, verify_decomposition
 # generate_configurations is unused here, but perfbench/tracing.py patches it on this module by getattr
 from .confgen import generate_configurations  # noqa: F401
 from .domain import (
@@ -340,16 +340,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify_decomposition(args) -> int:
-    # solve_all's premises make its certified cluster results the joint result
-    report = solve_all(load_instance(args.instance))
+    decomposition = verify_decomposition(load_instance(args.instance))
+    report = decomposition.per_cluster
 
     lines = [
         f"cluster {cluster_id}: Optimal, objective {_fmt_objective(cluster_report.objective)}"
         if cluster_report.status == "Optimal" else f"cluster {cluster_id}: Infeasible"
         for cluster_id, cluster_report in report.per_cluster.items()
     ]
-    if report.overall_status == "Optimal":
-        objective = _fmt_objective(report.combined_objective)
+    if decomposition.joint_status == "Optimal":
+        objective = _fmt_objective(decomposition.joint_objective)
         lines += [
             f"sum of cluster optima: {objective}",
             "decomposition: no two clusters share a screen, so the joint optimum is the sum of cluster optima",
@@ -359,7 +359,7 @@ def cmd_verify_decomposition(args) -> int:
             "decomposition: no two clusters share a screen, so the joint model is infeasible because a cluster is"
         )
     _write_stdout("".join(f"{line}\n" for line in lines))
-    return 0 if report.overall_status == "Optimal" else _infeasible(report)
+    return 0 if decomposition.joint_status == "Optimal" else _infeasible(report)
 
 
 @functools.cache

@@ -6,39 +6,30 @@ the joint program (all clusters at once) is block-diagonal: its optimum
 is the sum of the cluster optima, and it is infeasible exactly when some
 cluster is.  ``solve_all`` checks those two premises, then builds and
 certifies each cluster model once; ``verify_decomposition`` is its report.
+Both reports are named tuples.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .domain import Instance
-from .formulation import BilpModel, build_model
-from .solver import SolveReport, certify
+from .formulation import build_model
+from .solver import certify
 
 
-class ClusterSolveReport:
-    """Every cluster's report, merged; equality ignores ``models``."""
+class ClusterSolveReport(namedtuple("ClusterSolveReport", "per_cluster overall_status combined_objective models")):
+    """Every cluster's report, merged.
 
-    def __init__(
-        self,
-        per_cluster: Dict[str, SolveReport],
-        overall_status: str,                      # "Optimal" or "Infeasible"
-        combined_objective: Optional[Fraction],   # sum when overall Optimal
-        # (cluster id, model) per cluster, in cluster id order: the models certified
-        models: Tuple[Tuple[str, BilpModel], ...],
-    ) -> None:
-        self.per_cluster = per_cluster
-        self.overall_status = overall_status
-        self.combined_objective = combined_objective
-        self.models = models
+    ``per_cluster`` maps cluster id to its :class:`SolveReport`; ``overall_status``
+    is "Optimal" only if every cluster's is, and then ``combined_objective`` is
+    their sum, else None.  ``models`` holds the (cluster id, model) pairs
+    certified, in cluster id order.
+    """
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return {**vars(self), "models": None} == {**vars(other), "models": None}
+    __slots__ = ()
 
 
 def solve_all(instance: Instance) -> ClusterSolveReport:

@@ -37,7 +37,6 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 MILLI = 1000          # fixed scaling denominator for attendance coefficients
@@ -223,24 +222,6 @@ class ForecastMatrix(namedtuple("ForecastMatrix", "screen_ids column_keys rows f
         row_of, column_of = self._index()
         return tuple(row for row in self.flagged if row[0] not in row_of or row[1:3] not in column_of)
 
-    def get(self, screen_id: int, film_id: int, config_index: int) -> int:
-        """The attendance of one cell; KeyError where the matrix holds none."""
-        row_of, column_of = self._index()
-        i, j = row_of.get(screen_id), column_of.get((film_id, config_index))
-        if i is None or j is None or self.rows[i][j] is None:
-            raise KeyError((screen_id, film_id, config_index))
-        return self.rows[i][j]
-
-    @property
-    def entries(self) -> Mapping[Tuple[int, int, int], int]:
-        """Read-only view of the cells holding a value, by (screen, film, config), in matrix order."""
-        return MappingProxyType({
-            (sid, film_id, config_index): milli
-            for sid, row in zip(self.screen_ids, self.rows)
-            for (film_id, config_index), milli in zip(self.column_keys, row)
-            if milli is not None
-        })
-
     def with_columns(self, sources: Mapping[Tuple[int, int], Optional[Tuple[int, int]]]) -> ForecastMatrix:
         """The matrix over the keys of ``sources``, each a new column with the cells of
         the column its value names, or with None cells where that is None or no column.
@@ -326,6 +307,14 @@ def _require_str(value, context: str) -> str:
     return value
 
 
+def _location_time(text, loc_id: int, key: str) -> int:
+    """``parse_hhmm(text)``; a bad time's error names the location and the ``key`` it came from."""
+    try:
+        return parse_hhmm(text)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{exc} in location {loc_id} {key}") from None
+
+
 def _cluster_key(value, context: str) -> str:
     if isinstance(value, bool):
         raise InstanceFormatError(f"{context}: bad cluster_id {_shown(value)}")
@@ -395,7 +384,10 @@ def parse_document(
         if (type(loc_id) is int and type(name) is str and type(cluster_id) is str
                 and type(open_time) is str and type(last_showtime) is str
                 and name.isascii() and cluster_id.isascii()):
-            locations.append(Location(loc_id, name, cluster_id, parse_hhmm(open_time), parse_hhmm(last_showtime)))
+            locations.append(Location(
+                loc_id, name, cluster_id, _location_time(open_time, loc_id, "open_time"),
+                _location_time(last_showtime, loc_id, "last_showtime"),
+            ))
             continue
         loc_id = _require_int(_require(entry, "id", "location"), "location id")
         locations.append(
@@ -403,8 +395,10 @@ def parse_document(
                 location_id=loc_id,
                 name=_require_str(_require(entry, "name", f"location {loc_id}"), f"location {loc_id} name"),
                 cluster_id=_cluster_key(_require(entry, "cluster_id", f"location {loc_id}"), f"location {loc_id}"),
-                open_time=parse_hhmm(_require(entry, "open_time", f"location {loc_id}")),
-                last_showtime=parse_hhmm(_require(entry, "last_showtime", f"location {loc_id}")),
+                open_time=_location_time(_require(entry, "open_time", f"location {loc_id}"), loc_id, "open_time"),
+                last_showtime=_location_time(
+                    _require(entry, "last_showtime", f"location {loc_id}"), loc_id, "last_showtime"
+                ),
             )
         )
     if not locations:
@@ -501,7 +495,10 @@ def parse_document(
         except TypeError:   # an unhashable entry, which parse_hhmm refuses below
             showtimes = None
         if showtimes is None:
-            showtimes = showtimes_of[tuple(raw_times)] = tuple(map(parse_hhmm, raw_times))
+            try:
+                showtimes = showtimes_of[tuple(raw_times)] = tuple(map(parse_hhmm, raw_times))
+            except InstanceFormatError as exc:
+                raise InstanceFormatError(f"{exc} in film {film_id} config {config_index} showtimes") from None
         config = ShowtimeConfiguration(film_id, config_index, showtimes)
         for part in film_owners[film_id]:
             part.configurations.append(config)
@@ -890,15 +887,6 @@ def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Vi
                         )
                     )
     return v
-
-
-def serialize_instance(instance: Instance) -> dict:
-    """Instance back to the document shape accepted by :func:`load_instance`.
-
-    The parse of :func:`dumps_instance`'s text, fractional attendance
-    values as exact ``Decimal``s; raises the same ``ValueError``s.
-    """
-    return json.loads(dumps_instance(instance), parse_float=Decimal)
 
 
 def dumps_instance(instance: Instance) -> str:

@@ -16,6 +16,9 @@ Three independent methods over the same model:
 * ``solve_brute_force`` enumerates every injective screen-to-configuration
   map; guarded to small instances, it is the ground-truth oracle.
 
+Each returns a :class:`SolveReport`, a named tuple built in one call once its
+search ends.
+
 ``certify`` runs ``solve_assignment`` and then ``check_certificate``, which
 proves the reported status in exact integers from the model, the schedule
 and the certificate alone, trusting nothing the search computed.  The
@@ -55,7 +58,6 @@ optimum its search order finds.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -110,33 +112,18 @@ class SolveStats:
         return self.nodes == other.nodes
 
 
-class SolveReport:
-    """A solver's result; equality ignores ``stats``, which count effort, not results."""
+class SolveReport(namedtuple(
+    "SolveReport", "status method schedule objective stats certified diagnostic certificate",
+    defaults=(None, None, None, False, None, None),
+)):
+    """A solver's result.
 
-    def __init__(
-        self,
-        status: str,          # "Optimal" or "Infeasible"
-        method: str,
-        schedule: Optional[Schedule] = None,
-        objective: Optional[Fraction] = None,
-        stats: Optional[SolveStats] = None,     # a fresh SolveStats when None
-        certified: bool = False,
-        diagnostic: Optional[str] = None,
-        certificate: Optional[Certificate] = None,
-    ) -> None:
-        self.status = status
-        self.method = method
-        self.schedule = schedule
-        self.objective = objective
-        self.stats = SolveStats() if stats is None else stats
-        self.certified = certified
-        self.diagnostic = diagnostic
-        self.certificate = certificate
+    ``status`` is "Optimal", with a ``schedule`` and its ``objective``, or
+    "Infeasible", with a ``diagnostic``.  ``stats`` is the :class:`SolveStats`
+    the search counted its effort in; ``certificate`` proves the status.
+    """
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return {**vars(self), "stats": None} == {**vars(other), "stats": None}
+    __slots__ = ()
 
 
 def _pigeonhole_message(screens: int, columns: int) -> str:
@@ -278,35 +265,31 @@ def _tie_broken(model: BilpModel) -> Weights:
     return cache["_tie_broken"]
 
 
-# A search gets the model and the stats to count its effort in; it returns
-# the chosen column index per screen, or None when no complete schedule
-# exists, and a certificate of that result if it has one.
-# builtin generics and X | None: typing caches a subscription, so it would keep this copy alive after a re-import
-Search = Callable[[BilpModel, SolveStats], tuple[list[int] | None, Certificate | None]]
+def _solve(model: BilpModel, method: str, search) -> SolveReport:
+    """Report of ``search`` on ``model``: pigeonhole check, schedule.
 
-
-def _solve(model: BilpModel, method: str, search: Search) -> SolveReport:
-    """Report of ``search`` on ``model``: pigeonhole check, schedule."""
+    A search gets the model and the stats to count its effort in; it returns
+    the chosen column index per screen, or None when no complete schedule
+    exists, and a certificate of that result if it has one.
+    """
     n = len(model.screen_ids)
     m = len(model.column_keys)
-    report = SolveReport(status="Infeasible", method=method)
+    stats = SolveStats()
     if n > m:
-        report.diagnostic = _pigeonhole_message(n, m)
-        report.certificate = Certificate("pigeonhole")
-    else:
-        weights = model.weights
-        choice, report.certificate = search(model, report.stats)
-        if choice is None:
-            report.diagnostic = _SPARSE_PIGEONHOLE
-        else:
-            report.status = "Optimal"
-            report.schedule = Schedule(
-                {model.screen_ids[si]: model.column_keys[ci][-2:] for si, ci in enumerate(choice)}
-            )
-            report.objective = Fraction(
-                sum(weights[si][ci] for si, ci in enumerate(choice)), MILLI
-            )
-    return report
+        diagnostic, certificate = _pigeonhole_message(n, m), Certificate("pigeonhole")
+        return SolveReport("Infeasible", method, stats=stats, diagnostic=diagnostic, certificate=certificate)
+    choice, certificate = search(model, stats)
+    if choice is None:
+        return SolveReport("Infeasible", method, stats=stats, diagnostic=_SPARSE_PIGEONHOLE, certificate=certificate)
+    weights = model.weights
+    return SolveReport(
+        "Optimal",
+        method,
+        Schedule({model.screen_ids[si]: model.column_keys[ci][-2:] for si, ci in enumerate(choice)}),
+        Fraction(sum(weights[si][ci] for si, ci in enumerate(choice)), MILLI),
+        stats,
+        certificate=certificate,
+    )
 
 
 def _assignment_search(model, stats):
@@ -553,12 +536,11 @@ def check_certificate(model: BilpModel, report: SolveReport) -> None:
 def certify(model: BilpModel) -> SolveReport:
     """Solve by the assignment method and check its certificate.
 
-    Returns the assignment-method report marked certified, after
+    Returns a copy of the assignment-method report marked certified, after
     ``check_certificate`` has proved its status; a failed check raises
     :class:`CertificationError`.  Polynomial time: one matching solve and
     an O(screens x configurations) check.
     """
     report = solve_assignment(model)
     check_certificate(model, report)
-    report.certified = True
-    return report
+    return report._replace(certified=True)

@@ -282,6 +282,16 @@ def forecast_matrix(screen_ids, column_keys, entries: dict) -> ForecastMatrix:
     return ForecastMatrix(screen_ids, column_keys, rows, tuple(flagged))
 
 
+def forecast_cells(matrix: ForecastMatrix) -> Dict[Tuple[int, int, int], int]:
+    """The matrix's cells that hold a value, by (screen, film, config), in matrix order."""
+    return {
+        (sid, *key): milli
+        for sid, row in zip(matrix.screen_ids, matrix.rows)
+        for key, milli in zip(matrix.column_keys, row)
+        if milli is not None
+    }
+
+
 def milli_to_json(milli: int):
     """Milliunits as an exact JSON number: an int when whole, else a Decimal.
 
@@ -367,7 +377,7 @@ def reference_document(instance, forecasts: Optional[Dict[str, dict]] = None) ->
         (key, milli)
         for cluster in clusters
         for key, milli in (
-            cluster.forecast.entries if forecasts is None else forecasts[cluster.cluster_id]
+            forecast_cells(cluster.forecast) if forecasts is None else forecasts[cluster.cluster_id]
         ).items()
     )
     doc["forecast"] = [
@@ -580,6 +590,14 @@ def reference_load(doc: dict, allow_partial: bool = False, turnover_minutes: int
     return ("ok", models, dumps_json(reference_document(skeleton, forecasts)) + "\n")
 
 
+def _named_time(text, label: str) -> int:
+    """parse_hhmm(text), its error ending in the name of the field the text came from."""
+    try:
+        return parse_hhmm(text)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{exc} in {label}") from None
+
+
 # the loader before it read each block's fields through typed fast paths and
 # parsed each distinct showtime list once: every field through the checking
 # helpers, every time through parse_hhmm
@@ -604,8 +622,10 @@ def reference_parse_document(
                 location_id=loc_id,
                 name=_require_str(_require(entry, "name", f"location {loc_id}"), f"location {loc_id} name"),
                 cluster_id=_cluster_key(_require(entry, "cluster_id", f"location {loc_id}"), f"location {loc_id}"),
-                open_time=parse_hhmm(_require(entry, "open_time", f"location {loc_id}")),
-                last_showtime=parse_hhmm(_require(entry, "last_showtime", f"location {loc_id}")),
+                open_time=_named_time(_require(entry, "open_time", f"location {loc_id}"), f"location {loc_id} open_time"),
+                last_showtime=_named_time(
+                    _require(entry, "last_showtime", f"location {loc_id}"), f"location {loc_id} last_showtime"
+                ),
             )
         )
     if not locations:
@@ -685,7 +705,7 @@ def reference_parse_document(
         config = ShowtimeConfiguration(
             film_id=film_id,
             config_index=config_index,
-            showtimes=tuple(parse_hhmm(t) for t in raw_times),
+            showtimes=tuple(_named_time(t, f"film {film_id} config {config_index} showtimes") for t in raw_times),
         )
         for part in film_owners[film_id]:
             part.configurations.append(config)

@@ -204,8 +204,34 @@ def test_validate_lists_each_violation(tmp_path, capsys, mutate, lines):
             _set_first("locations", "cluster_id", True), "location 1: bad cluster_id True", id="bool-cluster-id",
         ),
         pytest.param(
-            _set_first("locations", "open_time", "١٢:00"), 'bad time \'١٢:00\': expected "HH:MM"',
+            _set_first("locations", "open_time", "١٢:00"),
+            'bad time \'١٢:00\': expected "HH:MM" in location 1 open_time',
             id="arabic-indic-time",
+        ),
+        # a bad time names its field after parse_hhmm's own text
+        pytest.param(
+            _set_first("locations", "open_time", "7pm"), 'bad time \'7pm\': expected "HH:MM" in location 1 open_time',
+            id="open-time",
+        ),
+        pytest.param(
+            _set_first("locations", "last_showtime", "28:10"), "time '28:10' is past 27:59 in location 1 last_showtime",
+            id="last-showtime-past-limit",
+        ),
+        pytest.param(
+            _set_first("locations", "last_showtime", 2300),
+            "bad time 2300: expected \"HH:MM\" in location 1 last_showtime",
+            id="last-showtime-not-a-string",
+        ),
+        pytest.param(
+            lambda d: d["configurations"][1]["showtimes"].append("7pm"),
+            'bad time \'7pm\': expected "HH:MM" in film 1 config 2 showtimes',
+            id="showtime",
+        ),
+        # a list two configurations share is named by the first that lists it
+        pytest.param(
+            lambda d: [config.__setitem__("showtimes", ["12:00", "28:10"]) for config in d["configurations"]],
+            "time '28:10' is past 27:59 in film 1 config 1 showtimes",
+            id="shared-showtimes-past-limit",
         ),
         pytest.param(
             _set_first("forecast", "screen_id", "1"), "forecast screen_id: expected an integer, got '1'",
@@ -773,7 +799,8 @@ def test_synth_range_stays_loadable(capsys):
     assert main([*args, "0..1000000000000000000"]) == 2
     assert capsys.readouterr().err == "error: bad coefficient range 0..1000000000000000000\n"
     assert main([*args, "999999999999999999..999999999999999999"]) == 0
-    assert load_instance(json.loads(capsys.readouterr().out)).forecast.get(1, 1, 1) == 999999999999999999000
+    forecast = load_instance(json.loads(capsys.readouterr().out)).forecast
+    assert support.forecast_cells(forecast)[(1, 1, 1)] == 999999999999999999000
 
 
 def test_verify_decomposition_command(example_path, capsys):

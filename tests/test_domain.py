@@ -40,7 +40,6 @@ from cinestagger.domain import (
     parse_attendance,
     parse_document,
     parse_hhmm,
-    serialize_instance,
 )
 from cinestagger.synth import generate_document
 
@@ -136,7 +135,7 @@ def test_example_instance_shape(example_instance):
     assert len(example_instance.films) == 5
     assert example_instance.configuration_count == 16
     assert example_instance.stagger_interval_minutes == 30
-    assert len(example_instance.forecast.entries) == 144
+    assert len(support.forecast_cells(example_instance.forecast)) == 144
     assert example_instance.window() == (720, 1380)
 
 
@@ -162,7 +161,7 @@ def test_round_trip(example_instance, example_path):
     text = dumps_instance(example_instance)
     reloaded = load_instance(json.loads(text))
     assert dumps_instance(reloaded) == text
-    assert reloaded.forecast.entries == example_instance.forecast.entries
+    assert reloaded.forecast == example_instance.forecast
     assert reloaded.configurations == example_instance.configurations
     assert reloaded.screens == example_instance.screens
 
@@ -176,8 +175,8 @@ def test_screen_reindexing():
     # internal ids follow file order; document ids are kept for output
     assert [s.screen_id for s in instance.screens] == [1, 2]
     assert [s.source_id for s in instance.screens] == [30, 10]
-    assert instance.forecast.get(1, 1, 1) == 5000
-    assert instance.forecast.get(2, 1, 1) == 7000
+    cells = support.forecast_cells(instance.forecast)
+    assert (cells[(1, 1, 1)], cells[(2, 1, 1)]) == (5000, 7000)
     out = json.loads(dumps_instance(instance))
     assert [s["id"] for s in out["screens"]] == [30, 10]
 
@@ -218,7 +217,7 @@ def test_every_instance_answers_clusters(example_instance):
 
 @pytest.mark.parametrize(
     "call",
-    [validate_instance, dumps_instance, serialize_instance, solve_all, verify_decomposition, build_joint_model],
+    [validate_instance, dumps_instance, solve_all, verify_decomposition, build_joint_model],
     ids=lambda call: call.__name__,
 )
 @pytest.mark.parametrize(
@@ -395,19 +394,19 @@ def _shift_screens(cluster, by):
     screens = tuple(replace(s, screen_id=s.screen_id + by) for s in cluster.screens)
     forecast = {
         (sid + by, film_id, config_index): milli
-        for (sid, film_id, config_index), milli in cluster.forecast.entries.items()
+        for (sid, film_id, config_index), milli in support.forecast_cells(cluster.forecast).items()
     }
     return replace(cluster, screens=screens, forecast=_matrix_of(cluster, forecast, screens))
 
 
 def _stray_row(cluster):
-    return replace(cluster, forecast=_matrix_of(cluster, {**cluster.forecast.entries, (7, 1, 1): 3000}))
+    return replace(cluster, forecast=_matrix_of(cluster, {**support.forecast_cells(cluster.forecast), (7, 1, 1): 3000}))
 
 
 def _unknown_film_config(cluster):
     """``cluster`` with a configuration, and its forecast, of a film the cluster does not have."""
     cluster = replace(cluster, configurations=cluster.configurations + (ShowtimeConfiguration(9, 1, (720,)),))
-    return replace(cluster, forecast=_matrix_of(cluster, {**cluster.forecast.entries, (1, 9, 1): 3000}))
+    return replace(cluster, forecast=_matrix_of(cluster, {**support.forecast_cells(cluster.forecast), (1, 9, 1): 3000}))
 
 
 def _matrix_of(cluster, entries, screens=None):
@@ -520,7 +519,7 @@ def test_missing_forecast_needs_allow_partial():
     with pytest.raises(InstanceFormatError):
         load_instance(doc)
     partial = load_instance(doc, allow_partial=True)
-    assert partial.forecast.entries == {}
+    assert support.forecast_cells(partial.forecast) == {}
 
 
 def test_missing_configurations_are_generated():
@@ -551,7 +550,7 @@ def test_fractional_attendance_survives_round_trip():
     doc = support.matrix_document([[5]])
     doc["forecast"][0]["attendance"] = 226.5
     instance = load_instance(json.loads(json.dumps(doc), parse_float=Decimal))
-    assert instance.forecast.get(1, 1, 1) == 226500
+    assert support.forecast_cells(instance.forecast)[(1, 1, 1)] == 226500
     out = json.loads(dumps_instance(instance))
     assert out["forecast"][0]["attendance"] == 226.5
 
@@ -780,7 +779,7 @@ def test_forecast_rows_go_to_their_screens_cluster(clusters):
             if internal[r["screen_id"]] in screen_ids
         ]
         # the matrix lists its cells in (screen, film, config) order
-        assert list(cluster.forecast.entries.items()) == sorted(expected)
+        assert list(support.forecast_cells(cluster.forecast).items()) == sorted(expected)
         assert film_id in {f.film_id for f in cluster.films}
 
 
@@ -808,7 +807,7 @@ def test_parse_document_bounds_integer_attendance():
         " in forecast entry (screen 1, film 1, config 2)"
     )
     doc["forecast"][1]["attendance"] = ATTENDANCE_LIMIT - 1
-    assert parse_document(doc).clusters[0].forecast.get(1, 1, 2) == (ATTENDANCE_LIMIT - 1) * MILLI
+    assert support.forecast_cells(parse_document(doc).clusters[0].forecast)[(1, 1, 2)] == (ATTENDANCE_LIMIT - 1) * MILLI
 
 
 # text reaching past ASCII: accents, control characters, lone surrogates, astral planes
@@ -869,7 +868,8 @@ def test_dumps_instance_matches_indented_json_dumps(clusters, example_instance):
     if clusters % 2:
         del doc["configurations"]
     for instance in (load_instance(doc), example_instance):
-        assert dumps_instance(instance) == json.dumps(serialize_instance(instance), indent=2) + "\n"
+        text = dumps_instance(instance)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_dumps_instance_writes_empty_blocks_as_dumps_json_does(example_instance):
@@ -899,7 +899,8 @@ def test_dumps_instance_round_trips_exact_attendance(milli):
     for row, value in zip(doc["forecast"], milli):
         row["attendance"] = Decimal(format_attendance(value))
     instance = load_instance(doc)
-    assert [instance.forecast.get(1, 1, c) for c in (1, 2)] == milli
+    cells = support.forecast_cells(instance.forecast)
+    assert [cells[(1, 1, c)] for c in (1, 2)] == milli
     assert load_instance(json.loads(dumps_instance(instance), parse_float=Decimal)) == instance
 
 
@@ -984,7 +985,7 @@ def test_dumps_instance_writes_the_reference_document(instance):
     reference = support.reference_document(instance)
     assert dumps_instance(instance) == dumps_json(reference) + "\n"
     # the same values of the same types, Decimal where fractional
-    assert repr(serialize_instance(instance)) == repr(reference)
+    assert repr(json.loads(dumps_instance(instance), parse_float=Decimal)) == repr(reference)
 
 
 # values a typed fast path must send back to the checking code

@@ -47,8 +47,9 @@ def test_example_model_layout(example_model):
 
 
 def test_objective_copies_forecast(example_instance, example_model):
+    cells = support.forecast_cells(example_instance.forecast)
     for var, milli in example_model.objective.items():
-        assert milli == example_instance.forecast.get(*var)
+        assert milli == cells[var]
 
 
 def test_trivial_model_counts():

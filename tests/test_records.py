@@ -1,7 +1,7 @@
 """The package's records: constructors, equality, hashing and immutability.
 
-Records are NamedTuples, or plain classes where they cache, are mutated or
-compare on fewer than all their attributes.  Neither kind generates code
+Records are NamedTuples, or plain classes where they cache or are mutated:
+``BilpModel`` and ``SolveStats``.  Neither kind generates code
 on import, so importing the package loads no ``dataclasses``.
 """
 
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import cinestagger
+import support
 from cinestagger import domain, solver
 from cinestagger import (
     BilpModel,
@@ -112,6 +113,7 @@ CASES = {
     ClusterInstance: (lambda: _cluster()._asdict(), ("stagger_interval_minutes", 20)),
     MultiClusterInstance: (lambda: dict(clusters=(_cluster(),)), ("clusters", ())),
     BilpModel: (_model_views, ("objective", {VariableRef(1, 1, 1): 1})),
+    VariableRef: (lambda: dict(screen_id=1, film_id=1, config_index=1), ("config_index", 2)),
     RowCheck: (lambda: dict(kind="equality", key=1, chosen=1, ok=True), ("chosen", 2)),
     FeasibilityReport: (
         lambda: dict(feasible=True, rows=(RowCheck("equality", 1, 1, True),)), ("feasible", False),
@@ -122,14 +124,15 @@ CASES = {
         ("columns", (1,)),
     ),
     SolveStats: (lambda: dict(nodes=3), ("nodes", 4)),
-    SolveReport: (lambda: vars(_report()), ("certified", False)),
-    ClusterSolveReport: (lambda: vars(_cluster_report()), ("overall_status", "Infeasible")),
+    SolveReport: (lambda: _report()._asdict(), ("certified", False)),
+    ClusterSolveReport: (lambda: _cluster_report()._asdict(), ("overall_status", "Infeasible")),
     DecompositionReport: (lambda: dict(per_cluster=_cluster_report()), ("per_cluster", None)),
 }
 
 NAMED_TUPLES = [
     Violation, Film, Location, Screen, ShowtimeConfiguration, ForecastMatrix, ClusterInstance,
-    MultiClusterInstance, RowCheck, FeasibilityReport, Schedule, Certificate, DecompositionReport,
+    MultiClusterInstance, VariableRef, RowCheck, FeasibilityReport, Schedule, Certificate, SolveReport,
+    ClusterSolveReport, DecompositionReport,
 ]
 
 # record -> its constructor's parameters in order, and their defaults
@@ -145,6 +148,7 @@ SIGNATURES = {
     ),
     MultiClusterInstance: ("clusters", {}),
     BilpModel: ("variables objective equality_rows inequality_rows", {}),
+    VariableRef: ("screen_id film_id config_index", {}),
     RowCheck: ("kind key chosen ok", {}),
     FeasibilityReport: ("feasible rows", {}),
     Schedule: ("choices", {}),
@@ -153,7 +157,6 @@ SIGNATURES = {
         {"screen_duals": (), "column_duals": (), "screens": (), "columns": ()},
     ),
     SolveStats: ("nodes", {"nodes": 0}),
-    # stats=None stands for a fresh SolveStats, see test_a_report_gets_its_own_stats
     SolveReport: (
         "status method schedule objective stats certified diagnostic certificate",
         {"schedule": None, "objective": None, "stats": None, "certified": False, "diagnostic": None,
@@ -167,8 +170,11 @@ SIGNATURES = {
 
 def test_every_record_is_covered():
     assert set(SIGNATURES) == set(CASES) | {_ClusterParts}
-    assert len(SIGNATURES) == 18
+    assert len(SIGNATURES) == 19
     assert set(NAMED_TUPLES) == {cls for cls in CASES if issubclass(cls, tuple)}
+    exported = {getattr(cinestagger, name) for name in cinestagger.__all__}
+    classes = {obj for obj in exported if isinstance(obj, type) and not issubclass(obj, Exception)}
+    assert classes - set(NAMED_TUPLES) == {BilpModel}
 
 
 def test_importing_the_cli_loads_no_dataclasses():
@@ -243,7 +249,6 @@ def test_every_public_annotation_resolves():
 def test_the_instance_and_search_aliases_resolve_to_types():
     assert domain.Instance == ClusterInstance | MultiClusterInstance
     assert typing.get_type_hints(validate_instance)["instance"] == domain.Instance
-    assert typing.get_type_hints(solver._solve)["search"] == solver.Search
 
 
 @pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda cls: cls.__name__)
@@ -274,7 +279,10 @@ def test_keyword_construction_and_equality(cls):
 def test_named_tuples_hash_as_their_fields_and_refuse_assignment(cls):
     arguments, (field, other) = CASES[cls]
     record = cls(**arguments())
-    if cls in (ForecastMatrix, ClusterInstance, MultiClusterInstance, Schedule, DecompositionReport):
+    if cls in (
+        ForecastMatrix, ClusterInstance, MultiClusterInstance, Schedule, SolveReport, ClusterSolveReport,
+        DecompositionReport,
+    ):
         # a tuple hashes its items, and these hold a list of rows, a mutable record or a dict
         with pytest.raises(TypeError):
             hash(record)
@@ -292,26 +300,38 @@ def test_a_forecast_matrix_refuses_assignment_but_caches_its_index():
     matrix = _matrix()
     with pytest.raises(AttributeError):
         matrix.rows = [[1]]
-    assert matrix.get(1, 1, 1) == 5000
+    assert support.forecast_cells(matrix) == {(1, 1, 1): 5000}
     assert matrix == _matrix()
     with pytest.raises(TypeError):
         hash(matrix)
 
 
-def test_reports_compare_without_stats_and_models():
-    assert _report(stats=SolveStats(nodes=99)) == _report()
-    assert _report(objective=Fraction(6)) != _report()
-    other_model = build_model(ClusterInstance(**{**CASES[ClusterInstance][0](), "stagger_interval_minutes": 20}))
-    assert _cluster_report(models=(("c1", other_model),), per_cluster={"c1": _report(stats=SolveStats(7))}) \
-        == _cluster_report()
-    assert _cluster_report(combined_objective=None) != _cluster_report()
+def test_reports_compare_on_every_field():
+    assert _report(stats=SolveStats(nodes=1)) == _report()
+    assert _report(stats=SolveStats(nodes=2)) != _report()
+    assert _report(stats=None) != _report()
+    assert SolveReport("Optimal", "assignment").stats is None
+    other_model = build_model(_cluster()._replace(forecast=ForecastMatrix((1,), ((1, 1),), [[6000]])))
+    assert _cluster_report(models=(("c1", build_model(_cluster())),)) == _cluster_report()
+    assert _cluster_report(models=(("c1", other_model),)) != _cluster_report()
+    assert _cluster_report(per_cluster={"c1": _report(stats=SolveStats(7))}) != _cluster_report()
 
 
-def test_a_report_gets_its_own_stats():
-    first, second = SolveReport("Optimal", "assignment"), SolveReport("Optimal", "assignment")
-    assert first.stats == SolveStats() and first.stats is not second.stats
-    first.stats.nodes += 1
-    assert second.stats.nodes == 0
+def test_equal_models_give_equal_reports_stats_included():
+    def model():
+        return build_model(support.matrix_instance([[5, 6, 7], [7, 8, 2], [1, 9, 4]]))
+
+    for solve in (solver.solve_assignment, solver.solve_branch_and_bound, solver.solve_brute_force, solver.certify):
+        first, second = solve(model()), solve(model())
+        assert first == second
+        assert first.stats.nodes > 0 and first.stats is not second.stats
+
+
+def test_certify_returns_a_certified_copy():
+    model = build_model(_cluster())
+    report = solver.solve_assignment(model)
+    assert solver.certify(model) == report._replace(certified=True)
+    assert report.certified is False
 
 
 def test_decomposition_equal_is_a_constant_not_a_field():

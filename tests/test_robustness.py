@@ -166,8 +166,7 @@ honest = solver.solve_assignment
 def lying(model):
     report = honest(model)
     duals = report.certificate.screen_duals
-    report.certificate = report.certificate._replace(screen_duals=(duals[0] - 1,) + duals[1:])
-    return report
+    return report._replace(certificate=report.certificate._replace(screen_duals=(duals[0] - 1,) + duals[1:]))
 
 solver.solve_assignment = lying
 sys.exit(cinestagger.cli.main(["solve", sys.argv[1]]))
