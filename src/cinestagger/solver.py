@@ -10,7 +10,7 @@ Three independent methods over the same model:
   settled once per augmentation rather than at every step (Jonker &
   Volgenant 1987; Crouse 2016, the method behind scipy's
   ``linear_sum_assignment``).  The matcher's final duals are its
-  ``lp-dual`` certificate as they stand.
+  ``lp-dual`` certificate as they stand, in milliunits.
 * ``solve_branch_and_bound`` is a depth-first search over screens with an
   additive upper bound, knowing nothing about assignment structure.
 * ``solve_brute_force`` enumerates every injective screen-to-configuration
@@ -28,38 +28,38 @@ Problems*, SIAM 2009, ch. 4).  The certificates are:
 
 * ``lp-dual`` (Optimal): the schedule gives every screen of the model one
   of its own allowed cells and no column twice, and scores the reported
-  objective on the weight matrix; a value ``U`` per screen and ``V`` per
-  column has ``U + V`` at least the cell's weight on every allowed cell,
-  ``V >= 0``, ``V == 0`` on unused columns, and ``sum(U) + sum(V)`` equal
-  to the schedule's weight.  Every schedule weighs at most the dual sum,
-  so the one that reaches it is optimal.
+  objective.  Optimality: a value ``U`` per screen and ``V`` per column has
+  ``U + V`` at least the weight on every allowed cell and equal to it on
+  the schedule's, ``V >= 0`` and ``V == 0`` on unused columns, so no
+  schedule outweighs ``sum(U) + sum(V)``, which this one reaches.
+  Canonicality: tie duals meet the same conditions on the tie-break
+  weights of the core those duals leave open (``_core``).
 * ``pigeonhole`` (Infeasible): more screens than columns.
 * ``hall-set`` (Infeasible): screens whose allowed cells all lie in fewer
   columns than there are screens, so by Hall's theorem no schedule gives
   each of them its own column.
 
 The check reads only the model's screen ids, column keys and weight
-matrix, and the tie-broken weights derived from those three, and costs
-O(screens x configurations).  Branch and bound and brute
-force never run on this path; they stay as the oracles the tests compare
-against, and disagreement with them is a bug, never settled by fiat.
+matrix, and costs O(screens x configurations) plus the core.  Branch and
+bound and brute force never run on this path; they stay as the oracles
+the tests compare against, and disagreement with them is a bug, never
+settled by fiat.
 
 Tie handling: ``solve_assignment`` and ``solve_brute_force`` return the
 lexicographically smallest optimal schedule (ordered by screen id, then
 film id, then configuration index).  Brute force gets it from its
-enumeration order; the assignment solver gets it in the same single solve,
-by adding to each integer weight a tie-break term too small to outweigh
-any difference in attendance (see ``solve_assignment``).  The ``lp-dual``
-certificate is checked on those perturbed weights, so it also proves the
-schedule is the canonical optimum.  Branch and bound keeps the first
-optimum its search order finds.
+enumeration order; the assignment solver from a second solve on the core
+alone, whose weights and duals are the only big integers on its path (see
+``solve_assignment``).  Branch and bound keeps the first optimum its
+search order finds.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import List, Optional, Tuple
 
 from .domain import MILLI
 # check_feasible is unused here, but perfbench/tracing.py patches it on this module by getattr
@@ -91,12 +91,15 @@ class Schedule(namedtuple("Schedule", "choices")):
         return [VariableRef(sid, fid, cidx) for sid, (fid, cidx) in self.items()]
 
 
-class Certificate(namedtuple("Certificate", "kind screen_duals column_duals screens columns", defaults=((),) * 4)):
+class Certificate(namedtuple("Certificate", "kind screen_duals column_duals screens columns"
+                             " tie_screen_duals tie_column_duals", defaults=((),) * 6)):
     """Proof of a report's status; indices follow the model's screen and column order.
 
     ``kind`` is "lp-dual", "pigeonhole" or "hall-set".  The rest are int tuples: lp-dual's
-    ``screen_duals`` (U per screen, perturbed weights) and ``column_duals`` (V per column),
-    hall-set's ``screens`` (screen indices) and ``columns`` (every column those screens allow).
+    ``screen_duals`` (U per screen) and ``column_duals`` (V per column) in milliunits, and its
+    ``tie_screen_duals`` and ``tie_column_duals`` on the core's tie-break weights, empty when
+    the core is; hall-set's ``screens`` (screen indices) and ``columns`` (every column those
+    screens allow).
     """
 
     __slots__ = ()
@@ -239,30 +242,55 @@ def _column_order(model: BilpModel) -> List[int]:
     return sorted(range(len(model.column_keys)), key=lambda ci: model.column_keys[ci][-2:])
 
 
-def _perturbed_weights(weights: Weights, column_order: List[int]) -> Weights:
-    """Weights with the lexicographic tie-break folded in (see ``solve_assignment``)."""
-    n, m = len(weights), len(column_order)
-    scale = m**n
-    tie = [0] * m
-    for rank, ci in enumerate(column_order):
-        tie[ci] = m - 1 - rank
-    place = [m ** (n - 1 - si) for si in range(n)]
-    return [
-        [None if w is None else w * scale + tie[ci] * place[si] for ci, w in enumerate(row)]
-        for si, row in enumerate(weights)
-    ]
+def _core(model: BilpModel, u, v) -> Tuple[List[List[int]], List[int], List[int]]:
+    """``(tight, core, columns)``: the screens whose optimal cell the duals ``(u, v)`` leave open.
 
-
-def _tie_broken(model: BilpModel) -> Weights:
-    """The model's perturbed weights, built once and kept on the model; read only.
-
-    Derived from its screen ids, column keys and weights alone, so the
-    search and the certificate check can share it.
+    ``tight[s]`` lists screen s's columns where ``u + v`` equals the weight;
+    a cell where it falls short raises, so this pass proves the duals
+    feasible.  Every optimal schedule uses tight cells only (complementary
+    slackness), so the peel fixes, while one exists, a screen with exactly
+    one tight cell in a column no fixed screen holds.  ``core`` lists the
+    screens left, ascending; ``columns`` the columns no fixed screen holds
+    that are tight for one of them, in (film, config) order.
     """
-    cache = vars(model)
-    if "_tie_broken" not in cache:
-        cache["_tie_broken"] = _perturbed_weights(model.weights, _column_order(model))
-    return cache["_tie_broken"]
+    tight, held, core = [], set(), []
+    columns = range(len(v))
+    for si, row in enumerate(model.weights):
+        base = u[si]
+        cells = [ci for ci in columns if row[ci] is not None and base + v[ci] <= row[ci]]
+        for ci in cells:
+            if base + v[ci] < row[ci]:
+                raise CertificationError(f"lp-dual certificate infeasible at {_cell_name(model, si, ci)}:"
+                                         f" {base} + {v[ci]} < {row[ci]}")
+        tight.append(cells)
+        if len(cells) == 1:
+            held.add(cells[0])
+        else:
+            core.append(si)
+    while core:
+        left = []
+        for si in core:
+            free = [ci for ci in tight[si] if ci not in held]
+            if len(free) == 1:
+                held.add(free[0])
+            else:
+                left.append(si)
+        if len(left) == len(core):
+            break
+        core = left
+    reached = {ci for si in core for ci in tight[si]} - held
+    return tight, core, [ci for ci in _column_order(model) if ci in reached] if core else []
+
+
+def _tie_weights(v, tight, core: List[int], columns: List[int]) -> Weights:
+    """The core's tie-break weights (see ``solve_assignment``); None off its tight cells."""
+    k, mm = len(core), len(columns)
+    rank = {ci: r for r, ci in enumerate(columns)}
+    rows = [[None] * mm for _ in core]
+    for x, si in enumerate(core):
+        for ci in set(tight[si]) & rank.keys():
+            rows[x][rank[ci]] = (mm - 1 - rank[ci]) * mm ** (k - 1 - x) + (mm**k if v[ci] else 0)
+    return rows
 
 
 def _solve(model: BilpModel, method: str, search) -> SolveReport:
@@ -293,28 +321,32 @@ def _solve(model: BilpModel, method: str, search) -> SolveReport:
 
 
 def _assignment_search(model, stats):
-    choice, left, right = _augment_max_weight(_tie_broken(model), len(model.column_keys), stats)
+    choice, u, v = _augment_max_weight(model.weights, len(model.column_keys), stats)
     if choice is None:
-        return None, Certificate("hall-set", screens=tuple(left), columns=tuple(right))
-    return choice, Certificate("lp-dual", screen_duals=tuple(left), column_duals=tuple(right))
+        return None, Certificate("hall-set", screens=tuple(u), columns=tuple(v))
+    tight, core, columns = _core(model, u, v)
+    tie_u = tie_v = ()
+    if core:
+        ties, tie_u, tie_v = _augment_max_weight(_tie_weights(v, tight, core, columns), len(columns), SolveStats())
+        for si, r in zip(core, ties):
+            choice[si] = columns[r]
+    return choice, Certificate("lp-dual", tuple(u), tuple(v), (), (), tuple(tie_u), tuple(tie_v))
 
 
 def solve_assignment(model: BilpModel) -> SolveReport:
     """Optimal schedule via the rectangular assignment reduction.
 
-    One shortest-augmenting-path solve on perturbed integer weights, one
-    augmentation per screen.  With n screens and m columns, the cell of
-    screen index s and the column of rank r in (film, config) order weighs
-    ``w * m**n + (m - 1 - r) * m**(n - 1 - s)``.  The tie-break terms of a
-    schedule read as an n-digit base-m number below ``m**n``, so they never
-    outweigh a difference in attendance, and among optimal schedules they
-    are largest for the lexicographically smallest one, which is therefore
-    the unique perturbed optimum.  The objective sums the original weights.
-
-    The report's certificate is the matcher's final duals, an ``lp-dual``
-    certificate on the perturbed weights, ``pigeonhole`` when
-    screens outnumber columns, or the ``hall-set`` its last search reached
-    when no complete schedule exists.  ``check_certificate`` checks it.
+    Phase 1 is one shortest-augmenting-path solve on the model's weights,
+    one counted augmentation per screen, whose final duals ``(u, v)`` are the
+    ``lp-dual`` certificate.  Phase 2 solves the ``_core`` those duals leave
+    open, if any: with k core screens and mm core columns, the tight cell of
+    core screen x in the column of (film, config) rank r weighs
+    ``(mm - 1 - r) * mm**(k - 1 - x)``, plus ``mm**k`` if ``v > 0`` there.
+    The bonus outweighs all tie terms, so a solution uses every such column
+    and is optimal; among optima the terms, a k-digit base-mm number, are
+    largest for the lexicographically smallest.  Its duals are the tie
+    layer.  Otherwise the certificate is ``pigeonhole`` when screens
+    outnumber columns, or phase 1's last search's ``hall-set``.
     """
     return _solve(model, "assignment", _assignment_search)
 
@@ -443,18 +475,16 @@ def _check_lp_dual(model: BilpModel, report: SolveReport) -> None:
             f"{report.method} scheduled {len(choices)} screens, with {len(u)} screen and"
             f" {len(v)} column duals, for {n} screens and {m} columns"
         )
-    # each screen's (film, config) must name exactly one of its own allowed
-    # cells: in a joint model the same (film, config) heads one column per cluster
-    columns_of: Dict[Tuple[int, int], List[int]] = {}
-    for ci, key in enumerate(model.column_keys):
-        columns_of.setdefault(key[-2:], []).append(ci)
+    tight, core, columns = _core(model, u, v)       # the optimality layer's dual feasibility
+    # each screen's (film, config) must name one of its own tight cells: in a
+    # joint model the same (film, config) heads one column per cluster
+    keys = model.column_keys
     chosen: List[int] = []                           # column index per screen
     for si, sid in enumerate(model.screen_ids):
-        cells = [ci for ci in columns_of.get(choices.get(sid), ()) if weights[si][ci] is not None]
+        choice = choices.get(sid)
+        cells = [ci for ci in tight[si] if keys[ci][-2:] == choice]
         if len(cells) != 1:
-            raise CertificationError(
-                f"{report.method} gave screen {sid} {choices.get(sid)}, not one of its cells"
-            )
+            raise CertificationError(f"{report.method} gave screen {sid} {choice}, not one of its tight cells")
         chosen.append(cells[0])
     used = set(chosen)
     if len(used) != n:
@@ -465,27 +495,31 @@ def _check_lp_dual(model: BilpModel, report: SolveReport) -> None:
             f"{report.method} reported objective {report.objective},"
             f" but its schedule scores {score}"
         )
+    # every chosen cell is tight, so with these the duals sum to the schedule's weight
+    _check_column_duals("lp-dual", v, used, model.column_keys)
+    # the same conditions on the core's tie-break weights prove the schedule canonical
+    tie_u, tie_v = report.certificate.tie_screen_duals, report.certificate.tie_column_duals  # big: never printed
+    if len(tie_u) != len(core) or len(tie_v) != len(columns):
+        raise CertificationError(f"tie certificate has {len(tie_u)} screen and {len(tie_v)} column duals,"
+                                 f" for a core of {len(core)} screens and {len(columns)} columns")
+    if not core:
+        return
+    mine = [columns.index(chosen[si]) for si in core]   # an optimal schedule keeps the core in its columns
+    for x, row in enumerate(_tie_weights(v, tight, core, columns)):
+        for r, w in enumerate(row):
+            if w is not None and tie_u[x] + tie_v[r] < w:
+                raise CertificationError(f"tie certificate infeasible at {_cell_name(model, core[x], columns[r])}")
+        if tie_u[x] + tie_v[mine[x]] != row[mine[x]]:
+            raise CertificationError(f"tie certificate: {_cell_name(model, core[x], columns[mine[x]])} is not"
+                                     " tight, so the schedule is not the lexicographically smallest optimum")
+    _check_column_duals("tie", tie_v, set(mine), [model.column_keys[ci] for ci in columns])
 
-    perturbed = _tie_broken(model)
-    for si, row in enumerate(perturbed):
-        for ci, w in enumerate(row):
-            if w is not None and u[si] + v[ci] < w:
-                raise CertificationError(
-                    f"lp-dual certificate infeasible at {_cell_name(model, si, ci)}:"
-                    f" {u[si]} + {v[ci]} < {w}"
-                )
-    for ci, dual in enumerate(v):
+
+def _check_column_duals(kind: str, duals, used, keys) -> None:
+    for ci, dual in enumerate(duals):
         if dual < 0 or (dual and ci not in used):
-            raise CertificationError(
-                f"lp-dual certificate gives column {model.column_keys[ci]}"
-                f" the dual {dual}, {'negative' if dual < 0 else 'but it is unused'}"
-            )
-    primal = sum(perturbed[si][ci] for si, ci in enumerate(chosen))
-    if primal != sum(u) + sum(v):
-        raise CertificationError(
-            f"lp-dual certificate: dual objective {sum(u) + sum(v)}"
-            f" != perturbed schedule weight {primal}"
-        )
+            problem = "a negative dual" if dual < 0 else "a dual, but the schedule leaves it unused"
+            raise CertificationError(f"{kind} certificate gives column {keys[ci]} {problem}")
 
 
 def _check_hall_set(model: BilpModel, certificate: Certificate) -> None:
@@ -507,16 +541,20 @@ def check_certificate(model: BilpModel, report: SolveReport) -> None:
     """Prove ``report``'s status on ``model`` or raise :class:`CertificationError`.
 
     Reads only the report and the model's ``screen_ids``, ``column_keys``
-    and ``weights``, in exact integers, and the tie-broken weights that
-    ``_tie_broken`` builds from those three and caches on the model, shared
-    with the search that made the report.  Optimal needs a schedule giving
-    each of the model's screens, and no other, one of its own allowed cells
-    and no column twice, scoring the reported objective on the matrix, and
-    an ``lp-dual`` certificate that holds on the perturbed weights, which
-    proves the schedule is the canonical optimum.  Infeasible needs a
+    and ``weights``, in exact integers; a dual or Hall index that is not an
+    ``int`` is refused.  Optimal needs a schedule giving each of the
+    model's screens, and no other, one of its own allowed cells and no
+    column twice, scoring the reported objective on the matrix, and an
+    ``lp-dual`` certificate in two layers.  Its duals hold on every allowed
+    cell and are tight on the schedule's, which proves it optimal.  Then the
+    check re-derives the core from them, and the tie duals hold on the
+    core's tie-break weights and are tight on the schedule's core cells,
+    which proves it the canonical optimum.  Infeasible needs a
     ``pigeonhole`` count or a ``hall-set``.
     """
     kind = report.certificate.kind if report.certificate is not None else None
+    for bad in set(map(type, chain.from_iterable(report.certificate[1:] if kind else ()))) - {int}:
+        raise CertificationError(f"{kind} certificate holds a {bad.__name__}, not an int")
     n, m = len(model.screen_ids), len(model.column_keys)
     if report.status == "Optimal" and kind == "lp-dual":
         _check_lp_dual(model, report)
@@ -538,8 +576,9 @@ def certify(model: BilpModel) -> SolveReport:
 
     Returns a copy of the assignment-method report marked certified, after
     ``check_certificate`` has proved its status; a failed check raises
-    :class:`CertificationError`.  Polynomial time: one matching solve and
-    an O(screens x configurations) check.
+    :class:`CertificationError`.  Polynomial time: one matching solve, a
+    second on the core when there is one, and an O(screens x
+    configurations) check.
     """
     report = solve_assignment(model)
     check_certificate(model, report)

@@ -8,6 +8,7 @@ import copy
 import inspect
 import random
 from decimal import Decimal
+from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,6 +47,7 @@ from cinestagger.domain import (
     parse_hhmm,
 )
 from cinestagger.formulation import _row_name
+from cinestagger.solver import Schedule, SolveStats, _augment_max_weight, _column_order
 
 WINDOW_OPEN = 720
 WINDOW_LAST = 1380
@@ -261,6 +263,44 @@ def without_variables(model: BilpModel, banned) -> BilpModel:
         equality_rows=tuple((sid, keep(row)) for sid, row in model.equality_rows),
         inequality_rows=tuple((key, keep(row)) for key, row in model.inequality_rows),
     )
+
+
+def perturbed_weights(weights, column_order):
+    """Weights with the lexicographic tie-break folded into every cell.
+
+    With n screens and m columns, the cell of screen index s and the column
+    of rank r in ``column_order`` weighs ``w * m**n + (m - 1 - r) * m**(n - 1 - s)``.
+    A schedule's tie-break terms read as an n-digit base-m number below
+    ``m**n``, so they never outweigh a difference in attendance, and among
+    optimal schedules they are largest for the lexicographically smallest
+    one, which is therefore the unique perturbed optimum.
+    """
+    n, m = len(weights), len(column_order)
+    scale = m**n
+    tie = [0] * m
+    for rank, ci in enumerate(column_order):
+        tie[ci] = m - 1 - rank
+    place = [m ** (n - 1 - si) for si in range(n)]
+    return [
+        [None if w is None else w * scale + tie[ci] * place[si] for ci, w in enumerate(row)]
+        for si, row in enumerate(weights)
+    ]
+
+
+def single_solve(model: BilpModel):
+    """``(status, schedule, objective)`` of one matcher run on the perturbed weights.
+
+    The reference the two-phase ``certify`` must agree with: the canonical
+    optimum, found by a single search over every cell in big integers.
+    """
+    n, m = len(model.screen_ids), len(model.column_keys)
+    choice = None
+    if n <= m:
+        choice, _, _ = _augment_max_weight(perturbed_weights(model.weights, _column_order(model)), m, SolveStats())
+    if choice is None:
+        return "Infeasible", None, None
+    schedule = Schedule({model.screen_ids[si]: model.column_keys[ci][-2:] for si, ci in enumerate(choice)})
+    return "Optimal", schedule, Fraction(sum(model.weights[si][ci] for si, ci in enumerate(choice)), MILLI)
 
 
 def forecast_matrix(screen_ids, column_keys, entries: dict) -> ForecastMatrix:

@@ -495,6 +495,31 @@ def test_solve_certification_error_exit_code(example_path, monkeypatch, capsys):
     assert line.startswith("error: internal: lp-dual certificate infeasible")
 
 
+def test_solve_exits_4_on_a_lowered_tie_dual(tmp_path, monkeypatch, capsys):
+    import cinestagger.solver as solver_module
+
+    honest = solver_module.solve_assignment
+    lowered = []
+
+    def lying(model):
+        report = honest(model)
+        duals = report.certificate.tie_screen_duals
+        if not duals:
+            return report
+        lowered.append(model)
+        return replace(report, certificate=replace(report.certificate, tie_screen_duals=(duals[0] - 1,) + duals[1:]))
+
+    # attendance 0..2: both clusters' screens tie, so both certificates carry tie duals
+    document = generate_document(screens=4, films=2, clusters=2, seed=0, coeff_range=(0, 2))
+    monkeypatch.setattr(solver_module, "solve_assignment", lying)
+    assert main(["solve", write_doc(tmp_path, document)]) == 4
+    assert lowered
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: internal: tie certificate infeasible at screen ")
+
+
 def test_generate_configs(tmp_path, capsys):
     doc = support.matrix_document([[5]])
     del doc["configurations"]

@@ -153,8 +153,9 @@ SIGNATURES = {
     FeasibilityReport: ("feasible rows", {}),
     Schedule: ("choices", {}),
     Certificate: (
-        "kind screen_duals column_duals screens columns",
-        {"screen_duals": (), "column_duals": (), "screens": (), "columns": ()},
+        "kind screen_duals column_duals screens columns tie_screen_duals tie_column_duals",
+        {"screen_duals": (), "column_duals": (), "screens": (), "columns": (), "tie_screen_duals": (),
+         "tie_column_duals": ()},
     ),
     SolveStats: ("nodes", {"nodes": 0}),
     SolveReport: (

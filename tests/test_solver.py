@@ -1,6 +1,7 @@
 import itertools
 import random
-from support import replace
+import re
+from support import perturbed_weights, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +32,10 @@ from cinestagger.solver import (
     ORACLE_MAX_SCREENS,
     Certificate,
     Schedule,
+    SolveReport,
+    SolveStats,
     _column_order,
-    _perturbed_weights,
+    _core,
     check_certificate,
 )
 from cinestagger.synth import generate_document
@@ -220,19 +223,12 @@ def test_certify_calls_no_oracle(example_model, monkeypatch):
         assert (report.status, report.certificate.kind) == (status, kind)
 
 
-def test_certify_builds_the_tie_broken_weights_once(example_instance, monkeypatch):
-    import cinestagger.solver as solver_module
-
-    calls = []
-
-    def counting(weights, column_order):
-        calls.append(len(weights))
-        return _perturbed_weights(weights, column_order)
-
-    monkeypatch.setattr(solver_module, "_perturbed_weights", counting)
-    model = build_model(example_instance)    # the matrix is kept on the model it came from
-    assert certify(model).objective == certify(model).objective == 2615
-    assert calls == [9]
+def test_certify_leaves_the_model_at_its_matrix(example_instance):
+    model = build_model(example_instance)
+    first = certify(model)
+    assert certify(model) == first
+    assert first.objective == 2615
+    assert set(vars(model)) == {"screen_ids", "column_keys", "weights"}
 
 
 def test_three_way_agreement_random():
@@ -493,8 +489,7 @@ def tamperings(model, report, schedules):
         # every screen takes its best cell: where two screens share a column, the
         # row maxima and zero column duals satisfy every dual condition, and only
         # the no-column-twice check is left to reject it
-        perturbed = _perturbed_weights(model.weights, _column_order(model))
-        best = [max((w, ci) for ci, w in enumerate(row) if w is not None) for row in perturbed]
+        best = [max((w, ci) for ci, w in enumerate(row) if w is not None) for row in model.weights]
         if len({ci for _, ci in best}) < len(best):
             greedy = Schedule({sid: keys[ci] for sid, (_, ci) in zip(model.screen_ids, best)})
             yield replace(
@@ -505,6 +500,15 @@ def tamperings(model, report, schedules):
                     "lp-dual", screen_duals=tuple(w for w, _ in best), column_duals=(0,) * len(v)
                 ),
             )
+        # the canonicality layer: a tie dual lowered breaks a tight cell, one
+        # raised leaves the schedule's cell slack, and a short list fits no core
+        tie_u = certificate.tie_screen_duals
+        for x in range(len(tie_u)):
+            for du in (-1, 1):
+                raised = tie_u[:x] + (tie_u[x] + du,) + tie_u[x + 1 :]
+                yield replace(report, certificate=replace(certificate, tie_screen_duals=raised))
+        if tie_u:
+            yield replace(report, certificate=replace(certificate, tie_screen_duals=tie_u[1:]))
         for other in schedules:
             if other != report.schedule:
                 objective = evaluate(model, other.variables())
@@ -515,3 +519,218 @@ def tamperings(model, report, schedules):
             for k in range(len(members)):
                 fewer = members[:k] + members[k + 1 :]
                 yield replace(report, certificate=replace(certificate, **{field_name: fewer}))
+
+
+def _agrees_with_the_single_solve(model):
+    """``certify``'s report, after checking it against one search on the perturbed weights."""
+    report = certify(model)
+    assert (report.status, report.schedule, report.objective) == support.single_solve(model)
+    return report
+
+
+@pytest.mark.parametrize("coeff_range", [(0, 2), (0, 100000)], ids=["0..2", "0..100000"])
+@pytest.mark.parametrize("clusters, screens, films", [(8, 4, 2), (12, 7, 3), (16, 10, 4)])
+def test_certify_matches_the_single_solve_on_chain_night_shapes(clusters, screens, films, coeff_range):
+    for seed in range(2):
+        document = generate_document(
+            screens=screens, films=films, clusters=clusters, seed=seed, coeff_range=coeff_range
+        )
+        for cluster in load_instance(document).clusters:
+            _agrees_with_the_single_solve(build_model(cluster))
+
+
+@pytest.mark.parametrize(
+    "screens, films, clusters, coeff_range",
+    [
+        pytest.param(30, 12, 1, (200, 299), id="30x12"),
+        pytest.param(60, 25, 1, (200, 299), id="60x25"),
+        pytest.param(120, 50, 1, (0, 100000), id="120x50"),
+        pytest.param(8, 4, 3, (200, 299), id="joint-3x8x4"),
+    ],
+)
+def test_certify_matches_the_single_solve_on_large_models(screens, films, clusters, coeff_range):
+    for seed in range(3):
+        instance = load_instance(
+            generate_document(screens=screens, films=films, clusters=clusters, seed=seed, coeff_range=coeff_range)
+        )
+        model = build_model(instance) if clusters == 1 else build_joint_model(instance)
+        report = _agrees_with_the_single_solve(model)
+        if coeff_range == (200, 299):     # ties are common here: the tie-break layer ran
+            assert report.certificate.tie_screen_duals
+
+
+@st.composite
+def binary_models(draw):
+    """Small models at attendance 0..1, where most screens tie."""
+    screens = draw(st.integers(1, 6))
+    columns = draw(st.integers(1, 8))
+    weights = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=columns, max_size=columns), min_size=screens, max_size=screens
+    ))
+    cuts = sorted(draw(st.sets(st.integers(1, columns))) | {0, columns})
+    return small_model(weights, [b - a for a, b in zip(cuts, cuts[1:])])
+
+
+def test_certify_matches_the_single_solve_at_attendance_0_to_1():
+    cores = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=binary_models())
+    def agree(model):
+        report = _agrees_with_the_single_solve(model)
+        cores.append(bool(report.certificate.tie_screen_duals))
+
+    agree()
+    assert any(cores)
+
+
+# two screens tied on three columns: both have a choice, so both are the core
+TIED = small_model([[3, 3, 3], [3, 3, 3]], configs_per_film=[1, 2])
+
+
+def _no_big_integer(message):
+    return re.search(r"\d{7}", message) is None
+
+
+def _with_tie_duals(report, screen_duals=None, column_duals=None):
+    certificate = report.certificate
+    return replace(report, certificate=replace(
+        certificate,
+        tie_screen_duals=certificate.tie_screen_duals if screen_duals is None else screen_duals,
+        tie_column_duals=certificate.tie_column_duals if column_duals is None else column_duals,
+    ))
+
+
+def test_a_lowered_tie_dual_is_refused_at_its_cell():
+    report = certify(TIED)
+    assert report.schedule.choices == {1: (1, 1), 2: (2, 1)}
+    assert _core(TIED, report.certificate.screen_duals, report.certificate.column_duals)[1] == [0, 1]
+    lowered = (report.certificate.tie_screen_duals[0] - 1,) + report.certificate.tie_screen_duals[1:]
+    with pytest.raises(CertificationError) as err:
+        check_certificate(TIED, _with_tie_duals(report, screen_duals=lowered))
+    assert str(err.value) == "tie certificate infeasible at screen 1 with film 1 config 1"
+
+
+def _other_core_optimum(model, report):
+    """An optimal schedule that moves core screens among tight cells, or None.
+
+    Two core screens swap cells when each cell is tight for the other; else
+    one core screen moves to a free tight cell, leaving a column with a zero
+    dual.  Either way every cell stays tight and every column with a
+    positive dual stays used, so the schedule stays optimal.
+    """
+    u, v = report.certificate.screen_duals, report.certificate.column_duals
+    tight, core, _ = _core(model, u, v)
+    keys = [key[-2:] for key in model.column_keys]
+    chosen = {si: keys.index(report.schedule.choices[sid]) for si, sid in enumerate(model.screen_ids)}
+    choices = report.schedule.choices
+    for x, y in itertools.combinations(core, 2):
+        if chosen[y] in tight[x] and chosen[x] in tight[y]:
+            x_sid, y_sid = model.screen_ids[x], model.screen_ids[y]
+            return Schedule({**choices, x_sid: keys[chosen[y]], y_sid: keys[chosen[x]]})
+    for x in core:
+        for ci in tight[x]:
+            if ci not in chosen.values() and not v[chosen[x]]:
+                return Schedule({**choices, model.screen_ids[x]: keys[ci]})
+    return None
+
+
+def test_an_optimal_schedule_that_is_not_canonical_is_refused():
+    models = [TIED]
+    for seed in range(3):
+        document = generate_document(screens=60, films=25, seed=seed, coeff_range=(200, 299))
+        models.append(build_model(load_instance(document)))
+    for model in models:
+        report = certify(model)
+        swapped = _other_core_optimum(model, report)
+        assert swapped is not None
+        # the same objective, but later in (screen, film, config) order
+        assert evaluate(model, swapped.variables()) == report.objective
+        order = _column_order(model)
+        keys = [key[-2:] for key in model.column_keys]
+        perturbed = perturbed_weights(model.weights, order)
+
+        def weight(schedule):
+            return sum(perturbed[si][keys.index(schedule.choices[sid])] for si, sid in enumerate(model.screen_ids))
+
+        assert weight(swapped) < weight(report.schedule)
+        with pytest.raises(CertificationError) as err:
+            check_certificate(model, replace(report, schedule=swapped))
+        message = str(err.value)
+        assert re.fullmatch(
+            r"tie certificate: screen \d+ with film \d+ config \d+ is not tight,"
+            r" so the schedule is not the lexicographically smallest optimum",
+            message,
+        )
+        assert _no_big_integer(message)
+
+
+def test_tie_layer_messages_print_no_big_integer():
+    document = generate_document(screens=60, films=25, seed=1, coeff_range=(200, 299))
+    model = build_model(load_instance(document))
+    report = certify(model)
+    tie_u, tie_v = report.certificate.tie_screen_duals, report.certificate.tie_column_duals
+    assert max(map(abs, tie_u + tie_v)).bit_length() > 64
+    _, core, columns = _core(model, report.certificate.screen_duals, report.certificate.column_duals)
+    keys = [model.column_keys[ci][-2:] for ci in columns]
+    used = {keys.index(report.schedule.choices[model.screen_ids[si]]) for si in core}
+    unused = min(set(range(len(columns))) - used)
+    planted = {
+        "tie certificate infeasible at screen": _with_tie_duals(report, screen_duals=(tie_u[0] - 1,) + tie_u[1:]),
+        "tie certificate: screen": _with_tie_duals(report, screen_duals=(tie_u[0] + 1,) + tie_u[1:]),
+        "tie certificate has 22 screen and 44 column duals, for a core of 23 screens and 44 columns":
+            _with_tie_duals(report, screen_duals=tie_u[1:]),
+        "tie certificate gives column": _with_tie_duals(
+            report, column_duals=tie_v[:unused] + (1,) + tie_v[unused + 1:]
+        ),
+    }
+    for start, tampered in planted.items():
+        with pytest.raises(CertificationError) as err:
+            check_certificate(model, tampered)
+        assert str(err.value).startswith(start)
+        assert _no_big_integer(str(err.value))
+
+
+# the objective nears 2**55 milliunits (about 3.6e13 attendance, inside the
+# loader's limit), where floats are 8 apart; the schedule scores a + 1 and the
+# optimum, screen 1 on config 3 and screen 2 on config 1, scores a + 3
+_A = 2**55 + 47
+FLOAT_TRAP = BilpModel.from_matrix((1, 2), ((1, 1), (1, 2), (1, 3)), [[_A, _A - 1, _A], [3, 0, 1]])
+
+
+def test_float_duals_are_refused():
+    # compared as floats, these duals meet every condition of both layers:
+    # float(_A + 1) covers screen 1's cells, their sum rounds to the
+    # schedule's weight, and the tie duals prove the schedule canonical
+    report = SolveReport(
+        "Optimal", "assignment", Schedule({1: (1, 1), 2: (1, 3)}), Fraction(_A + 1, 1000), SolveStats(),
+        certificate=Certificate(
+            "lp-dual", screen_duals=(float(_A + 1), 1.0), column_duals=(2, 0, 0),
+            tie_screen_duals=(4, 0), tie_column_duals=(11, 0, 0),
+        ),
+    )
+    assert float(_A + 1) + 1.0 + 2 == _A + 1 and float(_A + 1) - (_A - 1) == 0
+    with pytest.raises(CertificationError) as err:
+        check_certificate(FLOAT_TRAP, report)
+    assert str(err.value) == "lp-dual certificate holds a float, not an int"
+    assert certify(FLOAT_TRAP).objective == Fraction(_A + 3, 1000)
+
+
+@pytest.mark.parametrize(
+    "model, field_name",
+    [
+        pytest.param(TIED, "screen_duals", id="screen"),
+        pytest.param(TIED, "column_duals", id="column"),
+        pytest.param(TIED, "tie_screen_duals", id="tie-screen"),
+        pytest.param(TIED, "tie_column_duals", id="tie-column"),
+        pytest.param(CROWDED, "screens", id="hall-screens"),
+        pytest.param(CROWDED, "columns", id="hall-columns"),
+    ],
+)
+def test_an_honest_certificate_with_one_float_is_refused(model, field_name):
+    report = certify(model)
+    values = getattr(report.certificate, field_name)
+    spoiled = replace(report.certificate, **{field_name: (float(values[0]),) + values[1:]})
+    with pytest.raises(CertificationError) as err:
+        check_certificate(model, replace(report, certificate=spoiled))
+    assert str(err.value) == f"{report.certificate.kind} certificate holds a float, not an int"
