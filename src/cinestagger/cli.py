@@ -7,16 +7,18 @@ given identical input is byte-identical run to run.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 a bad option
 value, unreadable or unparsable input, an unwritable ``--export-lp`` path,
-or a standard output that its reader closed or whose encoding cannot
-represent the output, 3 infeasible instance, 4 internal error (a result
-failed its proof check, so no answer is trusted).
+or a standard output that is closed, that its reader closed or whose
+encoding cannot represent the output, 3 infeasible instance, 4 internal
+error (a result failed its proof check, so no answer is trusted).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
+import gc
 import io
 import os
 import re
@@ -159,7 +161,8 @@ def _csv_text(all_rows: List[ScheduleRow]) -> str:
 
 
 class UnwritableOutputError(Exception):
-    """Standard output's encoding cannot represent the text; nothing was written."""
+    """Standard output is missing (fd 1 was closed at start) or its encoding
+    cannot represent the text; nothing was written."""
 
 
 def _write_stdout(text: str) -> None:
@@ -172,6 +175,8 @@ def _write_stdout(text: str) -> None:
     after a short count meets the closed pipe and raises.
     """
     stream = sys.stdout
+    if stream is None:
+        raise UnwritableOutputError(os.strerror(errno.EBADF))
     buffer = getattr(stream, "buffer", None)
     if buffer is None:      # an in-memory text stream takes the text whole
         stream.write(text)
@@ -407,11 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = globals()["cmd_" + args.command.replace("-", "_")]
+    # a command frees its many short-lived objects by reference counting and
+    # builds no cycles (tests/test_cli.py checks this), so the cyclic
+    # collector's passes during it would find nothing: it is paused until the
+    # command ends, and restarted only if it ran before
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        code = command(args)
-        sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
+        args = build_parser().parse_args(argv)    # argparse exits by SystemExit, which no handler takes
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        if sys.stdout is not None:
+            sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError as exc:
         # what is still buffered goes to devnull, so the flush at exit cannot fail
@@ -437,6 +448,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CertificationError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import copy
 import csv
+import gc
 import io
 import json
 import os
@@ -23,9 +24,11 @@ from cinestagger import (
     load_instance,
     solve_all,
 )
+from cinestagger import cli
 from cinestagger.cli import build_parser, main
-from cinestagger.domain import dumps_json
+from cinestagger.domain import InstanceDataError, InstanceFormatError, Violation, dumps_json
 from cinestagger.formulation import direct_sum
+from cinestagger.solver import CertificationError
 from cinestagger.synth import generate_document
 
 
@@ -945,10 +948,14 @@ def test_generate_configs_is_a_fixed_point(example_path, tmp_path, capsys, sourc
 
 def _closed_reader_run(argv, lines_read, err_path):
     """Exit code and stderr of the console module writing to a pipe whose reader
-    closes after ``lines_read`` lines; stderr goes to a file, which never blocks."""
+    closes after ``lines_read`` lines, or started with fd 1 closed when
+    ``lines_read`` is None; stderr goes to a file, which never blocks."""
     command = [sys.executable, "-m", "cinestagger", *argv]
     with open(err_path, "wb") as err:
-        if lines_read == 0:
+        if lines_read is None:
+            # the child's sys.stdout is None
+            child = subprocess.Popen(["sh", "-c", 'exec "$@" >&-', "sh", *command], stderr=err)
+        elif lines_read == 0:
             # the read end is closed before the child starts, so its first write fails
             read_end, write_end = os.pipe()
             os.close(read_end)
@@ -963,19 +970,20 @@ def _closed_reader_run(argv, lines_read, err_path):
     return code, err_path.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("lines_read", [0, 1])
+@pytest.mark.parametrize("lines_read", [0, 1, None])
 def test_a_closed_stdout_exits_2_without_a_traceback(example_document, tmp_path, lines_read):
-    if lines_read == 0:
-        argv = ["validate", write_doc(tmp_path, example_document)]     # prints "ok"
-    else:
+    if lines_read == 1:
         # far more violation lines than a pipe buffers
         doc = generate_document(screens=40, films=15, clusters=3, seed=1)
         for row in doc["forecast"]:
             row["attendance"] = -1
         argv = ["validate", write_doc(tmp_path, doc)]
+    else:
+        argv = ["validate", write_doc(tmp_path, example_document)]     # prints "ok"
     code, err = _closed_reader_run(argv, lines_read, tmp_path / "stderr.txt")
     assert code == 2
-    assert err == "error: cannot write standard output: Broken pipe\n"
+    reason = "Bad file descriptor" if lines_read is None else "Broken pipe"
+    assert err == f"error: cannot write standard output: {reason}\n"
 
 
 @pytest.mark.parametrize("lines_read", [0, 1])
@@ -1248,3 +1256,114 @@ def test_generate_configs_writes_the_reference_text_and_is_a_fixed_point(example
             assert first == support.reference_dumps_instance(load_instance(again, allow_partial=True))
             assert main(["generate-configs", str(again), "--turnover", turnover]) == 0
             assert capsys.readouterr().out == first
+
+
+# main pauses the cyclic collector for each command and restores the caller's state after it
+
+@pytest.fixture
+def collector_state():
+    """Sets the collector's state from the test's ``enabled`` and restores the one before the test."""
+    def set_to(enabled):
+        (gc.enable if enabled else gc.disable)()
+    before = gc.isenabled()
+    yield set_to
+    set_to(before)
+
+
+def _probe_validate(monkeypatch, outcome):
+    """Makes ``validate`` a command that returns ``outcome``, or raises it when it is
+    an exception; the list returned records ``gc.isenabled()`` at each call."""
+    seen = []
+
+    def cmd_validate(args):
+        seen.append(gc.isenabled())
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "cmd_validate", cmd_validate)
+    return seen
+
+
+@pytest.mark.parametrize("outcome, code", [
+    (0, 0), (1, 1), (2, 2), (3, 3),
+    (InstanceDataError([Violation("probe", "a violation")]), 1),
+    (ValueError("probe"), 1),
+    (InstanceFormatError("probe"), 2),
+    (CertificationError("probe"), 4),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-collecting", "caller-paused"])
+def test_a_command_runs_with_the_collector_paused(monkeypatch, capsys, collector_state, enabled, outcome, code):
+    collector_state(enabled)
+    seen = _probe_validate(monkeypatch, outcome)
+    assert main(["validate", "unread.json"]) == code
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-collecting", "caller-paused"])
+def test_the_collector_is_restored_when_main_raises(monkeypatch, capsys, collector_state, enabled):
+    collector_state(enabled)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])      # argparse: the instance is missing
+    assert exc.value.code == 2
+    assert gc.isenabled() is enabled
+    seen = _probe_validate(monkeypatch, RuntimeError("escapes main"))
+    with pytest.raises(RuntimeError, match="escapes main"):
+        main(["validate", "unread.json"])
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def _invalid(example_document):
+    doc = copy.deepcopy(example_document)
+    doc["screens"].append(dict(doc["screens"][0]))      # a duplicate screen id
+    return doc
+
+
+# (command, document, exit code): the document is "example" or "synth", the
+# pinned inputs, a function of the bundled example's document, a text, or None
+# for a command that reads none; a trailing --export-lp gets a path
+@pytest.mark.parametrize("command, source, code", [
+    *[
+        pytest.param(command, source, 0, id=f"{name}-{source}")
+        for source in ("example", "synth")
+        for name, command in [*PINNED_COMMANDS.items(), ("solve.lp", ["solve", "--format", "json", "--export-lp"])]
+    ],
+    pytest.param(["synth", "--screens", "4", "--films", "2", "--clusters", "3", "--seed", "1"], None, 0, id="synth"),
+    pytest.param(["solve", "--format", "json"], _infeasible_beside_optimal, 3, id="solve-infeasible-chain"),
+    pytest.param(["verify-decomposition"], _infeasible_beside_optimal, 3, id="verify-decomposition-infeasible-chain"),
+    pytest.param(["validate"], _invalid, 1, id="validate-invalid"),
+    pytest.param(["solve"], _invalid, 1, id="solve-invalid"),
+    pytest.param(["validate"], "not json", 2, id="validate-unparsable"),
+    pytest.param(["solve"], "not json", 2, id="solve-unparsable"),
+])
+def test_no_command_leaves_cyclic_garbage(example_path, example_document, tmp_path, capsys, command, source, code):
+    # the premise of main's pause: what a command allocates, reference counting frees
+    if source == "example":
+        path = [str(example_path)]
+    elif source == "synth":
+        path = [str(PINNED / "synth" / "input.json")]
+    elif source is None:
+        path = []
+    else:
+        target = tmp_path / "instance.json"
+        if callable(source):
+            target.write_text(json.dumps(source(example_document)), encoding="utf-8")
+        else:
+            target.write_text(source, encoding="utf-8")
+        path = [str(target)]
+    argv = [command[0], *path, *command[1:]]
+    if argv[-1] == "--export-lp":
+        argv.append(str(tmp_path / "model.lp"))
+    assert main(argv) == code     # a first run imports and caches what later runs reuse
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == code
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
