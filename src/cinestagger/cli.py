@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 validation or domain failure, 2 a bad option
 value, unreadable or unparsable input, an unwritable ``--export-lp`` path,
 or a standard output that is closed, that its reader closed or whose
 encoding cannot represent the output, 3 infeasible instance, 4 internal
-error (a result failed its proof check, so no answer is trusted).
+error (a result failed its proof check, so no answer is trusted).  A
+standard error that is closed, or whose reader has gone, drops its lines
+and leaves the exit code as documented.
 """
 
 from __future__ import annotations
@@ -160,14 +162,29 @@ def _csv_text(all_rows: List[ScheduleRow]) -> str:
     return buf.getvalue()
 
 
-class UnwritableOutputError(Exception):
-    """Standard output is missing (fd 1 was closed at start) or its encoding
-    cannot represent the text; nothing was written."""
+class CommandError(Exception):
+    """A bad option value or an unwritable output: ``main`` prints ``error: `` and the text, and exits 2."""
+
+
+def _discard(stream) -> None:
+    """Drop what ``stream`` still buffers: the flush at exit goes to devnull (the Python docs' note on SIGPIPE)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _say(line: str) -> None:
+    """Write ``line`` to standard error, the only writer of it; a closed or broken standard error drops it."""
+    if sys.stderr is not None:      # None when fd 2 was closed at start
+        try:
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+        except OSError:
+            _discard(sys.stderr)
 
 
 def _write_stdout(text: str) -> None:
-    """Write ``text`` to standard output whole, or raise BrokenPipeError or
-    UnwritableOutputError.
+    """Write ``text`` to standard output whole, or raise BrokenPipeError or CommandError.
 
     When the reader closes during one large write, the buffered writer
     returns a short count without an error and the text layer drops the
@@ -176,7 +193,7 @@ def _write_stdout(text: str) -> None:
     """
     stream = sys.stdout
     if stream is None:
-        raise UnwritableOutputError(os.strerror(errno.EBADF))
+        raise CommandError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
     buffer = getattr(stream, "buffer", None)
     if buffer is None:      # an in-memory text stream takes the text whole
         stream.write(text)
@@ -185,30 +202,25 @@ def _write_stdout(text: str) -> None:
     try:
         data = memoryview(text.encode(stream.encoding, stream.errors))
     except UnicodeEncodeError as exc:   # a ValueError, but not the document's fault
-        raise UnwritableOutputError(exc) from None
+        raise CommandError(f"cannot write standard output: {exc}") from None
     while data:
         data = data[buffer.write(data):]
 
 
-def _write_lp(models, path: str) -> bool:
-    """Write the LP text of the one ``(cluster id, model)`` pair, or of their direct sum block by block.
-
-    False, after one stderr line, on failure.
-    """
+def _write_lp(models, path: str) -> None:
+    """Write the LP text of the one ``(cluster id, model)`` pair, or of their direct sum block by block."""
     model = models[0][1] if len(models) == 1 else models
     try:
         Path(path).write_text(export_lp_text(model), encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
+        raise CommandError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _infeasible(report: ClusterSolveReport) -> int:
     """Exit code 3, after one stderr line per infeasible cluster naming its diagnostic."""
     for cluster_id, cluster_report in report.per_cluster.items():
         if cluster_report.status == "Infeasible":
-            print(f"cluster {cluster_id}: {cluster_report.diagnostic}", file=sys.stderr)
+            _say(f"cluster {cluster_id}: {cluster_report.diagnostic}")
     return 3
 
 
@@ -229,8 +241,8 @@ def cmd_solve(args) -> int:
     report = solve_all(instance)
     elapsed = time.perf_counter() - started
 
-    if args.export_lp and not _write_lp(report.models, args.export_lp):
-        return 2
+    if args.export_lp:
+        _write_lp(report.models, args.export_lp)
 
     clusters = {c.cluster_id: c for c in instance.clusters}
     if args.format == "json":
@@ -253,10 +265,9 @@ def cmd_solve(args) -> int:
     _write_stdout(text)
 
     kinds = Counter(r.certificate.kind for r in report.per_cluster.values())
-    print(
+    _say(
         f"solved {len(instance.clusters)} cluster(s) in {elapsed * 1000:.1f} ms"
-        f" (certificates: {', '.join(f'{kinds[k]} {k}' for k in CERTIFICATE_KINDS)})",
-        file=sys.stderr,
+        f" (certificates: {', '.join(f'{kinds[k]} {k}' for k in CERTIFICATE_KINDS)})"
     )
     return 0 if report.overall_status == "Optimal" else _infeasible(report)
 
@@ -275,8 +286,7 @@ def _load_partial(path: str, turnover_minutes: int):
 
 def cmd_generate_configs(args) -> int:
     if args.turnover < 0:
-        print(f"error: turnover must be >= 0, got {args.turnover}", file=sys.stderr)
-        return 2
+        raise CommandError(f"turnover must be >= 0, got {args.turnover}")
     instance, listed = _load_partial(args.instance, args.turnover)
 
     # the document's configurations are replaced; each generated one takes the
@@ -316,9 +326,8 @@ def cmd_build(args) -> int:
     _write_stdout("".join(f"{line}\n" for line in lines))
 
     if args.export_lp:
-        if not _write_lp(models, args.export_lp):
-            return 2
-        print(f"wrote {args.export_lp}", file=sys.stderr)
+        _write_lp(models, args.export_lp)
+        _say(f"wrote {args.export_lp}")
     return 0
 
 
@@ -327,19 +336,16 @@ def cmd_synth(args) -> int:
 
     match = re.fullmatch(r"(\d+)\.\.(\d+)", args.coeff_range, re.ASCII)
     if match is None:
-        print(f"error: bad --coeff-range {args.coeff_range!r}, expected LO..HI", file=sys.stderr)
-        return 2
+        raise CommandError(f"bad --coeff-range {args.coeff_range!r}, expected LO..HI")
     try:
         lo, hi = int(match.group(1)), int(match.group(2))
     except ValueError:  # past the interpreter's limit on digits read as an int
-        print("error: bad --coeff-range, a bound has too many digits", file=sys.stderr)
-        return 2
+        raise CommandError("bad --coeff-range, a bound has too many digits") from None
     try:
         doc = generate_document(screens=args.screens, films=args.films, clusters=args.clusters,
                                 seed=args.seed, coeff_range=(lo, hi))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(exc) from None
     _write_stdout(dumps_json(doc) + "\n")
     return 0
 
@@ -425,28 +431,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError as exc:
-        # what is still buffered goes to devnull, so the flush at exit cannot fail
-        # again (the Python docs' note on SIGPIPE)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        _discard(sys.stdout)
+        _say(f"error: cannot write standard output: {exc.strerror}")
         return 2
-    except UnwritableOutputError as exc:
-        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
-        return 2
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CommandError, InstanceFormatError) as exc:
+        _say(f"error: {exc}")
         return 2
     except InstanceDataError as exc:
         for violation in exc.violations:
-            print(str(violation), file=sys.stderr)
+            _say(str(violation))
         return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 1
     except CertificationError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
+        _say(f"error: internal: {exc}")
         return 4
     finally:
         if collecting:

@@ -249,14 +249,6 @@ class ClusterInstance(namedtuple(
         """The cluster alone, as a :class:`MultiClusterInstance` gives its clusters."""
         return (self,)
 
-    @property
-    def screen_count(self) -> int:
-        return len(self.screens)
-
-    @property
-    def configuration_count(self) -> int:
-        return len(self.configurations)
-
     def window(self) -> Tuple[int, int]:
         """Widest operating window over the cluster's locations."""
         return (
@@ -267,16 +259,6 @@ class ClusterInstance(namedtuple(
 
 class MultiClusterInstance(namedtuple("MultiClusterInstance", "clusters")):
     __slots__ = ()    # clusters: Tuple[ClusterInstance, ...]
-
-    @property
-    def cluster_ids(self) -> Tuple[str, ...]:
-        return tuple(c.cluster_id for c in self.clusters)
-
-    def cluster(self, cluster_id: str) -> ClusterInstance:
-        for c in self.clusters:
-            if c.cluster_id == cluster_id:
-                return c
-        raise KeyError(cluster_id)
 
 
 # X | Y, not typing.Union: typing caches a subscription, so it would keep this copy alive after a re-import

@@ -105,14 +105,10 @@ class Certificate(namedtuple("Certificate", "kind screen_duals column_duals scre
     __slots__ = ()
 
 
-class SolveStats:
-    def __init__(self, nodes: int = 0) -> None:
-        self.nodes = nodes    # search nodes, enumerated assignments, or augmentations
+class SolveStats(namedtuple("SolveStats", "nodes", defaults=(0,))):
+    """A search's effort: its search nodes, enumerated assignments, or augmentations."""
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.nodes == other.nodes
+    __slots__ = ()
 
 
 class SolveReport(namedtuple(
@@ -122,8 +118,8 @@ class SolveReport(namedtuple(
     """A solver's result.
 
     ``status`` is "Optimal", with a ``schedule`` and its ``objective``, or
-    "Infeasible", with a ``diagnostic``.  ``stats`` is the :class:`SolveStats`
-    the search counted its effort in; ``certificate`` proves the status.
+    "Infeasible", with a ``diagnostic``.  ``stats`` is the search's
+    :class:`SolveStats`; ``certificate`` proves the status.
     """
 
     __slots__ = ()
@@ -145,9 +141,7 @@ _SPARSE_PIGEONHOLE = (
 _UNREACHED = float("inf")   # slack of a column no reached row allows; compared with ints, never added to one
 
 
-def _augment_max_weight(
-    weights: Weights, m: int, stats: SolveStats
-) -> Tuple[Optional[List[int]], List[int], List[int]]:
+def _augment_max_weight(weights: Weights, m: int) -> Tuple[Optional[List[int]], List[int], List[int]]:
     """Max-weight rectangular assignment by shortest augmenting paths.
 
     ``weights`` is n rows by ``m`` columns of exact integers, n <= m, with
@@ -157,9 +151,8 @@ def _augment_max_weight(
     chosen cells, ``v[j] >= 0``, and ``v[j] == 0`` on unchosen columns.
     When no assignment of every row uses allowed cells only, returns
     ``(None, rows, columns)``: what the last search reached, a set of rows
-    with no allowed cell outside a smaller set of columns.  Each completed
-    augmentation counts one node in ``stats``.  Duals stay integral
-    throughout, so the optimum is exact.
+    with no allowed cell outside a smaller set of columns.  Duals stay
+    integral throughout, so the optimum is exact.
 
     Rows join the matching one at a time.  Each join is a Dijkstra search
     from the new row over the reduced costs ``u[i] + v[j] - weights[i][j]``,
@@ -233,7 +226,6 @@ def _augment_max_weight(
             j, col_of[i] = col_of[i], j
             if i == root:
                 break
-        stats.nodes += 1
     return col_of, u, v
 
 
@@ -296,17 +288,17 @@ def _tie_weights(v, tight, core: List[int], columns: List[int]) -> Weights:
 def _solve(model: BilpModel, method: str, search) -> SolveReport:
     """Report of ``search`` on ``model``: pigeonhole check, schedule.
 
-    A search gets the model and the stats to count its effort in; it returns
-    the chosen column index per screen, or None when no complete schedule
-    exists, and a certificate of that result if it has one.
+    A search gets the model; it returns the chosen column index per screen,
+    or None when no complete schedule exists, a certificate of that result
+    if it has one, and the nodes it counted.
     """
     n = len(model.screen_ids)
     m = len(model.column_keys)
-    stats = SolveStats()
     if n > m:
         diagnostic, certificate = _pigeonhole_message(n, m), Certificate("pigeonhole")
-        return SolveReport("Infeasible", method, stats=stats, diagnostic=diagnostic, certificate=certificate)
-    choice, certificate = search(model, stats)
+        return SolveReport("Infeasible", method, stats=SolveStats(), diagnostic=diagnostic, certificate=certificate)
+    choice, certificate, nodes = search(model)
+    stats = SolveStats(nodes)
     if choice is None:
         return SolveReport("Infeasible", method, stats=stats, diagnostic=_SPARSE_PIGEONHOLE, certificate=certificate)
     weights = model.weights
@@ -320,17 +312,18 @@ def _solve(model: BilpModel, method: str, search) -> SolveReport:
     )
 
 
-def _assignment_search(model, stats):
-    choice, u, v = _augment_max_weight(model.weights, len(model.column_keys), stats)
+def _assignment_search(model):
+    choice, u, v = _augment_max_weight(model.weights, len(model.column_keys))
     if choice is None:
-        return None, Certificate("hall-set", screens=tuple(u), columns=tuple(v))
+        # rows join in order, so the row that failed, the highest in the Hall set, counts the augmentations done
+        return None, Certificate("hall-set", screens=tuple(u), columns=tuple(v)), u[-1]
     tight, core, columns = _core(model, u, v)
     tie_u = tie_v = ()
     if core:
-        ties, tie_u, tie_v = _augment_max_weight(_tie_weights(v, tight, core, columns), len(columns), SolveStats())
+        ties, tie_u, tie_v = _augment_max_weight(_tie_weights(v, tight, core, columns), len(columns))
         for si, r in zip(core, ties):
             choice[si] = columns[r]
-    return choice, Certificate("lp-dual", tuple(u), tuple(v), (), (), tuple(tie_u), tuple(tie_v))
+    return choice, Certificate("lp-dual", tuple(u), tuple(v), (), (), tuple(tie_u), tuple(tie_v)), len(choice)
 
 
 def solve_assignment(model: BilpModel) -> SolveReport:
@@ -351,7 +344,7 @@ def solve_assignment(model: BilpModel) -> SolveReport:
     return _solve(model, "assignment", _assignment_search)
 
 
-def _branch_and_bound_search(model, stats):
+def _branch_and_bound_search(model):
     weights, column_order = model.weights, _column_order(model)
     n = len(weights)
     candidates: List[List[Tuple[int, int]]] = []
@@ -364,10 +357,11 @@ def _branch_and_bound_search(model, stats):
     best_value: Optional[int] = None
     best_choice: Optional[List[int]] = None
     choice = [-1] * n
+    nodes = 0
 
     def dfs(si: int, value: int) -> None:
-        nonlocal best_value, best_choice
-        stats.nodes += 1
+        nonlocal best_value, best_choice, nodes
+        nodes += 1
         if si == n:
             if best_value is None or value > best_value:
                 best_value = value
@@ -396,7 +390,7 @@ def _branch_and_bound_search(model, stats):
         choice[si] = -1
 
     dfs(0, 0)
-    return best_choice, None
+    return best_choice, None, nodes
 
 
 def solve_branch_and_bound(model: BilpModel) -> SolveReport:
@@ -411,18 +405,19 @@ def solve_branch_and_bound(model: BilpModel) -> SolveReport:
     return _solve(model, "branch-and-bound", _branch_and_bound_search)
 
 
-def _brute_force_search(model, stats):
+def _brute_force_search(model):
     weights, column_order = model.weights, _column_order(model)
     n = len(weights)
     used = [False] * len(column_order)
     best_value: Optional[int] = None
     best_choice: Optional[List[int]] = None
     choice = [-1] * n
+    nodes = 0
 
     def enumerate_from(si: int, value: int) -> None:
-        nonlocal best_value, best_choice
+        nonlocal best_value, best_choice, nodes
         if si == n:
-            stats.nodes += 1
+            nodes += 1
             if best_value is None or value > best_value:
                 best_value = value
                 best_choice = choice[:]
@@ -438,7 +433,7 @@ def _brute_force_search(model, stats):
         choice[si] = -1
 
     enumerate_from(0, 0)
-    return best_choice, None
+    return best_choice, None, nodes
 
 
 def solve_brute_force(model: BilpModel) -> SolveReport:

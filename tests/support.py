@@ -47,7 +47,7 @@ from cinestagger.domain import (
     parse_hhmm,
 )
 from cinestagger.formulation import _row_name
-from cinestagger.solver import Schedule, SolveStats, _augment_max_weight, _column_order
+from cinestagger.solver import Schedule, _augment_max_weight, _column_order
 
 WINDOW_OPEN = 720
 WINDOW_LAST = 1380
@@ -296,7 +296,7 @@ def single_solve(model: BilpModel):
     n, m = len(model.screen_ids), len(model.column_keys)
     choice = None
     if n <= m:
-        choice, _, _ = _augment_max_weight(perturbed_weights(model.weights, _column_order(model)), m, SolveStats())
+        choice, _, _ = _augment_max_weight(perturbed_weights(model.weights, _column_order(model)), m)
     if choice is None:
         return "Infeasible", None, None
     schedule = Schedule({model.screen_ids[si]: model.column_keys[ci][-2:] for si, ci in enumerate(choice)})

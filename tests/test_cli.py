@@ -533,7 +533,7 @@ def test_generate_configs(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert [c["showtimes"][0] for c in out["configurations"]] == ["12:00", "12:30", "13:00"]
     instance = load_instance(out, allow_partial=True)
-    assert instance.configuration_count == 3
+    assert len(instance.configurations) == 3
 
     assert main(["generate-configs", path, "--turnover", "30"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -995,6 +995,88 @@ def test_one_large_write_to_a_closed_stdout_exits_2(tmp_path, lines_read):
     code, err = _closed_reader_run(["generate-configs", str(path)], lines_read, tmp_path / "stderr.txt")
     assert code == 2
     assert err == "error: cannot write standard output: Broken pipe\n"
+
+
+# the child of the closed-stderr case "solve-tie-dual": test_solve_exits_4_on_a_lowered_tie_dual's lie, planted
+_LOWERED_TIE_DUAL = """
+import sys
+from cinestagger import cli, solver
+honest = solver.solve_assignment
+def lying(model):
+    report = honest(model)
+    duals = report.certificate.tie_screen_duals
+    if not duals:
+        return report
+    return report._replace(certificate=report.certificate._replace(tie_screen_duals=(duals[0] - 1,) + duals[1:]))
+solver.solve_assignment = lying
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+# case -> the child's exit code and its whole standard output: a pinned output of the
+# example, or these bytes.  The solve cases also run with the stderr reader gone.
+_CLOSED_STDERR_CASES = {
+    "solve": (0, "solve.table.out"),
+    "build-export-lp": (0, "build.out"),
+    "solve-invalid": (1, b""),
+    "unparsable": (2, b""),
+    "negative-turnover": (2, b""),
+    "bad-coeff-range": (2, b""),
+    "unwritable-export-lp": (2, "build.out"),   # build writes its counts before the LP file
+    "solve-infeasible": (3, b"Status: Infeasible\n"),
+    "solve-tie-dual": (4, b""),
+}
+
+
+def _closed_stderr_arguments(case, example_document, tmp_path):
+    """The child's arguments after the interpreter, its documents written to ``tmp_path``."""
+    cli_module = ["-m", "cinestagger"]
+    example = write_doc(tmp_path, example_document)
+    if case == "solve":
+        return cli_module + ["solve", example]
+    if case in ("build-export-lp", "unwritable-export-lp"):
+        lp = tmp_path / ("model.lp" if case == "build-export-lp" else "absent/model.lp")
+        return cli_module + ["build", example, "--export-lp", str(lp)]
+    if case == "solve-invalid":
+        doc = copy.deepcopy(example_document)
+        doc["forecast"][0]["attendance"] = -1
+        return cli_module + ["solve", write_doc(tmp_path, doc, "invalid.json")]
+    if case == "unparsable":
+        (tmp_path / "bad.json").write_text("not json", encoding="utf-8")
+        return cli_module + ["validate", str(tmp_path / "bad.json")]
+    if case == "negative-turnover":
+        return cli_module + ["generate-configs", example, "--turnover", "-1"]
+    if case == "bad-coeff-range":
+        return cli_module + ["synth", "--screens", "2", "--films", "2", "--coeff-range", "x"]
+    if case == "solve-infeasible":
+        return cli_module + ["solve", write_doc(tmp_path, _infeasible_beside_optimal(example_document), "chain.json")]
+    tied = generate_document(screens=4, films=2, clusters=2, seed=0, coeff_range=(0, 2))
+    return ["-c", _LOWERED_TIE_DUAL, "solve", write_doc(tmp_path, tied, "tied.json")]
+
+
+@pytest.mark.parametrize(
+    "case, reader_gone",
+    [(case, False) for case in _CLOSED_STDERR_CASES]
+    + [(case, True) for case in _CLOSED_STDERR_CASES if case.startswith("solve")],
+)
+def test_a_closed_stderr_leaves_the_exit_code(example_document, tmp_path, case, reader_gone):
+    command = [sys.executable, *_closed_stderr_arguments(case, example_document, tmp_path)]
+    with open(tmp_path / "stdout.txt", "wb") as out:
+        if reader_gone:
+            # the read end is closed before the child starts, so its first stderr write fails
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as err:
+                child = subprocess.Popen(command, stdout=out, stderr=err)
+        else:
+            # the child's sys.stderr is None, and print(file=None) would write to standard output
+            child = subprocess.Popen(["sh", "-c", 'exec "$@" 2>&-', "sh", *command], stdout=out)
+        code = child.wait(timeout=60)
+    expected_code, expected_out = _CLOSED_STDERR_CASES[case]
+    if isinstance(expected_out, str):
+        expected_out = (PINNED / "example" / expected_out).read_bytes()
+    assert (code, (tmp_path / "stdout.txt").read_bytes()) == (expected_code, expected_out)
+    if case == "build-export-lp":
+        assert (tmp_path / "model.lp").read_bytes() == (PINNED / "example" / "build.lp").read_bytes()
 
 
 def test_an_instance_file_that_is_not_utf8_exits_2(tmp_path, capsys):

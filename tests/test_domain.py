@@ -131,9 +131,9 @@ def test_example_instance_shape(example_instance):
     assert isinstance(example_instance, ClusterInstance)
     assert example_instance.cluster_id == "c1"
     assert len(example_instance.locations) == 3
-    assert example_instance.screen_count == 9
+    assert len(example_instance.screens) == 9
     assert len(example_instance.films) == 5
-    assert example_instance.configuration_count == 16
+    assert len(example_instance.configurations) == 16
     assert example_instance.stagger_interval_minutes == 30
     assert len(support.forecast_cells(example_instance.forecast)) == 144
     assert example_instance.window() == (720, 1380)
@@ -185,7 +185,7 @@ def test_multi_cluster_loading():
     doc = support.random_multi_document(__import__("random").Random(5), clusters=2)
     instance = load_instance(doc)
     assert isinstance(instance, MultiClusterInstance)
-    assert instance.cluster_ids == ("c1", "c2")
+    assert [c.cluster_id for c in instance.clusters] == ["c1", "c2"]
     for cluster in instance.clusters:
         locations = {loc.location_id: loc for loc in cluster.locations}
         for screen in cluster.screens:
@@ -203,8 +203,8 @@ def test_global_films_play_in_every_cluster():
     doc["screens"].extend(b["screens"])
     doc["forecast"].extend(b["forecast"])
     instance = load_instance(doc)
-    assert [len(c.films) for c in instance.clusters] == [1, 1]
-    assert instance.cluster("a").films == instance.cluster("b").films
+    assert [(c.cluster_id, len(c.films)) for c in instance.clusters] == [("a", 1), ("b", 1)]
+    assert instance.clusters[0].films == instance.clusters[1].films
 
 
 def test_every_instance_answers_clusters(example_instance):
@@ -212,7 +212,7 @@ def test_every_instance_answers_clusters(example_instance):
     assert example_instance.clusters[0] is example_instance
     multi = MultiClusterInstance(example_instance.clusters)
     assert multi.clusters == (example_instance,)
-    assert multi.cluster_ids == (example_instance.cluster_id,)
+    assert [c.cluster_id for c in multi.clusters] == [example_instance.cluster_id]
 
 
 @pytest.mark.parametrize(
@@ -536,7 +536,7 @@ def test_load_from_file(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     instance = load_instance(path)
-    assert instance.screen_count == 1
+    assert len(instance.screens) == 1
 
     with pytest.raises(InstanceFormatError):
         load_instance(tmp_path / "absent.json")

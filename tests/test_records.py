@@ -1,8 +1,8 @@
 """The package's records: constructors, equality, hashing and immutability.
 
-Records are NamedTuples, or plain classes where they cache or are mutated:
-``BilpModel`` and ``SolveStats``.  Neither kind generates code
-on import, so importing the package loads no ``dataclasses``.
+Records are NamedTuples, or a plain class where it caches: ``BilpModel``.
+Neither kind generates code on import, so importing the package loads no
+``dataclasses``.
 """
 
 import inspect
@@ -131,8 +131,8 @@ CASES = {
 
 NAMED_TUPLES = [
     Violation, Film, Location, Screen, ShowtimeConfiguration, ForecastMatrix, ClusterInstance,
-    MultiClusterInstance, VariableRef, RowCheck, FeasibilityReport, Schedule, Certificate, SolveReport,
-    ClusterSolveReport, DecompositionReport,
+    MultiClusterInstance, VariableRef, RowCheck, FeasibilityReport, Schedule, Certificate, SolveStats,
+    SolveReport, ClusterSolveReport, DecompositionReport,
 ]
 
 # record -> its constructor's parameters in order, and their defaults
