@@ -373,10 +373,24 @@ def cmd_verify_decomposition(args) -> int:
     return 0 if decomposition.joint_status == "Optimal" else _infeasible(report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach standard error through ``_say``, and only there.
+
+    argparse's own ``error`` prints its usage on ``sys.stderr``, which is None
+    when fd 2 was closed at start, and ``print_usage`` then falls back to
+    standard output.  Subparsers are built from the same class.
+    """
+
+    def error(self, message: str):
+        _say(self.format_usage().removesuffix("\n"))
+        _say(f"{self.prog}: error: {message}")
+        self.exit(2)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; ``main`` runs ``cmd_<command>``."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cinestagger",
         description="Exact film-to-screen scheduler with staggered showtimes",
     )

@@ -630,7 +630,7 @@ def default_configurations(
     except ValueError:
         # the validator runs only here, so a loadable document pays nothing for it
         violations = [
-            v for v in _validate_cluster(cluster, check_forecast=False)
+            v for v in _validate_cluster(cluster, False, {})
             if v.code in {"bad_stagger_interval", "bad_runtime", "window_inverted"}
         ]
         if violations:
@@ -693,6 +693,9 @@ def validate_instance(instance: Instance, check_forecast: bool = True) -> List[V
     violations: List[Violation] = []
     seen_cluster_ids = set()
     screen_ids: List[int] = []     # each cluster's distinct screen ids
+    # window -> showtimes -> whether they are fine there: clusters of one
+    # window share their lists, so each distinct pair is checked once per document
+    fine_times: Dict[Tuple[int, int], Dict[Tuple[int, ...], bool]] = {}
     for cluster in instance.clusters:
         if cluster.cluster_id in seen_cluster_ids:
             violations.append(
@@ -700,7 +703,7 @@ def validate_instance(instance: Instance, check_forecast: bool = True) -> List[V
             )
         seen_cluster_ids.add(cluster.cluster_id)
         screen_ids.extend({s.screen_id for s in cluster.screens})
-        violations.extend(_validate_cluster(cluster, check_forecast))
+        violations.extend(_validate_cluster(cluster, check_forecast, fine_times))
     if len(set(screen_ids)) != len(screen_ids):
         violations.append(
             Violation("duplicate_screen_id", "screen ids are not globally unique across clusters")
@@ -716,7 +719,10 @@ def _showtimes_fine(times, window: Tuple[int, int]) -> bool:
     )
 
 
-def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Violation]:
+def _validate_cluster(
+    cluster: ClusterInstance, check_forecast: bool, fine_times: Dict[Tuple[int, int], Dict[Tuple[int, ...], bool]]
+) -> List[Violation]:
+    """The cluster's violations; ``fine_times`` holds ``_showtimes_fine`` per window and showtimes."""
     v: List[Violation] = []
 
     if cluster.stagger_interval_minutes < 1:
@@ -791,19 +797,19 @@ def _validate_cluster(cluster: ClusterInstance, check_forecast: bool) -> List[Vi
     films_with_configs = set()
     seen_config_keys = set()
     # showtimes -> whether they are fine in this cluster's window; films of
-    # one cycle length share their lists, so each distinct list is checked once
-    fine_times: Dict[Tuple[int, ...], bool] = {}
+    # one cycle length share their lists, and so do clusters of one window
+    fine_here = fine_times.setdefault(window, {})
     for config in cluster.configurations:
         key, times = config.key(), config.showtimes
         duplicate = key in seen_config_keys
         seen_config_keys.add(key)
         films_with_configs.add(config.film_id)
         try:
-            fine = fine_times.get(times)
+            fine = fine_here.get(times)
         except TypeError:   # a hand-built list of showtimes keys no dict
             fine = _showtimes_fine(times, window)
         if fine is None:
-            fine = fine_times[times] = _showtimes_fine(times, window)
+            fine = fine_here[times] = _showtimes_fine(times, window)
         if not duplicate and config.film_id in seen_films and config.config_index >= 1 and fine:
             continue    # nothing to report, so no label
         label = f"film {config.film_id} config {config.config_index}"

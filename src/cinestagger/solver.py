@@ -21,9 +21,12 @@ search ends.
 
 ``certify`` runs ``solve_assignment`` and then ``check_certificate``, which
 proves the reported status in exact integers from the model, the schedule
-and the certificate alone, trusting nothing the search computed.  The
-program's constraint matrix is an assignment matrix, so LP duality proves
-optimality (Kuhn 1955; Burkard, Dell'Amico & Martello, *Assignment
+and the certificate.  Inside ``certify`` the check reads the one
+derivation of tight cells and core (``_derive``) that the search made from
+the very dual tuples the certificate carries; any other report, such as a
+tampered copy or one with new tuples, is re-derived from its own duals.
+The program's constraint matrix is an assignment matrix, so LP duality
+proves optimality (Kuhn 1955; Burkard, Dell'Amico & Martello, *Assignment
 Problems*, SIAM 2009, ch. 4).  The certificates are:
 
 * ``lp-dual`` (Optimal): the schedule gives every screen of the model one
@@ -285,6 +288,32 @@ def _tie_weights(v, tight, core: List[int], columns: List[int]) -> Weights:
     return rows
 
 
+def _derive(model: BilpModel, u, v) -> Tuple[List[List[int]], List[int], List[int], Optional[Weights]]:
+    """``_core(model, u, v)`` and, when the core is non-empty, its ``_tie_weights``, else None."""
+    tight, core, columns = _core(model, u, v)
+    return tight, core, columns, _tie_weights(v, tight, core, columns) if core else None
+
+
+# (model, u, v, _derive(model, u, v)) of the last assignment search, until a
+# check takes it.  It is replaced whole, so a race between threads costs only
+# a recompute; nothing in it is mutated after it is made.
+_searched = (None, None, None, None)
+
+
+def _derivation(model: BilpModel, u, v):
+    """``_derive(model, u, v)``: the search's own when it was made from these very objects.
+
+    A model is immutable once built and tuples always are, so a hit is
+    exactly what a recompute would give.
+    """
+    global _searched
+    searched = _searched
+    if searched[0] is model and searched[1] is u and searched[2] is v:
+        _searched = (None, None, None, None)
+        return searched[3]
+    return _derive(model, u, v)
+
+
 def _solve(model: BilpModel, method: str, search) -> SolveReport:
     """Report of ``search`` on ``model``: pigeonhole check, schedule.
 
@@ -313,17 +342,21 @@ def _solve(model: BilpModel, method: str, search) -> SolveReport:
 
 
 def _assignment_search(model):
+    global _searched
     choice, u, v = _augment_max_weight(model.weights, len(model.column_keys))
     if choice is None:
         # rows join in order, so the row that failed, the highest in the Hall set, counts the augmentations done
         return None, Certificate("hall-set", screens=tuple(u), columns=tuple(v)), u[-1]
-    tight, core, columns = _core(model, u, v)
+    u, v = tuple(u), tuple(v)     # the certificate's own tuples, which the check matches by identity
+    derived = _derive(model, u, v)
+    _searched = (model, u, v, derived)
+    _, core, columns, tie_weights = derived
     tie_u = tie_v = ()
     if core:
-        ties, tie_u, tie_v = _augment_max_weight(_tie_weights(v, tight, core, columns), len(columns))
+        ties, tie_u, tie_v = _augment_max_weight(tie_weights, len(columns))
         for si, r in zip(core, ties):
             choice[si] = columns[r]
-    return choice, Certificate("lp-dual", tuple(u), tuple(v), (), (), tuple(tie_u), tuple(tie_v)), len(choice)
+    return choice, Certificate("lp-dual", u, v, (), (), tuple(tie_u), tuple(tie_v)), len(choice)
 
 
 def solve_assignment(model: BilpModel) -> SolveReport:
@@ -470,7 +503,7 @@ def _check_lp_dual(model: BilpModel, report: SolveReport) -> None:
             f"{report.method} scheduled {len(choices)} screens, with {len(u)} screen and"
             f" {len(v)} column duals, for {n} screens and {m} columns"
         )
-    tight, core, columns = _core(model, u, v)       # the optimality layer's dual feasibility
+    tight, core, columns, tie_weights = _derivation(model, u, v)    # the optimality layer's dual feasibility
     # each screen's (film, config) must name one of its own tight cells: in a
     # joint model the same (film, config) heads one column per cluster
     keys = model.column_keys
@@ -500,7 +533,7 @@ def _check_lp_dual(model: BilpModel, report: SolveReport) -> None:
     if not core:
         return
     mine = [columns.index(chosen[si]) for si in core]   # an optimal schedule keeps the core in its columns
-    for x, row in enumerate(_tie_weights(v, tight, core, columns)):
+    for x, row in enumerate(tie_weights):
         for r, w in enumerate(row):
             if w is not None and tie_u[x] + tie_v[r] < w:
                 raise CertificationError(f"tie certificate infeasible at {_cell_name(model, core[x], columns[r])}")
@@ -542,10 +575,13 @@ def check_certificate(model: BilpModel, report: SolveReport) -> None:
     column twice, scoring the reported objective on the matrix, and an
     ``lp-dual`` certificate in two layers.  Its duals hold on every allowed
     cell and are tight on the schedule's, which proves it optimal.  Then the
-    check re-derives the core from them, and the tie duals hold on the
-    core's tie-break weights and are tight on the schedule's core cells,
-    which proves it the canonical optimum.  Infeasible needs a
-    ``pigeonhole`` count or a ``hall-set``.
+    tie duals hold on the core's tie-break weights and are tight on the
+    schedule's core cells, which proves it the canonical optimum.  The tight
+    cells, the core and its weights are the search's own derivation when
+    the report carries the very dual tuples the last assignment search made
+    on this model, as inside ``certify``; for any other report they are
+    derived here from its duals.  Infeasible needs a ``pigeonhole`` count or
+    a ``hall-set``.
     """
     kind = report.certificate.kind if report.certificate is not None else None
     for bad in set(map(type, chain.from_iterable(report.certificate[1:] if kind else ()))) - {int}:
@@ -573,7 +609,9 @@ def certify(model: BilpModel) -> SolveReport:
     ``check_certificate`` has proved its status; a failed check raises
     :class:`CertificationError`.  Polynomial time: one matching solve, a
     second on the core when there is one, and an O(screens x
-    configurations) check.
+    configurations) check.  The tight cells and the core are derived once,
+    from the duals the certificate carries, and both the second solve and
+    the check read that derivation.
     """
     report = solve_assignment(model)
     check_certificate(model, report)

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import gc
@@ -1024,6 +1025,8 @@ _CLOSED_STDERR_CASES = {
     "unwritable-export-lp": (2, "build.out"),   # build writes its counts before the LP file
     "solve-infeasible": (3, b"Status: Infeasible\n"),
     "solve-tie-dual": (4, b""),
+    "usage-missing-instance": (2, b""),   # argparse's usage error
+    "usage-bad-format": (2, b""),
 }
 
 
@@ -1049,6 +1052,10 @@ def _closed_stderr_arguments(case, example_document, tmp_path):
         return cli_module + ["synth", "--screens", "2", "--films", "2", "--coeff-range", "x"]
     if case == "solve-infeasible":
         return cli_module + ["solve", write_doc(tmp_path, _infeasible_beside_optimal(example_document), "chain.json")]
+    if case == "usage-missing-instance":
+        return cli_module + ["solve"]
+    if case == "usage-bad-format":
+        return cli_module + ["solve", example, "--format", "bad"]
     tied = generate_document(screens=4, films=2, clusters=2, seed=0, coeff_range=(0, 2))
     return ["-c", _LOWERED_TIE_DUAL, "solve", write_doc(tmp_path, tied, "tied.json")]
 
@@ -1155,6 +1162,25 @@ def test_help_is_that_of_a_fresh_parser(capsys, monkeypatch, argv):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     assert texts[0].startswith("usage: cinestagger ")
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["bogus"], ["solve"], ["solve", "x", "--format", "bad"], ["synth", "--screens", "two"]],
+    ids=["no-command", "unknown-command", "missing-instance", "bad-format", "bad-int"],
+)
+def test_a_usage_error_writes_what_argparse_writes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    ours = capsys.readouterr()
+    assert ours.out == "" and ours.err.startswith("usage: cinestagger") and "error: " in ours.err
+    # the standard library's own error, on a fresh parser
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(SystemExit) as exc:
+        build_parser.__wrapped__().parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", ours.err)
 
 
 # Bytes the CLI wrote for the bundled example and for `synth --screens 4

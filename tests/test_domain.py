@@ -645,6 +645,18 @@ def test_a_shared_showtime_list_is_checked_against_each_clusters_window():
     ]
 
 
+@pytest.mark.parametrize("narrowed, film", [(0, 1), (1, 2)], ids=["first-cluster", "second-cluster"])
+def test_a_document_checks_each_showtime_list_against_each_window(narrowed, film):
+    # both clusters list configurations 1 and 2 at 12:00 and 12:30; one opens at
+    # 12:15, so only its configuration 1 is outside, whichever cluster comes first
+    doc = two_cluster_document()
+    assert [c["showtimes"] for c in doc["configurations"]] == [["12:00"], ["12:30"]] * 2
+    doc["locations"][narrowed]["open_time"] = "12:15"
+    assert [str(v) for v in validate_instance(parse_document(doc))] == [
+        f"showtime_outside_window: film {film} config 1: showtime 12:00 is outside the cluster window 12:15..23:00"
+    ]
+
+
 @pytest.mark.parametrize(
     "times, codes",
     [

@@ -24,9 +24,10 @@ DOCUMENTS = {
     "synth": json.loads((Path(__file__).parent / "data" / "pinned" / "synth" / "input.json").read_text(encoding="utf-8")),
 }
 
-WRONG_TYPES = st.one_of(
-    st.none(), st.booleans(), st.text(max_size=4), st.floats(), st.just([]), st.just({}), st.just([1]),
-)
+# each container is built afresh per draw: an edit may mutate the one it placed,
+# and a shared st.just([1]) would then draw the mutated object ever after
+CONTAINERS = (st.builds(list), st.builds(dict), st.builds(lambda: [1]))
+WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.floats(), *CONTAINERS)
 OUT_OF_RANGE_NUMBERS = st.one_of(st.integers(-(10 ** 20), 10 ** 20), st.sampled_from([0, -1, 1680, 10 ** 18, 0.0005]))
 OUT_OF_RANGE_TIMES = st.sampled_from(["00:00", "24:00", "27:59", "28:00", "99:99", "-1:00"])
 
@@ -70,6 +71,24 @@ def mutants(draw) -> str:
     if draw(st.booleans()) and draw(st.booleans()):
         text = text[: draw(st.integers(0, len(text) - 1))]
     return text
+
+
+@pytest.mark.parametrize("strategy", [WRONG_TYPES, *CONTAINERS], ids=["wrong-types", "list", "dict", "one"])
+def test_mutating_a_drawn_container_leaves_the_next_draw(strategy):
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def draw_and_spoil(data):
+        for _ in range(3):
+            value = data.draw(strategy)
+            if isinstance(value, (list, dict)):
+                assert value in ([], {}, [1])
+                value.clear()
+                if isinstance(value, dict):
+                    value["spoiled"] = 1
+                else:
+                    value.append("spoiled")
+
+    draw_and_spoil()
 
 
 def _run(argv):

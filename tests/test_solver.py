@@ -38,6 +38,8 @@ from cinestagger.solver import (
     _core,
     check_certificate,
 )
+from cinestagger import solver as solver_module
+from cinestagger.cluster import solve_all
 from cinestagger.synth import generate_document
 
 ALL_SOLVERS = [solve_assignment, solve_branch_and_bound, solve_brute_force]
@@ -229,6 +231,85 @@ def test_certify_leaves_the_model_at_its_matrix(example_instance):
     assert certify(model) == first
     assert first.objective == 2615
     assert set(vars(model)) == {"screen_ids", "column_keys", "weights"}
+
+
+def _counting_core(monkeypatch):
+    """Patch ``solver._core`` to count its calls; returns the list of calls' models."""
+    calls = []
+    honest = solver_module._core
+
+    def counted(model, u, v):
+        calls.append(model)
+        return honest(model, u, v)
+
+    monkeypatch.setattr(solver_module, "_core", counted)
+    return calls
+
+
+@pytest.mark.parametrize("coeff_range", [(0, 2), (0, 100000)], ids=["ties", "wide"])
+def test_certify_derives_the_core_once_per_feasible_cluster(monkeypatch, coeff_range):
+    instance = load_instance(generate_document(screens=6, films=3, clusters=8, seed=3, coeff_range=coeff_range))
+    calls = _counting_core(monkeypatch)
+    report = solve_all(instance)
+    feasible = [r for r in report.per_cluster.values() if r.status == "Optimal"]
+    assert feasible and all(r.certified for r in report.per_cluster.values())
+    assert len(calls) == len(feasible)
+    assert len(set(map(id, calls))) == len(calls)
+    if coeff_range == (0, 2):
+        assert any(r.certificate.tie_screen_duals for r in feasible)    # phase 2 ran and read the derivation
+
+
+def _fresh_tuples(report, lower=False):
+    """``report`` with its lp-dual tuples rebuilt as new objects, the first screen dual lowered by 1 if ``lower``."""
+    certificate = report.certificate
+    u = [*certificate.screen_duals]
+    u[0] -= 1 if lower else 0
+    return replace(report, certificate=replace(
+        certificate, screen_duals=tuple(u), column_duals=tuple([*certificate.column_duals]),
+    ))
+
+
+@pytest.mark.parametrize("weights, configs_per_film", [([[3, 3, 3], [3, 3, 3]], [1, 2]), ([[5, 1], [1, 5]], None)],
+                         ids=["core", "no-core"])
+def test_equal_duals_in_new_tuples_are_derived_again(monkeypatch, weights, configs_per_film):
+    model = small_model(weights, configs_per_film)
+    report = certify(model)
+    assert bool(report.certificate.tie_screen_duals) == (configs_per_film is not None)
+    copy = _fresh_tuples(report)
+    assert copy == report and copy.certificate.screen_duals is not report.certificate.screen_duals
+    calls = _counting_core(monkeypatch)
+    check_certificate(model, copy)
+    assert calls == [model]
+    with pytest.raises(CertificationError, match="lp-dual certificate infeasible at"):
+        check_certificate(model, _fresh_tuples(report, lower=True))
+
+
+def test_a_report_is_checked_on_its_own_model_after_another_is_certified(monkeypatch):
+    first, second = small_model([[3, 3, 3], [3, 3, 3]], [1, 2]), small_model([[3, 3], [3, 3]])
+    report = certify(first)
+    assert certify(second).objective == 6
+    calls = _counting_core(monkeypatch)
+    check_certificate(first, report)
+    assert calls == [first]
+    swapped = Schedule({1: report.schedule.choices[2], 2: report.schedule.choices[1]})
+    with pytest.raises(CertificationError, match="tie certificate"):
+        check_certificate(first, replace(report, schedule=swapped))
+    with pytest.raises(CertificationError):
+        check_certificate(second, report)
+
+
+def test_a_standalone_check_of_a_fresh_solve(example_instance):
+    model = build_model(example_instance)
+    report = solve_assignment(model)
+    assert not report.certified
+    check_certificate(model, report)
+    check_certificate(model, report)     # the second call derives again
+    lowered = report.certificate.screen_duals[0] - 1
+    with pytest.raises(CertificationError, match="lp-dual certificate infeasible at"):
+        check_certificate(model, replace(report, certificate=replace(
+            report.certificate, screen_duals=(lowered,) + report.certificate.screen_duals[1:],
+        )))
+    assert certify(model) == replace(report, certified=True)
 
 
 def test_three_way_agreement_random():
