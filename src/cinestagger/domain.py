@@ -347,6 +347,12 @@ def parse_document(
     incomplete (used by ``generate-configs`` before forecasts exist).
     A document without configurations gets each film's generated, with
     ``turnover_minutes`` added per screening.
+
+    A forecast row raises its first error, in this order: a missing or
+    mistyped id, an unknown screen, an unknown film, a repeat, then a
+    missing or bad attendance. Two errors are raised only after every
+    row has parsed: a configuration-generation error, then the first
+    row that pairs a screen with a film outside its cluster.
     """
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance document must be a JSON object")
@@ -366,23 +372,16 @@ def parse_document(
         if (type(loc_id) is int and type(name) is str and type(cluster_id) is str
                 and type(open_time) is str and type(last_showtime) is str
                 and name.isascii() and cluster_id.isascii()):
-            locations.append(Location(
-                loc_id, name, cluster_id, _location_time(open_time, loc_id, "open_time"),
-                _location_time(last_showtime, loc_id, "last_showtime"),
-            ))
-            continue
-        loc_id = _require_int(_require(entry, "id", "location"), "location id")
-        locations.append(
-            Location(
-                location_id=loc_id,
-                name=_require_str(_require(entry, "name", f"location {loc_id}"), f"location {loc_id} name"),
-                cluster_id=_cluster_key(_require(entry, "cluster_id", f"location {loc_id}"), f"location {loc_id}"),
-                open_time=_location_time(_require(entry, "open_time", f"location {loc_id}"), loc_id, "open_time"),
-                last_showtime=_location_time(
-                    _require(entry, "last_showtime", f"location {loc_id}"), loc_id, "last_showtime"
-                ),
-            )
-        )
+            open_time = _location_time(open_time, loc_id, "open_time")
+            last_showtime = _location_time(last_showtime, loc_id, "last_showtime")
+        else:
+            loc_id = _require_int(_require(entry, "id", "location"), "location id")
+            context = f"location {loc_id}"
+            name = _require_str(_require(entry, "name", context), f"{context} name")
+            cluster_id = _cluster_key(_require(entry, "cluster_id", context), context)
+            open_time = _location_time(_require(entry, "open_time", context), loc_id, "open_time")
+            last_showtime = _location_time(_require(entry, "last_showtime", context), loc_id, "last_showtime")
+        locations.append(Location(loc_id, name, cluster_id, open_time, last_showtime))
     if not locations:
         raise InstanceDataError([Violation("no_locations", "document defines no locations")])
     location_by_id = {}
@@ -544,32 +543,21 @@ def parse_document(
                 row[column] = attendance * MILLI
                 continue
         ext_sid, film_id, config_index = _forecast_ids(entry)
-        try:
-            sid, row, columns_of, flagged = row_route[ext_sid]
-            column = columns_of[film_id][config_index]
-        except KeyError:    # an unknown screen or film, or a row outside the matrix
-            column = None
-        if column is not None:
-            if row[column] is not None:
-                label = _row_label(ext_sid, film_id, config_index)
-                raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
-        else:
-            route = row_route.get(ext_sid)
-            if route is None:
-                label = _row_label(ext_sid, film_id, config_index)
-                raise InstanceDataError([Violation("unknown_screen", f"{label} references an unknown screen")])
-            sid, row, columns_of, flagged = route
-            if film_id not in columns_of:
-                if film_id not in film_owners:
-                    label = _row_label(ext_sid, film_id, config_index)
-                    raise InstanceDataError([Violation("unknown_film", f"{label} references an unknown film")])
-                if outside is None:
-                    outside = (ext_sid, film_id, config_index)
-            if (sid, film_id, config_index) in stray:
-                label = _row_label(ext_sid, film_id, config_index)
-                raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
-            stray.add((sid, film_id, config_index))
         label = _row_label(ext_sid, film_id, config_index)
+        route = row_route.get(ext_sid)
+        if route is None:
+            raise InstanceDataError([Violation("unknown_screen", f"{label} references an unknown screen")])
+        sid, row, columns_of, flagged = route
+        if film_id not in columns_of:
+            if film_id not in film_owners:
+                raise InstanceDataError([Violation("unknown_film", f"{label} references an unknown film")])
+            outside = outside or (ext_sid, film_id, config_index)
+        column = columns_of.get(film_id, {}).get(config_index)
+        cell = (sid, film_id, config_index)
+        # a repeat is an in-matrix cell already set, or a row outside the matrix already seen
+        repeat = cell in stray if column is None else row[column] is not None
+        if repeat:
+            raise InstanceDataError([Violation("duplicate_forecast_entry", f"{label} appears more than once")])
         attendance = _require(entry, "attendance", label)
         try:
             milli = parse_attendance(attendance)
@@ -577,8 +565,10 @@ def parse_document(
             raise InstanceFormatError(f"{exc} in {label}") from None
         if column is not None:
             row[column] = milli
+        else:
+            stray.add(cell)
         if column is None or milli < 0:
-            flagged.append((sid, film_id, config_index, milli))
+            flagged.append((*cell, milli))
 
     if generation_error is not None:
         raise generation_error

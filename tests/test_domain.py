@@ -2,7 +2,7 @@ import copy
 import json
 import random
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from support import replace
 from decimal import Decimal
 
@@ -1008,7 +1008,8 @@ _BAD_IDS = ["7", True, False, 1.0, Decimal("1"), None]
 def mutated_synth_documents(draw):
     """``synth`` documents of 1-6 clusters, valid or spoiled: shuffled rows,
     fractional attendance, omitted configurations, and negative, duplicate,
-    missing, unknown-configuration and other-cluster-film rows, rows with a
+    missing, unknown-configuration and other-cluster-film rows, rows naming
+    no screen or no film, a repeated row outside the matrix, rows with a
     mistyped id or attendance and rows missing a key, alone or together."""
     clusters = draw(st.integers(1, 6))
     doc = generate_document(
@@ -1038,6 +1039,14 @@ def mutated_synth_documents(draw):
     if clusters > 1:
         for i in some_rows(2):
             rows.append({**rows[i], "film_id": draw(st.sampled_from(doc["films"]))["id"]})
+    # well-typed ids that miss: no screen, no film, a fresh configuration twice
+    for i in some_rows(1):
+        rows[i]["screen_id"] = draw(st.sampled_from([0, -1, 10**4]))
+    for i in some_rows(1):
+        rows[i]["film_id"] = draw(st.sampled_from([0, -1, 10**4]))
+    for i in some_rows(1):
+        fresh = {**rows[i], "config_index": draw(st.sampled_from([0, 77]))}
+        rows.extend([fresh, dict(fresh)])
     # rows the subscript path must hand to the checking code
     for i in some_rows(2):
         rows[i][draw(st.sampled_from(["screen_id", "film_id", "config_index"]))] = draw(st.sampled_from(_BAD_IDS))
@@ -1074,6 +1083,27 @@ def test_matrix_loader_matches_the_dict_reference(doc, partial, turnover):
         doc.pop("forecast")
     expected = support.reference_load(doc, partial, turnover)
     assert matrix_load(copy.deepcopy(doc), partial, turnover) == expected
+
+
+@pytest.mark.parametrize("listed", [True, False], ids=["configurations", "no-configurations"])
+@pytest.mark.parametrize("clusters, screens, films, coeff_range", [(12, 6, 3, (0, 100000)), (3, 50, 20, (200, 299))])
+def test_clean_documents_take_only_the_typed_fast_paths(monkeypatch, clusters, screens, films, coeff_range, listed):
+    import cinestagger.domain as domain_module
+
+    doc = generate_document(screens, films, clusters=clusters, seed=1, coeff_range=coeff_range)
+    if not listed:
+        del doc["configurations"]
+    calls = Counter()
+    for name in ("_require", "_require_int", "_require_str", "_cluster_key", "_forecast_ids", "parse_attendance"):
+
+        def counting(*args, _honest=getattr(domain_module, name), _name=name):
+            calls[_name] += 1
+            return _honest(*args)
+
+        monkeypatch.setattr(domain_module, name, counting)
+    load_instance(doc)
+    # the document's own keys: stagger_interval_minutes, locations, screens, films
+    assert calls == {"_require": 4, "_require_int": 1}
 
 
 _BAD_TIMES = [720, None, True, " 12:00", "12:00 ", "1200", "28:00", "12:60", "１２:00"]
